@@ -17,7 +17,6 @@ files, malformed words, or inputs outside a verb's hypotheses).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cylinders import CylinderFunction, format_function_file, parse_function_file
@@ -34,7 +33,7 @@ from .transfer import (
     weights_equivalent,
     zero_set,
 )
-from .verdict import analyze, render_report
+from .verdict import analyze, dump_json, matrix_echo, render_report
 
 
 def _read(path: str) -> str:
@@ -50,19 +49,11 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _matrix_echo(A) -> dict:
-    return {"n": A.n, "rows": [list(row) for row in A.rows]}
-
-
 def _function_table(f: CylinderFunction) -> dict:
     return {
         "depth": f.depth,
         "values": {word_to_string(w): str(v) for w, v in sorted(f.values.items())},
     }
-
-
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,20 +132,20 @@ def _run(args: argparse.Namespace) -> int:
             if not equivalent:
                 doc["zero_set_left"] = sorted(word_to_string(w) for w in zero_set(rho1))
                 doc["zero_set_right"] = sorted(word_to_string(w) for w in zero_set(rho2))
-            _emit(_json(doc), args.out)
+            _emit(dump_json(doc), args.out)
         return 0
 
     if args.verb == "witness":
         if args.action == "invariant":
             cert = find_nontrivial_invariant(A)
-            doc = {"matrix": _matrix_echo(A), "invariant_set": cert.to_dict()}
+            doc = {"matrix": matrix_echo(A), "invariant_set": cert.to_dict()}
         elif args.action == "minimal":
             wit = minimality_witness(A, args.w, args.z)
-            doc = {"matrix": _matrix_echo(A), "minimality": wit.to_dict()}
+            doc = {"matrix": matrix_echo(A), "minimality": wit.to_dict()}
         else:
             cert = freeness_certificate(A, args.i, args.j)
-            doc = {"matrix": _matrix_echo(A), "freeness": cert.to_dict()}
-        _emit(_json(doc), args.out)
+            doc = {"matrix": matrix_echo(A), "freeness": cert.to_dict()}
+        _emit(dump_json(doc), args.out)
         return 0
 
     # words

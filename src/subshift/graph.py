@@ -5,12 +5,18 @@ entry (i, j) = 1 allows the two-symbol word "ij".  Paths are nonempty
 symbol words whose consecutive pairs are edges; a path between two
 symbols always uses at least one edge, so a path from i to itself is a
 closed walk such as "11" or "212".
+
+Each matrix stores its successor and predecessor tuples once, at
+construction.  Every path question is answered by one breadth-first
+search (``_distances``) and one greedy reconstruction of the
+lexicographically smallest shortest walk (``_shortest_walk``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 
 from .errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
 
@@ -27,6 +33,8 @@ class AdjacencyMatrix:
     """
 
     rows: tuple[tuple[int, ...], ...]
+    _successors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    _predecessors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.rows)
@@ -39,6 +47,12 @@ class AdjacencyMatrix:
                 raise MalformedInput(f"row {r} contains a non-bit entry")
             if 1 not in row:
                 raise ZeroRow(f"symbol {r} has no successor")
+        succ = tuple(tuple(j for j, b in enumerate(row, 1) if b) for row in self.rows)
+        pred = tuple(
+            tuple(i for i, row in enumerate(self.rows, 1) if row[j]) for j in range(n)
+        )
+        object.__setattr__(self, "_successors", succ)
+        object.__setattr__(self, "_predecessors", pred)
 
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
@@ -64,12 +78,12 @@ class AdjacencyMatrix:
     def successors(self, i: int) -> tuple[int, ...]:
         """Symbols j with an edge i -> j, ascending."""
         self.check_symbol(i)
-        return tuple(j for j in self.symbols if self.rows[i - 1][j - 1])
+        return self._successors[i - 1]
 
     def predecessors(self, j: int) -> tuple[int, ...]:
         """Symbols i with an edge i -> j, ascending (column j)."""
         self.check_symbol(j)
-        return tuple(i for i in self.symbols if self.rows[i - 1][j - 1])
+        return self._predecessors[j - 1]
 
 
 def parse_matrix(text: str) -> AdjacencyMatrix:
@@ -115,69 +129,54 @@ def is_cycle(A: AdjacencyMatrix) -> bool:
 
 
 def is_transitive(A: AdjacencyMatrix) -> bool:
-    """True iff every ordered symbol pair is joined by a path (>= 1 edge)."""
-    targets = set(A.symbols)
-    for i in A.symbols:
-        if _reachable_from(A, i) != targets:
-            return False
-    return True
+    """True iff every ordered symbol pair is joined by a path (>= 1 edge).
+
+    With no zero rows this is strong connectivity: a closed walk at i
+    leaves along any edge i -> u and comes back along a path u -> i.  So
+    one forward and one backward search from symbol 1 decide it.
+    """
+    everything = frozenset(A.symbols)
+    return all(
+        len(_distances(step, (1,), everything)) == A.n
+        for step in (A.successors, A.predecessors)
+    )
 
 
-def _reachable_from(A: AdjacencyMatrix, i: int) -> set[int]:
-    """Symbols reachable from i by at least one edge."""
-    seen: set[int] = set()
-    queue = deque(A.successors(i))
-    seen.update(queue)
+def _distances(
+    step: Callable[[int], Word], sources: Iterable[int], allowed: frozenset[int]
+) -> dict[int, int]:
+    """Breadth-first distances from the nearest source, following `step`
+    (``A.successors`` or ``A.predecessors``) through `allowed` symbols.
+
+    Sources sit at distance 0; symbols `step` cannot reach are absent.
+    """
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         v = queue.popleft()
-        for u in A.successors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
-def _reverse_distances(A: AdjacencyMatrix, j: int, allowed: frozenset[int]) -> dict[int, int]:
-    """Edge distance to j from every symbol, moving only through `allowed`."""
-    dist = {j: 0}
-    queue = deque([j])
-    while queue:
-        v = queue.popleft()
-        for u in A.predecessors(v):
+        for u in step(v):
             if u in allowed and u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
 
 
-def _lex_shortest_walk(
-    A: AdjacencyMatrix, i: int, j: int, allowed: frozenset[int]
+def _shortest_walk(
+    A: AdjacencyMatrix, i: int, targets: Iterable[int], allowed: frozenset[int]
 ) -> Word | None:
-    """Shortest walk word from i to j (>= 1 edge) inside `allowed`.
+    """Lexicographically smallest of the shortest words i, x1, ..., xm
+    (m >= 1) with every x in `allowed` and xm in `targets`.
 
-    Ties broken by the lexicographically smallest word.  Returns None when
-    no such walk exists.  Both endpoints must belong to `allowed`.
+    `i` itself need not lie in `allowed`.  Returns None when no such walk
+    exists.
     """
-    if i not in allowed or j not in allowed:
+    dist = _distances(A.predecessors, [t for t in targets if t in allowed], allowed)
+    ahead = [dist[u] for u in A.successors(i) if u in dist]
+    if not ahead:
         return None
-    dist = _reverse_distances(A, j, allowed)
-    if i == j:
-        starts = [u for u in A.successors(i) if u in allowed and u in dist]
-        if not starts:
-            return None
-        total = 1 + min(dist[u] for u in starts)
-    else:
-        if i not in dist:
-            return None
-        total = dist[i]
     word = [i]
-    cur, remaining = i, total
-    while remaining > 0:
-        cur = min(
-            u for u in A.successors(cur) if u in allowed and dist.get(u) == remaining - 1
-        )
-        word.append(cur)
-        remaining -= 1
+    for remaining in range(min(ahead), -1, -1):
+        word.append(min(u for u in A.successors(word[-1]) if dist.get(u) == remaining))
     return tuple(word)
 
 
@@ -190,7 +189,7 @@ def find_path(A: AdjacencyMatrix, i: int, j: int) -> Word:
     """
     A.check_symbol(i)
     A.check_symbol(j)
-    walk = _lex_shortest_walk(A, i, j, frozenset(A.symbols))
+    walk = _shortest_walk(A, i, (j,), frozenset(A.symbols))
     if walk is None:
         raise NoPath(f"no path from {i} to {j}")
     return walk
@@ -213,7 +212,7 @@ def shortest_cycle_avoiding(A: AdjacencyMatrix, banned: int) -> Word | None:
     allowed = frozenset(v for v in A.symbols if v != banned)
     best: Word | None = None
     for v in sorted(allowed):
-        walk = _lex_shortest_walk(A, v, v, allowed)
+        walk = _shortest_walk(A, v, (v,), allowed)
         if walk is None:
             continue
         period = walk[:-1]
@@ -230,31 +229,8 @@ def first_return_word(A: AdjacencyMatrix, start: int) -> Word:
     vertex and comes back.  Raises NoPath when no such excursion exists.
     """
     A.check_symbol(start)
-    allowed = frozenset(v for v in A.symbols if v != start)
-    targets = [p for p in A.predecessors(start) if p != start]
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for t in sorted(targets):
-        dist[t] = 0
-        queue.append(t)
-    while queue:
-        v = queue.popleft()
-        for u in A.predecessors(v):
-            if u in allowed and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    starts = [u for u in A.successors(start) if u in dist]
-    if not starts:
+    others = frozenset(v for v in A.symbols if v != start)
+    walk = _shortest_walk(A, start, A.predecessors(start), others)
+    if walk is None:
         raise NoPath(f"no return cycle through {start} that leaves it")
-    total = 1 + min(dist[u] for u in starts)
-    word = [start]
-    cur, remaining = start, total
-    while remaining > 0:
-        cur = min(
-            u
-            for u in A.successors(cur)
-            if u in allowed and dist.get(u) == remaining - 1
-        )
-        word.append(cur)
-        remaining -= 1
-    return tuple(word)
+    return walk

@@ -15,8 +15,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange
-from .graph import AdjacencyMatrix, Word, _lex_shortest_walk
+from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath, SymbolOutOfRange
+from .graph import AdjacencyMatrix, Word, find_path
 
 
 def as_word(w: str | Iterable[int]) -> Word:
@@ -68,21 +68,10 @@ def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
     """All admissible words of length k, in lexicographic order."""
     if k < 1:
         raise DepthZero("word length must be at least 1")
-    out: list[Word] = []
-    prefix: list[int] = []
-
-    def extend() -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        choices = A.symbols if not prefix else A.successors(prefix[-1])
-        for s in choices:
-            prefix.append(s)
-            extend()
-            prefix.pop()
-
-    extend()
-    return out
+    words: list[Word] = [(s,) for s in A.symbols]
+    for _ in range(k - 1):
+        words = [w + (s,) for w in words for s in A.successors(w[-1])]
+    return words
 
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
@@ -237,11 +226,11 @@ def left_padding(A: AdjacencyMatrix, first: int) -> Word:
     points into the two-sided representation; reads at coordinates >= 0
     are unaffected by the choice.
     """
-    allowed = frozenset(A.symbols)
     for p in A.predecessors(first):
-        walk = _lex_shortest_walk(A, p, p, allowed)
-        if walk is not None:
-            return walk[1:]
+        try:
+            return find_path(A, p, p)[1:]
+        except NoPath:
+            continue
     raise InadmissibleWord(f"no admissible left extension for symbol {first}")
 
 

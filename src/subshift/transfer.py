@@ -25,6 +25,7 @@ from typing import Callable
 
 from .cylinders import CylinderFunction, DomainMask, alpha, pointwise, refine
 from .errors import (
+    CertificateInvalid,
     DomainMismatch,
     MalformedInput,
     MatrixMismatch,
@@ -239,7 +240,8 @@ def weights_equivalent(
         w: c1[w] / c2[w] if c2[w] != 0 else Fraction(1) for w in c1
     }
     r = CylinderFunction(rho.matrix, k, table)
-    assert pointwise("mul", r, rho2.carrier) == rho.carrier
+    if pointwise("mul", r, rho2.carrier) != rho.carrier:
+        raise CertificateInvalid("equivalence witness does not reproduce the weight")
     return True, r
 
 

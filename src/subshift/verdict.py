@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CertificateInvalid, MalformedInput, SubshiftError
+from .errors import CertificateInvalid, MalformedInput
 from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
@@ -91,8 +91,7 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     invariant-set certificate, minimality spot witnesses over shallow
     cylinder pairs, and freeness tables for every exponent pair
     0 <= i < j <= depth_budget; otherwise it is inconclusive and names
-    the failed hypothesis.  Certificate errors downgrade the verdict to
-    inconclusive instead of propagating.
+    the failed hypothesis.
     """
     if depth_budget < 2:
         raise MalformedInput("depth budget must be at least 2")
@@ -103,35 +102,28 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
         notes.append(_CYCLE_NOTE)
 
     if transitive and not cycle:
-        try:
-            invariant = find_nontrivial_invariant(A)
-            minimal = tuple(
+        return AnalysisVerdict(
+            matrix=A,
+            depth_budget=depth_budget,
+            transitive=True,
+            cycle=False,
+            one_sided="simple",
+            two_sided="non_simple",
+            conclusion=NOT_ISOMORPHIC,
+            hypothesis_failed=None,
+            corollary_no_invertible_weight=True,
+            invariant_set=find_nontrivial_invariant(A),
+            minimality=tuple(
                 minimality_witness(A, w, z) for w, z in _minimality_spot_pairs(A)
-            )
-            free = tuple(
+            ),
+            freeness=tuple(
                 freeness_certificate(A, i, j)
                 for j in range(1, depth_budget + 1)
                 for i in range(j)
-            )
-        except SubshiftError as exc:  # pragma: no cover - safety net
-            notes.append(f"certificate construction failed: {exc}")
-        else:
-            return AnalysisVerdict(
-                matrix=A,
-                depth_budget=depth_budget,
-                transitive=True,
-                cycle=False,
-                one_sided="simple",
-                two_sided="non_simple",
-                conclusion=NOT_ISOMORPHIC,
-                hypothesis_failed=None,
-                corollary_no_invertible_weight=True,
-                invariant_set=invariant,
-                minimality=minimal,
-                freeness=free,
-                citations=_DICHOTOMY_CITATIONS,
-                notes=tuple(notes),
-            )
+            ),
+            citations=_DICHOTOMY_CITATIONS,
+            notes=tuple(notes),
+        )
 
     failed = "not_transitive" if not transitive else "cycle"
     notes.append(_HYPOTHESIS_NOTE)
@@ -153,9 +145,19 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     )
 
 
+def matrix_echo(A: AdjacencyMatrix) -> dict:
+    """The matrix as it appears in every JSON document."""
+    return {"n": A.n, "rows": [list(row) for row in A.rows]}
+
+
+def dump_json(doc: dict) -> str:
+    """The one JSON layout of every document: sorted keys, indent 2."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _verdict_to_dict(v: AnalysisVerdict) -> dict:
     doc = {
-        "matrix": {"n": v.matrix.n, "rows": [list(row) for row in v.matrix.rows]},
+        "matrix": matrix_echo(v.matrix),
         "depth_budget": v.depth_budget,
         "hypotheses": {"transitive": v.transitive, "cycle": v.cycle},
         "one_sided": {
@@ -183,7 +185,7 @@ def _verdict_to_dict(v: AnalysisVerdict) -> dict:
 
 def render_report(v: AnalysisVerdict) -> str:
     """Serialize a verdict deterministically (sorted keys, stable layout)."""
-    return json.dumps(_verdict_to_dict(v), indent=2, sort_keys=True) + "\n"
+    return dump_json(_verdict_to_dict(v))
 
 
 def parse_report(text: str) -> AnalysisVerdict:

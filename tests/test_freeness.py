@@ -46,6 +46,12 @@ def test_invariant_certificate_detour_case():
     cert.verify()
 
 
+def test_avoiding_point_on_a_cycle_raises(swap2):
+    # The proof step is an explicit check, so it also holds under python -O.
+    with pytest.raises(GraphIsCycle):
+        ss.freeness._avoiding_point(swap2, (1, 2))
+
+
 def test_invariant_certificate_hypothesis_gates(swap2, split2):
     with pytest.raises(GraphIsCycle):
         ss.find_nontrivial_invariant(swap2)

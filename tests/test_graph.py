@@ -70,6 +70,19 @@ def test_is_transitive_matches_brute_force(A):
     assert ss.is_transitive(A) == brute_force_transitive(A)
 
 
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_n=4))
+def test_neighbour_tuples_match_the_rows(A):
+    for s in A.symbols:
+        assert A.successors(s) == tuple(t for t in A.symbols if A.entry(s, t))
+        assert A.predecessors(s) == tuple(t for t in A.symbols if A.entry(t, s))
+    for bad in (0, A.n + 1):
+        with pytest.raises(SymbolOutOfRange):
+            A.successors(bad)
+        with pytest.raises(SymbolOutOfRange):
+            A.predecessors(bad)
+
+
 def test_is_cycle_examples(golden, swap2):
     assert ss.is_cycle(swap2)
     assert not ss.is_cycle(golden)

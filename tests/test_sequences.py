@@ -48,6 +48,10 @@ def test_enumerate_words_examples(golden):
         ss.enumerate_words(golden, 0)
 
 
+def test_enumerate_words_long_words_do_not_recurse(swap2):
+    assert ss.enumerate_words(swap2, 2000) == [(1, 2) * 1000, (2, 1) * 1000]
+
+
 def test_enumerate_words_is_sorted_and_admissible(golden, full2):
     for A in (golden, full2):
         for k in range(1, 5):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,3 +126,24 @@ def test_analyze_formula_exhaustive_n2():
         expected = ss.is_transitive(A) and not ss.is_cycle(A)
         assert (v.conclusion == ss.NOT_ISOMORPHIC) == expected
         ss.verify_report(ss.render_report(v))
+
+
+def test_analyze_propagates_certificate_failures(golden, monkeypatch):
+    def broken(A, i, j):
+        raise CertificateInvalid("construction bug")
+
+    monkeypatch.setattr("subshift.verdict.freeness_certificate", broken)
+    with pytest.raises(CertificateInvalid, match="construction bug"):
+        ss.analyze(golden)
+
+
+def test_report_bytes_are_pinned():
+    # Every witness word comes from the graph search; this digest pins the
+    # chosen witnesses and the report layout over all matrices with n <= 3.
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        for A in no_zero_row_matrices(n):
+            digest.update(ss.render_report(ss.analyze(A, 3)).encode())
+    assert digest.hexdigest() == (
+        "cd8986e220a44358eda3dcf17d12bccf8e13cb19eb96a98b6f78f9d2428e6ea1"
+    )
