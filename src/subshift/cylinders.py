@@ -6,11 +6,15 @@ words to Fractions.  These functions are dense among the continuous
 ones and every identity this package checks is an exact equality of
 such tables, never an approximation.  Scalars are real: the involution
 is the identity here.
+Tables from outside (files, callers) are checked by the constructor.
+Tables the engine derives are built by ``CylinderFunction.tabulate``,
+valid by construction, and are not checked again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import operator
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +35,8 @@ from .sequences import (
     word_to_string,
 )
 
-_POINTWISE_OPS = ("add", "mul", "neg", "abs")
+_UNARY_OPS = {"neg": operator.neg, "abs": abs}
+_BINARY_OPS = {"add": operator.add, "mul": operator.mul}
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -66,9 +71,10 @@ class CylinderFunction:
             raise DepthZero("cylinder functions need depth at least 1")
         table = {as_word(w): _as_fraction(v) for w, v in self.values.items()}
         expected = enumerate_words(self.matrix, self.depth)
-        if set(table) != set(expected):
+        allowed = set(expected)
+        if set(table) != allowed:
             missing = [word_to_string(w) for w in expected if w not in table]
-            extra = [word_to_string(w) for w in table if w not in set(expected)]
+            extra = [word_to_string(w) for w in table if w not in allowed]
             raise MalformedInput(
                 f"value table must cover exactly the admissible depth-{self.depth} "
                 f"words (missing {missing}, unknown {extra})"
@@ -76,9 +82,19 @@ class CylinderFunction:
         object.__setattr__(self, "values", table)
 
     @classmethod
+    def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
+        """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "matrix", A)
+        object.__setattr__(f, "depth", depth)
+        table = {w: _as_fraction(rule(w)) for w in enumerate_words(A, depth)}
+        object.__setattr__(f, "values", table)
+        return f
+
+    @classmethod
     def constant(cls, A: AdjacencyMatrix, value, depth: int = 1) -> "CylinderFunction":
         c = _as_fraction(value)
-        return cls(A, depth, {w: c for w in enumerate_words(A, depth)})
+        return cls.tabulate(A, depth, lambda w: c)
 
     @classmethod
     def zero(cls, A: AdjacencyMatrix, depth: int = 1) -> "CylinderFunction":
@@ -90,7 +106,7 @@ class CylinderFunction:
         w = require_admissible(A, word)
         if not w:
             raise MalformedInput("indicator needs a nonempty word")
-        return cls(A, len(w), {v: Fraction(v == w) for v in enumerate_words(A, len(w))})
+        return cls.tabulate(A, len(w), lambda v: Fraction(v == w))
 
     def refine(self, depth: int) -> "CylinderFunction":
         return refine(self, depth)
@@ -147,8 +163,7 @@ def refine(f: CylinderFunction, depth: int) -> CylinderFunction:
         raise ShallowerDepth(f"cannot refine depth {f.depth} down to {depth}")
     if depth == f.depth:
         return f
-    table = {w: f.values[w[: f.depth]] for w in enumerate_words(f.matrix, depth)}
-    return CylinderFunction(f.matrix, depth, table)
+    return CylinderFunction.tabulate(f.matrix, depth, lambda w: f.values[w[: f.depth]])
 
 
 def alpha(f: CylinderFunction) -> CylinderFunction:
@@ -157,27 +172,26 @@ def alpha(f: CylinderFunction) -> CylinderFunction:
     The result depends on one more coordinate than f, so its depth grows
     by one; its value on a word drops the first symbol.
     """
-    table = {w: f.values[w[1:]] for w in enumerate_words(f.matrix, f.depth + 1)}
-    return CylinderFunction(f.matrix, f.depth + 1, table)
+    return CylinderFunction.tabulate(f.matrix, f.depth + 1, lambda w: f.values[w[1:]])
 
 
 def pointwise(op: str, f: CylinderFunction, g: CylinderFunction | None = None) -> CylinderFunction:
     """Apply an exact pointwise operation: add, mul (binary), neg, abs (unary)."""
-    if op not in _POINTWISE_OPS:
+    if op not in (*_UNARY_OPS, *_BINARY_OPS):
         raise MalformedInput(f"unknown pointwise op {op!r}")
-    if op in ("neg", "abs"):
+    if op in _UNARY_OPS:
         if g is not None:
             raise MalformedInput(f"{op} takes a single function")
-        fn = (lambda v: -v) if op == "neg" else abs
-        return CylinderFunction(f.matrix, f.depth, {w: fn(v) for w, v in f.values.items()})
+        fn = _UNARY_OPS[op]
+        return CylinderFunction.tabulate(f.matrix, f.depth, lambda w: fn(f.values[w]))
     if g is None:
         raise MalformedInput(f"{op} takes two functions")
     if f.matrix != g.matrix:
         raise MatrixMismatch("operands built over different matrices")
     k = max(f.depth, g.depth)
     fv, gv = refine(f, k).values, refine(g, k).values
-    fn2 = (lambda a, b: a + b) if op == "add" else (lambda a, b: a * b)
-    return CylinderFunction(f.matrix, k, {w: fn2(fv[w], gv[w]) for w in fv})
+    fn = _BINARY_OPS[op]
+    return CylinderFunction.tabulate(f.matrix, k, lambda w: fn(fv[w], gv[w]))
 
 
 def evaluate(f: CylinderFunction, x) -> Fraction:
@@ -186,14 +200,11 @@ def evaluate(f: CylinderFunction, x) -> Fraction:
     if isinstance(x, EventuallyPeriodicSeq):
         if x.matrix != f.matrix:
             raise MatrixMismatch("sequence built over a different matrix")
-        prefix = x.window(0, f.depth)
-    else:
-        word = as_word(x)
-        if len(word) < f.depth:
-            raise TooShort(f"need {f.depth} symbols, got {len(word)}")
-        prefix = word[: f.depth]
-    prefix = require_admissible(f.matrix, prefix)
-    return f.values[prefix]
+        return f.values[x.window(0, f.depth)]
+    word = as_word(x)
+    if len(word) < f.depth:
+        raise TooShort(f"need {f.depth} symbols, got {len(word)}")
+    return f.values[require_admissible(f.matrix, word[: f.depth])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,10 +269,9 @@ class DomainMask:
         return word[: self.depth] in self.members
 
     def indicator(self) -> CylinderFunction:
-        table = {
-            w: Fraction(w in self.members) for w in enumerate_words(self.matrix, self.depth)
-        }
-        return CylinderFunction(self.matrix, self.depth, table)
+        return CylinderFunction.tabulate(
+            self.matrix, self.depth, lambda w: Fraction(w in self.members)
+        )
 
     def is_empty(self) -> bool:
         return not self.members

@@ -46,6 +46,7 @@ from .sequences import (
     one_sided_seq,
     periodic_seq,
     require_admissible,
+    word_count,
     word_to_string,
 )
 
@@ -192,7 +193,7 @@ class FreenessCertificate:
         if not 0 <= i < j:
             raise CertificateInvalid("certificate exponents must satisfy 0 <= i < j")
         words = [e.word for e in self.entries]
-        if words != enumerate_words(A, j):
+        if len(words) != word_count(A, j) or words != enumerate_words(A, j):
             raise CertificateInvalid("entry table does not cover the depth-j cylinders")
         for e in self.entries:
             self._verify_entry(e)

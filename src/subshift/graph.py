@@ -15,7 +15,7 @@ lexicographically smallest shortest walk (``_shortest_walk``).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
@@ -138,15 +138,15 @@ def is_transitive(A: AdjacencyMatrix) -> bool:
     everything = frozenset(A.symbols)
     return all(
         len(_distances(step, (1,), everything)) == A.n
-        for step in (A.successors, A.predecessors)
+        for step in (A._successors, A._predecessors)
     )
 
 
 def _distances(
-    step: Callable[[int], Word], sources: Iterable[int], allowed: frozenset[int]
+    step: tuple[Word, ...], sources: Iterable[int], allowed: frozenset[int]
 ) -> dict[int, int]:
     """Breadth-first distances from the nearest source, following `step`
-    (``A.successors`` or ``A.predecessors``) through `allowed` symbols.
+    (``A._successors`` or ``A._predecessors``) through `allowed` symbols.
 
     Sources sit at distance 0; symbols `step` cannot reach are absent.
     """
@@ -154,7 +154,7 @@ def _distances(
     queue = deque(dist)
     while queue:
         v = queue.popleft()
-        for u in step(v):
+        for u in step[v - 1]:
             if u in allowed and u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -170,13 +170,13 @@ def _shortest_walk(
     `i` itself need not lie in `allowed`.  Returns None when no such walk
     exists.
     """
-    dist = _distances(A.predecessors, [t for t in targets if t in allowed], allowed)
-    ahead = [dist[u] for u in A.successors(i) if u in dist]
+    dist = _distances(A._predecessors, [t for t in targets if t in allowed], allowed)
+    ahead = [dist[u] for u in A._successors[i - 1] if u in dist]
     if not ahead:
         return None
     word = [i]
     for remaining in range(min(ahead), -1, -1):
-        word.append(min(u for u in A.successors(word[-1]) if dist.get(u) == remaining))
+        word.append(min(u for u in A._successors[word[-1] - 1] if dist.get(u) == remaining))
     return tuple(word)
 
 
@@ -230,7 +230,7 @@ def first_return_word(A: AdjacencyMatrix, start: int) -> Word:
     """
     A.check_symbol(start)
     others = frozenset(v for v in A.symbols if v != start)
-    walk = _shortest_walk(A, start, A.predecessors(start), others)
+    walk = _shortest_walk(A, start, A._predecessors[start - 1], others)
     if walk is None:
         raise NoPath(f"no return cycle through {start} that leaves it")
     return walk

@@ -74,6 +74,17 @@ def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
     return words
 
 
+def word_count(A: AdjacencyMatrix, k: int) -> int:
+    """The number of admissible words of length k, counted without listing
+    them: the sum of the entries of A^(k-1), in O(k * n^2) steps."""
+    if k < 1:
+        raise DepthZero("word length must be at least 1")
+    ending = [1] * A.n  # admissible words of the current length, by last symbol
+    for _ in range(k - 1):
+        ending = [sum(ending[p - 1] for p in A.predecessors(s)) for s in A.symbols]
+    return sum(ending)
+
+
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     """Words w of length p with every consecutive edge and the wrap edge
     A(w_p, w_1); each names the period-p point w repeated forever."""
@@ -242,10 +253,10 @@ def one_sided_seq(
     Coordinate 0 is the first symbol of `prefix`; negative coordinates
     hold canonical padding and must not be read by one-sided checks.
     """
-    head = require_admissible(A, prefix)
+    head = as_word(prefix)
     if not head:
         raise MalformedInput("one-sided point needs a nonempty prefix")
-    tail = require_admissible(A, tail_period)
+    tail = as_word(tail_period)
     if not tail:
         raise MalformedInput("one-sided point needs a nonempty tail period")
     return EventuallyPeriodicSeq(A, left_padding(A, head[0]), head, tail, 0)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable
 
 from .cylinders import CylinderFunction, DomainMask, alpha, pointwise, refine
@@ -56,16 +55,15 @@ class Weight:
     def __post_init__(self) -> None:
         if self.carrier.matrix != self.domain.matrix:
             raise MatrixMismatch("carrier and domain built over different matrices")
-        c = refine(self.carrier, max(self.carrier.depth, self.domain.depth))
-        table = {}
+        U = self.domain
+        c = refine(self.carrier, max(self.carrier.depth, U.depth))
         for w, v in c.values.items():
-            if not self.domain.covers(w):
-                table[w] = Fraction(0)
-                continue
-            if v < 0:
+            if v < 0 and U.covers(w):
                 raise NegativeWeight(f"weight is {v} on cylinder {word_to_string(w)}")
-            table[w] = v
-        object.__setattr__(self, "carrier", CylinderFunction(c.matrix, c.depth, table))
+        carrier = CylinderFunction.tabulate(
+            c.matrix, c.depth, lambda w: c.values[w] if U.covers(w) else 0
+        )
+        object.__setattr__(self, "carrier", carrier)
 
     @classmethod
     def full(cls, carrier: CylinderFunction) -> "Weight":
@@ -103,10 +101,10 @@ def check_supported(f: CylinderFunction, U: DomainMask) -> None:
 def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     """Apply the transfer operator of `rho` to `f`.
 
-    f must be supported in the domain of rho.  The result is tabulated
-    at depth max(rho.depth, f.depth) - 1 (at least 1): each preimage
-    symbol a prepended to an output word gives a word deep enough to
-    read both rho and f exactly.
+    f must be supported in the domain of rho.  At depth max(rho.depth,
+    f.depth) - 1 (at least 1), L(f)(x) is the sum of rho(a.x) * f(a.x)
+    over the predecessors a of x_1; rho's carrier is zero off its domain,
+    so a preimage outside the domain adds an exact zero.
     """
     A = rho.matrix
     if f.matrix != A:
@@ -115,17 +113,12 @@ def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     d = max(rho.depth, f.depth)
     rv = refine(rho.carrier, d).values
     fv = refine(f, d).values
-    U = rho.domain
-    out_depth = max(d - 1, 1)
-    table: dict[Word, Fraction] = {}
-    for x in enumerate_words(A, out_depth):
-        total = Fraction(0)
-        for a in A.predecessors(x[0]):
-            y = (a,) + x
-            if U.covers(y):
-                total += rv[y[:d]] * fv[y[:d]]
-        table[x] = total
-    return CylinderFunction(A, out_depth, table)
+
+    def preimage_sum(x: Word) -> Fraction:
+        ys = [((a,) + x)[:d] for a in A.predecessors(x[0])]
+        return sum((rv[y] * fv[y] for y in ys), Fraction(0))
+
+    return CylinderFunction.tabulate(A, max(d - 1, 1), preimage_sum)
 
 
 def as_operator(rho: Weight) -> AbstractTransferOp:
@@ -155,7 +148,8 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
     recovers the weight exactly: on a point y in [a], alpha(L(xi_a))
     evaluates L at the shifted point, where the only preimage inside [a]
-    is y itself.  The operator is then spot-checked against
+    is y itself.  The xi_a are disjoint, so rho(w) = L(xi_a)(w[1:]) for
+    a = w[:d] in U and 0 off U.  The operator is then spot-checked against
     transfer_apply(rho, .) on every cylinder indicator of depth d and
     d+1 inside U (NotTransfer on disagreement) and must be linear on
     fixed rational combinations of neighbouring indicators.  A negative
@@ -181,17 +175,13 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
     indicators = {a: CylinderFunction.indicator(A, a) for a in members}
     queried = {a: query(indicators[a]) for a in members}
-    terms = [
-        pointwise("mul", alpha(queried[a]), indicators[a]) for a in members
-    ]
-    carrier = reduce(lambda f, g: pointwise("add", f, g), terms)
-    for w, v in carrier.values.items():
-        if v < 0 and U.covers(w):
-            raise NegativeWeight(
-                f"recovered value {v} on cylinder {word_to_string(w)}; "
-                "the operator was not positive"
-            )
-    rho = Weight(carrier, U)
+
+    def shifted_query(w: Word) -> Fraction:
+        q = queried.get(w[:d])
+        return Fraction(0) if q is None else q.values[w[1 : q.depth + 1]]
+
+    depth = max(d, *(q.depth + 1 for q in queried.values()))
+    rho = Weight(CylinderFunction.tabulate(A, depth, shifted_query), U)
 
     basis = [indicators[a] for a in members]
     basis.extend(
@@ -236,10 +226,9 @@ def weights_equivalent(
     c2 = refine(rho2.carrier, k).values
     if {w for w, v in c1.items() if v == 0} != {w for w, v in c2.items() if v == 0}:
         return False, None
-    table = {
-        w: c1[w] / c2[w] if c2[w] != 0 else Fraction(1) for w in c1
-    }
-    r = CylinderFunction(rho.matrix, k, table)
+    r = CylinderFunction.tabulate(
+        rho.matrix, k, lambda w: c1[w] / c2[w] if c2[w] != 0 else Fraction(1)
+    )
     if pointwise("mul", r, rho2.carrier) != rho.carrier:
         raise CertificateInvalid("equivalence witness does not reproduce the weight")
     return True, r

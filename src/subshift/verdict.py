@@ -25,7 +25,7 @@ from .freeness import (
     minimality_witness,
 )
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
-from .sequences import enumerate_words
+from .sequences import enumerate_words, word_count
 
 NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
@@ -77,6 +77,10 @@ class AnalysisVerdict:
     notes: tuple[str, ...]
 
 
+def _freeness_pairs(depth_budget: int) -> list[tuple[int, int]]:
+    return [(i, j) for j in range(1, depth_budget + 1) for i in range(j)]
+
+
 def _minimality_spot_pairs(A: AdjacencyMatrix):
     words = []
     for depth in _MINIMALITY_SPOT_DEPTHS:
@@ -117,9 +121,7 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
                 minimality_witness(A, w, z) for w, z in _minimality_spot_pairs(A)
             ),
             freeness=tuple(
-                freeness_certificate(A, i, j)
-                for j in range(1, depth_budget + 1)
-                for i in range(j)
+                freeness_certificate(A, i, j) for i, j in _freeness_pairs(depth_budget)
             ),
             citations=_DICHOTOMY_CITATIONS,
             notes=tuple(notes),
@@ -155,19 +157,21 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _status_blocks(v: AnalysisVerdict) -> dict:
+    one = ["minimality", "freeness"] if v.one_sided == "simple" else []
+    two = ["invariant_set"] if v.two_sided == "non_simple" else []
+    return {
+        "one_sided": {"status": v.one_sided, "certificates": one},
+        "two_sided": {"status": v.two_sided, "certificates": two},
+    }
+
+
 def _verdict_to_dict(v: AnalysisVerdict) -> dict:
     doc = {
         "matrix": matrix_echo(v.matrix),
         "depth_budget": v.depth_budget,
         "hypotheses": {"transitive": v.transitive, "cycle": v.cycle},
-        "one_sided": {
-            "status": v.one_sided,
-            "certificates": ["minimality", "freeness"] if v.one_sided == "simple" else [],
-        },
-        "two_sided": {
-            "status": v.two_sided,
-            "certificates": ["invariant_set"] if v.two_sided == "non_simple" else [],
-        },
+        **_status_blocks(v),
         "conclusion": v.conclusion,
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
         "certificates": {
@@ -188,11 +192,18 @@ def render_report(v: AnalysisVerdict) -> str:
     return dump_json(_verdict_to_dict(v))
 
 
-def parse_report(text: str) -> AnalysisVerdict:
+def _load_report(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"report is not valid JSON: {exc}") from None
+
+
+def parse_report(text: str) -> AnalysisVerdict:
+    return _verdict_from_doc(_load_report(text))
+
+
+def _verdict_from_doc(doc) -> AnalysisVerdict:
     try:
         A = AdjacencyMatrix.from_rows(doc["matrix"]["rows"])
         certs = doc["certificates"]
@@ -219,7 +230,7 @@ def parse_report(text: str) -> AnalysisVerdict:
             citations=tuple(doc["citations"]),
             notes=tuple(doc.get("notes", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedInput(f"report document is missing or mistypes a field: {exc}") from None
 
 
@@ -228,9 +239,13 @@ def verify_report(text: str) -> AnalysisVerdict:
 
     Recomputes the hypotheses from the matrix echo, confirms the
     conclusion matches them, and re-verifies every embedded certificate
-    from its stored data.  Raises CertificateInvalid on any failure.
+    from its stored data.  A conclusive report must hold exactly the
+    certificates ``analyze`` emits for its depth budget; counts are
+    compared before any expected list is built.  Raises
+    CertificateInvalid on any failure.
     """
-    v = parse_report(text)
+    doc = _load_report(text)
+    v = _verdict_from_doc(doc)
     A = v.matrix
     if v.transitive != is_transitive(A) or v.cycle != is_cycle(A):
         raise CertificateInvalid("stored hypotheses do not match the matrix")
@@ -241,11 +256,24 @@ def verify_report(text: str) -> AnalysisVerdict:
         )
     if v.corollary_no_invertible_weight != (v.conclusion == NOT_ISOMORPHIC):
         raise CertificateInvalid("corollary flag inconsistent with the conclusion")
+    for side, block in _status_blocks(v).items():
+        if doc[side] != block:
+            raise CertificateInvalid(f"{side} must read {block}")
     if v.conclusion == NOT_ISOMORPHIC:
         if v.one_sided != "simple" or v.two_sided != "non_simple":
             raise CertificateInvalid("status fields inconsistent with the conclusion")
-        if v.invariant_set is None or not v.freeness or not v.minimality:
+        if v.invariant_set is None:
             raise CertificateInvalid("conclusive verdict is missing certificates")
+        b = v.depth_budget
+        if b < 2:
+            raise CertificateInvalid("depth budget must be at least 2")
+        tables = [(c.i, c.j) for c in v.freeness]
+        if len(tables) != b * (b + 1) // 2 or tables != _freeness_pairs(b):
+            raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
+        spots = [(m.start, m.target) for m in v.minimality]
+        n_spots = sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
+        if len(spots) != n_spots or spots != _minimality_spot_pairs(A):
+            raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
         v.invariant_set.verify()
         for wit in v.minimality:
             wit.verify()

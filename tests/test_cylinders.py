@@ -187,3 +187,10 @@ def test_function_file_round_trip(golden):
 def test_function_file_malformed(golden, text):
     with pytest.raises(MalformedInput):
         ss.parse_function_file(golden, text)
+
+
+def test_unknown_word_in_a_deep_function_file_is_named(golden):
+    text = ss.format_function_file(ss.CylinderFunction.constant(golden, 1, 18))
+    unknown = "2" * 18
+    with pytest.raises(MalformedInput, match=rf"unknown \['{unknown}'\]"):
+        ss.parse_function_file(golden, text + f"{unknown} 1\n")

@@ -197,6 +197,9 @@ def test_freeness_tamper_detection(golden):
     ]
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 1, 2, tuple(swapped)).verify()
+    # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
+    with pytest.raises(CertificateInvalid):
+        ss.FreenessCertificate(golden, 0, 40, ()).verify()
 
 
 def test_certificate_serialization_round_trip(golden):

@@ -11,6 +11,7 @@ from subshift.errors import (
     MalformedInput,
     SymbolOutOfRange,
 )
+from subshift.sequences import word_count
 from support import brute_force_words, matrix_power_word_count, random_matrix
 
 
@@ -71,7 +72,8 @@ def test_enumerate_words_against_brute_force_and_matrix_power():
         for k in range(1, 7):
             ws = ss.enumerate_words(A, k)
             assert ws == brute_force_words(A, k)
-            assert len(ws) == matrix_power_word_count(A, k)
+            assert len(ws) == matrix_power_word_count(A, k) == word_count(A, k)
+        assert word_count(A, 40) == matrix_power_word_count(A, 40)
 
 
 def test_periodic_points_examples(golden, swap2):

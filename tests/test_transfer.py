@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import (
@@ -227,3 +230,35 @@ def test_weight_file_round_trip(golden):
     assert ss.parse_weight_file(golden, text) == rho
     full = ss.parse_weight_file(golden, "depth 1\n1 1/2\n2 1\n")
     assert full.domain.is_full()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_derived_tables_pass_the_constructor_check(seed):
+    # Tables built by CylinderFunction.tabulate skip the constructor's
+    # check; every one of them must still pass it.
+    rng = random.Random(seed)
+    A = random_matrix(rng, nmax=3)
+    f = random_function(rng, A, rng.randint(1, 3))
+    g = random_function(rng, A, rng.randint(1, 3))
+    rho = random_weight(rng, A, depth_max=3, zero_prob=0.3)
+    factor = random_function(rng, A, rho.depth, positive=True)
+    rho2 = ss.Weight(ss.pointwise("mul", rho.carrier, factor), rho.domain)
+    equivalent, witness = ss.weights_equivalent(rho, rho2)
+    assert equivalent
+    derived = [
+        ss.CylinderFunction.constant(A, random_fraction(rng), rng.randint(1, 3)),
+        ss.CylinderFunction.indicator(A, rng.choice(ss.enumerate_words(A, rng.randint(1, 3)))),
+        ss.refine(f, f.depth + rng.randint(1, 2)),
+        ss.alpha(f),
+        *(ss.pointwise(op, f, g) for op in ("add", "mul")),
+        *(ss.pointwise(op, f) for op in ("neg", "abs")),
+        rho.domain.indicator(),
+        rho.carrier,
+        ss.transfer_apply(rho, masked(f, rho.domain)),
+        ss.recover_weight(ss.as_operator(rho), rho.domain).carrier,
+        witness,
+    ]
+    for h in derived:
+        assert all(type(v) is Fraction for v in h.values.values())
+        assert ss.CylinderFunction(h.matrix, h.depth, h.values).values == h.values

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 import subshift as ss
 from subshift.errors import CertificateInvalid, MalformedInput
-from support import no_zero_row_matrices
+from support import (
+    masked,
+    no_zero_row_matrices,
+    random_function,
+    random_matrix,
+    random_weight,
+)
 
 
 def test_analyze_golden(golden):
@@ -113,11 +120,66 @@ def test_verify_report_rejects_tampering(golden, swap2):
         ss.verify_report(json.dumps(cycle_doc))
 
 
-def test_verify_report_rejects_garbage():
+def test_verify_report_rejects_garbage(golden):
     with pytest.raises(MalformedInput):
         ss.verify_report("not json")
     with pytest.raises(MalformedInput):
         ss.verify_report("{}")
+    infinite = json.loads(ss.render_report(ss.analyze(golden)))
+    infinite["depth_budget"] = float("inf")  # json writes Infinity
+    with pytest.raises(MalformedInput):
+        ss.verify_report(json.dumps(infinite))
+
+
+def test_verify_report_requires_every_promised_certificate(golden):
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    certs = doc["certificates"]
+    cut_downs = [
+        dict(doc, certificates=dict(certs, freeness=certs["freeness"][:1])),
+        dict(doc, certificates=dict(certs, freeness=certs["freeness"][::-1])),
+        dict(doc, certificates=dict(certs, minimality=certs["minimality"][:1])),
+        dict(doc, depth_budget=99),
+        dict(doc, depth_budget=-1000000),
+        dict(doc, depth_budget=10**30),
+        dict(doc, one_sided=dict(doc["one_sided"], certificates=["minimality"])),
+        dict(doc, two_sided=dict(doc["two_sided"], certificates=[])),
+    ]
+    for report in cut_downs:
+        with pytest.raises(CertificateInvalid):
+            ss.verify_report(json.dumps(report))
+
+
+_LEAF_VALUES = (None, [], {}, -1, 0, 10**6, 2.5, "", "x", "121", 40)
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar or empty container in a JSON document."""
+    if isinstance(node, dict) and node:
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def test_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    paths = list(_leaf_paths(doc))
+    rng = random.Random(43)
+    for _ in range(300):
+        mutated = json.loads(json.dumps(doc))
+        *parents, last = rng.choice(paths)
+        node = mutated
+        for key in parents:
+            node = node[key]
+        node[last] = rng.choice(_LEAF_VALUES)
+        try:
+            ss.verify_report(json.dumps(mutated))
+        except ss.SubshiftError:
+            pass
 
 
 def test_analyze_formula_exhaustive_n2():
@@ -146,4 +208,21 @@ def test_report_bytes_are_pinned():
             digest.update(ss.render_report(ss.analyze(A, 3)).encode())
     assert digest.hexdigest() == (
         "cd8986e220a44358eda3dcf17d12bccf8e13cb19eb96a98b6f78f9d2428e6ea1"
+    )
+
+
+def test_transfer_outputs_are_pinned():
+    # Recovered weights and transfer images over 60 seeded random weights;
+    # the digest pins every value the transfer layer tabulates.
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        A = random_matrix(rng, nmax=3)
+        rho = random_weight(rng, A, depth_max=3, zero_prob=0.3)
+        f = masked(random_function(rng, A, rng.randint(1, 4)), rho.domain)
+        recovered = ss.recover_weight(ss.as_operator(rho), rho.domain)
+        digest.update(ss.format_weight_file(recovered).encode())
+        digest.update(ss.format_function_file(ss.transfer_apply(rho, f)).encode())
+    assert digest.hexdigest() == (
+        "a96dbc13b1fe8679eb492c0f4d372dff96f72ee72bc608de83c4dafdd450ebcf"
     )
