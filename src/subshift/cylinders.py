@@ -7,8 +7,12 @@ ones and every identity this package checks is an exact equality of
 such tables, never an approximation.  Scalars are real: the involution
 is the identity here.
 Tables from outside (files, callers) are checked by the constructor.
-Tables the engine derives are built by ``CylinderFunction.tabulate``,
-valid by construction, and are not checked again.
+It reads only the words it was given: each key must be an admissible
+word of the table's depth, and the number of keys must equal the
+admissible word count (``sequences.word_count``), so no word is listed.
+``DomainMask`` checks its member words the same way.  Tables the engine
+derives are built by ``CylinderFunction.tabulate``, valid by
+construction, and are not checked again.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .sequences import (
     as_word,
     enumerate_words,
     require_admissible,
+    word_count,
     word_from_string,
     word_to_string,
 )
@@ -47,9 +52,19 @@ def _as_fraction(value: object) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"cannot parse rational {value!r}") from None
     raise MalformedInput(f"values must be exact rationals, got {type(value).__name__}")
+
+
+def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> list[str]:
+    """The given words that are not admissible depth-`depth` words, sorted."""
+    # Edges join symbols of the alphabet, so past w[0] the edge test checks the range.
+    edges = {(a, b) for a in A.symbols for b in A.successors(a)}
+    return sorted(
+        word_to_string(w) for w in words
+        if len(w) != depth or w[0] not in A.symbols or not edges.issuperset(zip(w, w[1:]))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +85,14 @@ class CylinderFunction:
         if self.depth < 1:
             raise DepthZero("cylinder functions need depth at least 1")
         table = {as_word(w): _as_fraction(v) for w, v in self.values.items()}
-        expected = enumerate_words(self.matrix, self.depth)
-        allowed = set(expected)
-        if set(table) != allowed:
-            missing = [word_to_string(w) for w in expected if w not in table]
-            extra = [word_to_string(w) for w in table if w not in allowed]
-            raise MalformedInput(
-                f"value table must cover exactly the admissible depth-{self.depth} "
-                f"words (missing {missing}, unknown {extra})"
-            )
+        k = self.depth
+        unknown = _unknown_words(self.matrix, k, table)
+        if unknown:
+            raise MalformedInput(f"table words must be admissible depth-{k} words (unknown {unknown})")
+        # Every key is an admissible depth-k word, so equal counts mean equal sets.
+        missing = word_count(self.matrix, k) - len(table) if table else "all"
+        if missing:
+            raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
         object.__setattr__(self, "values", table)
 
     @classmethod
@@ -223,14 +237,10 @@ class DomainMask:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise DepthZero("masks need depth at least 1")
-        allowed = set(enumerate_words(self.matrix, self.depth))
         members = frozenset(as_word(w) for w in self.members)
-        bad = members - allowed
+        bad = _unknown_words(self.matrix, self.depth, members)
         if bad:
-            raise MalformedInput(
-                f"mask words must be admissible depth-{self.depth} words, "
-                f"got {sorted(word_to_string(w) for w in bad)}"
-            )
+            raise MalformedInput(f"mask words must be admissible depth-{self.depth} words, got {bad}")
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -277,7 +287,7 @@ class DomainMask:
         return not self.members
 
     def is_full(self) -> bool:
-        return len(self.members) == len(enumerate_words(self.matrix, self.depth))
+        return len(self.members) == word_count(self.matrix, self.depth)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DomainMask):
@@ -310,7 +320,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     if not lines:
         raise MalformedInput("empty function file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "depth" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "depth" or not head[1].isdecimal():
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
     depth = int(head[1])
     table: dict[Word, Fraction] = {}

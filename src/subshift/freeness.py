@@ -51,6 +51,14 @@ from .sequences import (
 )
 
 
+def json_int(data: dict, key: str) -> int:
+    """data[key] as a JSON integer; a float or a boolean raises, never truncates."""
+    value = data[key]
+    if type(value) is not int:
+        raise MalformedInput(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantSetCertificate:
     """Witnesses that the occurrence set of `word` is open, invariant,
@@ -124,7 +132,7 @@ class MinimalityWitness:
             as_word(data["from"]),
             as_word(data["to"]),
             as_word(data["prefix"]),
-            int(data["shifts"]),
+            json_int(data, "shifts"),
         )
 
 
@@ -154,7 +162,7 @@ class FreenessEntry:
             as_word(data["word"]),
             None if forced is None else EventuallyPeriodicSeq.from_literal(A, forced),
             EventuallyPeriodicSeq.from_literal(A, data["witness"]),
-            int(data["differs_at"]),
+            json_int(data, "differs_at"),
         )
 
 
@@ -243,8 +251,8 @@ class FreenessCertificate:
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "FreenessCertificate":
         return cls(
             A,
-            int(data["i"]),
-            int(data["j"]),
+            json_int(data, "i"),
+            json_int(data, "j"),
             tuple(FreenessEntry.from_dict(A, e) for e in data["entries"]),
         )
 

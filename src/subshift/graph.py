@@ -99,7 +99,7 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
     if not lines:
         raise MalformedInput("empty matrix file")
     head = lines[0].strip()
-    if not head.isdigit():
+    if not head.isdecimal():
         raise MalformedInput(f"first line must be the matrix size, got {lines[0]!r}")
     n = int(head)
     if n < 1:

@@ -251,7 +251,7 @@ def parse_weight_file(A: AdjacencyMatrix, text: str) -> Weight:
         return Weight.full(carrier)
     carrier = parse_function_file(A, "\n".join(lines[:split_at]))
     head = lines[split_at].split()
-    if len(head) != 2 or head[0] != "domain" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "domain" or not head[1].isdecimal():
         raise MalformedInput(f"bad domain header {lines[split_at]!r}")
     depth = int(head[1])
     words = []

@@ -8,12 +8,18 @@ two are not *-isomorphic and no invertible weight can make them so.
 a structured verdict; outside the hypotheses it returns "inconclusive"
 and never guesses a converse.  Reports serialize to a deterministic JSON
 document and can be re-verified from the serialized form alone.
+
+Everything but the certificates is a function of the matrix and the
+depth budget (``_skeleton``).  ``analyze`` fills the certificates in;
+``verify_report`` requires every other field to read exactly what
+``analyze`` writes for the echoed matrix and budget, in canonical JSON,
+and every integer field to be a JSON integer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CertificateInvalid, MalformedInput
 from .freeness import (
@@ -22,6 +28,7 @@ from .freeness import (
     MinimalityWitness,
     find_nontrivial_invariant,
     freeness_certificate,
+    json_int,
     minimality_witness,
 )
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
@@ -88,6 +95,30 @@ def _minimality_spot_pairs(A: AdjacencyMatrix):
     return [(w, z) for w in words for z in words]
 
 
+def _skeleton(A: AdjacencyMatrix, depth_budget: int) -> AnalysisVerdict:
+    """Everything a verdict says besides its certificates, which stay empty:
+    a function of the matrix and the depth budget alone."""
+    transitive, cycle = is_transitive(A), is_cycle(A)
+    conclusive = transitive and not cycle
+    notes = (_CYCLE_NOTE,) if cycle else ()
+    return AnalysisVerdict(
+        matrix=A,
+        depth_budget=depth_budget,
+        transitive=transitive,
+        cycle=cycle,
+        one_sided="simple" if conclusive else INCONCLUSIVE,
+        two_sided="non_simple" if conclusive else INCONCLUSIVE,
+        conclusion=NOT_ISOMORPHIC if conclusive else INCONCLUSIVE,
+        hypothesis_failed=None if conclusive else ("cycle" if transitive else "not_transitive"),
+        corollary_no_invertible_weight=conclusive,
+        invariant_set=None,
+        minimality=(),
+        freeness=(),
+        citations=_DICHOTOMY_CITATIONS if conclusive else (),
+        notes=notes if conclusive else notes + (_HYPOTHESIS_NOTE,),
+    )
+
+
 def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     """Run the full decision pipeline on a matrix.
 
@@ -99,51 +130,14 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     """
     if depth_budget < 2:
         raise MalformedInput("depth budget must be at least 2")
-    transitive = is_transitive(A)
-    cycle = is_cycle(A)
-    notes: list[str] = []
-    if cycle:
-        notes.append(_CYCLE_NOTE)
-
-    if transitive and not cycle:
-        return AnalysisVerdict(
-            matrix=A,
-            depth_budget=depth_budget,
-            transitive=True,
-            cycle=False,
-            one_sided="simple",
-            two_sided="non_simple",
-            conclusion=NOT_ISOMORPHIC,
-            hypothesis_failed=None,
-            corollary_no_invertible_weight=True,
-            invariant_set=find_nontrivial_invariant(A),
-            minimality=tuple(
-                minimality_witness(A, w, z) for w, z in _minimality_spot_pairs(A)
-            ),
-            freeness=tuple(
-                freeness_certificate(A, i, j) for i, j in _freeness_pairs(depth_budget)
-            ),
-            citations=_DICHOTOMY_CITATIONS,
-            notes=tuple(notes),
-        )
-
-    failed = "not_transitive" if not transitive else "cycle"
-    notes.append(_HYPOTHESIS_NOTE)
-    return AnalysisVerdict(
-        matrix=A,
-        depth_budget=depth_budget,
-        transitive=transitive,
-        cycle=cycle,
-        one_sided=INCONCLUSIVE,
-        two_sided=INCONCLUSIVE,
-        conclusion=INCONCLUSIVE,
-        hypothesis_failed=failed,
-        corollary_no_invertible_weight=False,
-        invariant_set=None,
-        minimality=(),
-        freeness=(),
-        citations=(),
-        notes=tuple(notes),
+    v = _skeleton(A, depth_budget)
+    if v.conclusion == INCONCLUSIVE:
+        return v
+    return replace(
+        v,
+        invariant_set=find_nontrivial_invariant(A),
+        minimality=tuple(minimality_witness(A, w, z) for w, z in _minimality_spot_pairs(A)),
+        freeness=tuple(freeness_certificate(A, i, j) for i, j in _freeness_pairs(depth_budget)),
     )
 
 
@@ -157,21 +151,15 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _status_blocks(v: AnalysisVerdict) -> dict:
+def _verdict_to_dict(v: AnalysisVerdict) -> dict:
     one = ["minimality", "freeness"] if v.one_sided == "simple" else []
     two = ["invariant_set"] if v.two_sided == "non_simple" else []
-    return {
-        "one_sided": {"status": v.one_sided, "certificates": one},
-        "two_sided": {"status": v.two_sided, "certificates": two},
-    }
-
-
-def _verdict_to_dict(v: AnalysisVerdict) -> dict:
     doc = {
         "matrix": matrix_echo(v.matrix),
         "depth_budget": v.depth_budget,
         "hypotheses": {"transitive": v.transitive, "cycle": v.cycle},
-        **_status_blocks(v),
+        "one_sided": {"status": v.one_sided, "certificates": one},
+        "two_sided": {"status": v.two_sided, "certificates": two},
         "conclusion": v.conclusion,
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
         "certificates": {
@@ -210,7 +198,7 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
         invariant = certs["invariant_set"]
         return AnalysisVerdict(
             matrix=A,
-            depth_budget=int(doc["depth_budget"]),
+            depth_budget=json_int(doc, "depth_budget"),
             transitive=bool(doc["hypotheses"]["transitive"]),
             cycle=bool(doc["hypotheses"]["cycle"]),
             one_sided=doc["one_sided"]["status"],
@@ -237,51 +225,43 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
 def verify_report(text: str) -> AnalysisVerdict:
     """Parse a serialized report and re-check everything it claims.
 
-    Recomputes the hypotheses from the matrix echo, confirms the
-    conclusion matches them, and re-verifies every embedded certificate
-    from its stored data.  A conclusive report must hold exactly the
-    certificates ``analyze`` emits for its depth budget; counts are
-    compared before any expected list is built.  Raises
-    CertificateInvalid on any failure.
+    Every field besides the certificates must read exactly what
+    ``analyze`` writes for the echoed matrix and depth budget, compared in
+    canonical JSON form, so ``1`` is not ``true``.  An inconclusive report
+    carries no certificates; a conclusive one holds exactly those
+    ``analyze`` emits for its depth budget, counts compared before any
+    expected list is built, and each is re-verified from its stored data.
+    Raises CertificateInvalid on any failure.
     """
     doc = _load_report(text)
     v = _verdict_from_doc(doc)
-    A = v.matrix
-    if v.transitive != is_transitive(A) or v.cycle != is_cycle(A):
-        raise CertificateInvalid("stored hypotheses do not match the matrix")
-    expected = NOT_ISOMORPHIC if (v.transitive and not v.cycle) else INCONCLUSIVE
-    if v.conclusion != expected:
-        raise CertificateInvalid(
-            f"conclusion {v.conclusion!r} inconsistent with the hypotheses"
-        )
-    if v.corollary_no_invertible_weight != (v.conclusion == NOT_ISOMORPHIC):
-        raise CertificateInvalid("corollary flag inconsistent with the conclusion")
-    for side, block in _status_blocks(v).items():
-        if doc[side] != block:
-            raise CertificateInvalid(f"{side} must read {block}")
-    if v.conclusion == NOT_ISOMORPHIC:
-        if v.one_sided != "simple" or v.two_sided != "non_simple":
-            raise CertificateInvalid("status fields inconsistent with the conclusion")
-        if v.invariant_set is None:
-            raise CertificateInvalid("conclusive verdict is missing certificates")
-        b = v.depth_budget
-        if b < 2:
-            raise CertificateInvalid("depth budget must be at least 2")
-        tables = [(c.i, c.j) for c in v.freeness]
-        if len(tables) != b * (b + 1) // 2 or tables != _freeness_pairs(b):
-            raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
-        spots = [(m.start, m.target) for m in v.minimality]
-        n_spots = sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
-        if len(spots) != n_spots or spots != _minimality_spot_pairs(A):
-            raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
-        v.invariant_set.verify()
-        for wit in v.minimality:
-            wit.verify()
-        for cert in v.freeness:
-            cert.verify()
-    else:
-        if v.one_sided != INCONCLUSIVE or v.two_sided != INCONCLUSIVE:
-            raise CertificateInvalid("status fields inconsistent with the conclusion")
-        if v.hypothesis_failed not in ("not_transitive", "cycle"):
-            raise CertificateInvalid("inconclusive verdict must name the failed hypothesis")
+    A, b = v.matrix, v.depth_budget
+    if b < 2:
+        raise CertificateInvalid("depth_budget must be at least 2")
+    skeleton = _skeleton(A, b)
+    expected = _verdict_to_dict(skeleton)
+    conclusive = skeleton.conclusion == NOT_ISOMORPHIC
+
+    def canonical(d: dict, key: str) -> str:
+        return json.dumps(d[key], sort_keys=True) if key in d else "(absent)"
+
+    for key in sorted((set(doc) | set(expected)) - ({"certificates"} if conclusive else set())):
+        if canonical(doc, key) != canonical(expected, key):
+            raise CertificateInvalid(f"report field {key!r} must read {canonical(expected, key)}")
+    if not conclusive:
+        return v
+    if v.invariant_set is None:
+        raise CertificateInvalid("conclusive verdict is missing certificates")
+    tables = [(c.i, c.j) for c in v.freeness]
+    if len(tables) != b * (b + 1) // 2 or tables != _freeness_pairs(b):
+        raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
+    spots = [(m.start, m.target) for m in v.minimality]
+    n_spots = sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
+    if len(spots) != n_spots or spots != _minimality_spot_pairs(A):
+        raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
+    v.invariant_set.verify()
+    for wit in v.minimality:
+        wit.verify()
+    for cert in v.freeness:
+        cert.verify()
     return v

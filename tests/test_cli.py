@@ -148,3 +148,21 @@ def test_bad_word_argument_exits_2(golden_file, capsys):
 def test_bad_exponents_exit_2(golden_file, capsys):
     assert main(["witness", "freeness", golden_file, "2", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "matrix, weight",
+    [
+        ("2²\n1 1\n1 0\n", ONES_FUNCTION),
+        (GOLDEN, "depth ²\n1 1\n2 1\n"),
+        (GOLDEN, "depth 1\n1 1\n2 1\ndomain ²\n1\n"),
+        (GOLDEN, "depth 1\n1 1/0\n2 1\n"),
+    ],
+)
+def test_unparsable_numbers_exit_2_without_traceback(tmp_path, capsys, matrix, weight):
+    m = write(tmp_path, "m.mat", matrix)
+    w = write(tmp_path, "w.weight", weight)
+    f = write(tmp_path, "f.func", ONES_FUNCTION)
+    assert main(["transfer", "apply", m, w, f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

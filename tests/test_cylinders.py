@@ -194,3 +194,20 @@ def test_unknown_word_in_a_deep_function_file_is_named(golden):
     unknown = "2" * 18
     with pytest.raises(MalformedInput, match=rf"unknown \['{unknown}'\]"):
         ss.parse_function_file(golden, text + f"{unknown} 1\n")
+
+
+def test_constructors_check_only_the_given_words(golden):
+    # Depth 40 has 267,914,296 admissible words; none of them is listed.
+    with pytest.raises(MalformedInput, match=r"unknown \['1'\]"):
+        ss.parse_function_file(golden, "depth 40\n1 1\n")
+    with pytest.raises(MalformedInput, match="missing all"):
+        ss.parse_function_file(golden, "depth 40\n")
+    with pytest.raises(MalformedInput, match="missing 1"):
+        ss.parse_function_file(golden, "depth 2\n11 1\n12 1\n")
+    with pytest.raises(MalformedInput, match=r"unknown \['3', '31'\]"):
+        ss.CylinderFunction(golden, 1, {(1,): 1, (2,): 1, (3,): 1, (3, 1): 1})
+    U = ss.DomainMask(golden, 40, frozenset())
+    assert U.is_empty() and not U.is_full()
+    with pytest.raises(MalformedInput, match=r"\['22'\]"):
+        ss.DomainMask.from_words(golden, ["12", "22"])
+    assert ss.DomainMask.full(golden, 3).is_full()

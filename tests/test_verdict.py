@@ -149,6 +149,51 @@ def test_verify_report_requires_every_promised_certificate(golden):
             ss.verify_report(json.dumps(report))
 
 
+# Single-field edits that used to verify: every field besides the
+# certificates must read what analyze writes, and integers must be JSON
+# integers rather than floats that int() would truncate.
+_MISSTATED_FIELDS = [
+    ("golden", ("hypothesis_failed",), "cycle"),
+    ("golden", ("matrix", "n"), 7),
+    ("golden", ("extra",), 1),
+    ("golden", ("citations", 0), "x"),
+    ("golden", ("notes",), ["x"]),
+    ("golden", ("hypotheses", "transitive"), "x"),
+    ("golden", ("hypotheses", "cycle"), 0),
+    ("golden", ("corollary_no_invertible_weight",), 1),
+    ("golden", ("depth_budget",), 3.0),
+    ("golden", ("certificates", "freeness", 0, "i"), 0.5),
+    ("golden", ("certificates", "freeness", 0, "j"), 1.5),
+    ("golden", ("certificates", "minimality", 1, "shifts"), 1.5),
+    ("golden", ("certificates", "freeness", 0, "entries", 0, "differs_at"), 2.5),
+    ("swap2", ("hypothesis_failed",), "not_transitive"),
+    ("swap2", ("matrix", "n"), 7),
+    ("swap2", ("extra",), 1),
+    ("swap2", ("citations",), ["x"]),
+    ("swap2", ("notes", 0), "x"),
+    ("swap2", ("hypotheses", "transitive"), 1),
+    ("swap2", ("corollary_no_invertible_weight",), 0),
+    ("swap2", ("depth_budget",), 1),
+    ("swap2", ("depth_budget",), -5),
+    ("swap2", ("certificates", "minimality"), [{"from": "1", "to": "1", "prefix": "1", "shifts": 0}]),
+]
+
+
+@pytest.mark.parametrize("fixture, path, value", _MISSTATED_FIELDS)
+def test_verify_report_rejects_a_misstated_field(request, fixture, path, value):
+    doc = json.loads(ss.render_report(ss.analyze(request.getfixturevalue(fixture), 3)))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ss.SubshiftError) as failure:
+        ss.verify_report(json.dumps(doc))
+    # The error names the field: its top-level key, or the integer field read.
+    named = path[-1] if fixture == "golden" and path[0] == "certificates" else path[0]
+    assert named in str(failure.value)
+
+
 _LEAF_VALUES = (None, [], {}, -1, 0, 10**6, 2.5, "", "x", "121", 40)
 
 
@@ -175,11 +220,13 @@ def test_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
         node = mutated
         for key in parents:
             node = node[key]
-        node[last] = rng.choice(_LEAF_VALUES)
-        try:
-            ss.verify_report(json.dumps(mutated))
-        except ss.SubshiftError:
-            pass
+        old, node[last] = node[last], rng.choice(_LEAF_VALUES)
+        text = json.dumps(mutated)
+        if json.dumps(node[last]) == json.dumps(old):
+            ss.verify_report(text)
+            continue
+        with pytest.raises(ss.SubshiftError):
+            ss.verify_report(text)
 
 
 def test_analyze_formula_exhaustive_n2():
