@@ -7,8 +7,9 @@ ones and every identity this package checks is an exact equality of
 such tables, never an approximation.  Scalars are real: the involution
 is the identity here.
 Tables from outside (files, callers) are checked by the constructor.
-It reads only the words it was given: each key must be an admissible
-word of the table's depth, and the number of keys must equal the
+It reads only the words it was given: each key must be a word of the
+table's depth whose pairs lie in the matrix's stored edge set
+(``AdjacencyMatrix.edges``), and the number of keys must equal the
 admissible word count (``sequences.word_count``), so no word is listed.
 ``DomainMask`` checks its member words the same way.  Tables the engine
 derives are built by ``CylinderFunction.tabulate``, valid by
@@ -29,7 +30,7 @@ from .errors import (
     ShallowerDepth,
     TooShort,
 )
-from .graph import AdjacencyMatrix, Word
+from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
     as_word,
@@ -51,19 +52,21 @@ def _as_fraction(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            # Fraction would expand an exponent such as 1e1000000000 into an exact integer.
+            if "e" not in value.lower():
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise MalformedInput(f"cannot parse rational {value!r}") from None
+            pass
+        raise MalformedInput(f"cannot parse rational {value!r}")
     raise MalformedInput(f"values must be exact rationals, got {type(value).__name__}")
 
 
 def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> list[str]:
     """The given words that are not admissible depth-`depth` words, sorted."""
-    # Edges join symbols of the alphabet, so past w[0] the edge test checks the range.
-    edges = {(a, b) for a in A.symbols for b in A.successors(a)}
+    # Edges join symbols of the alphabet, so past w[0] the edge set checks the range.
     return sorted(
         word_to_string(w) for w in words
-        if len(w) != depth or w[0] not in A.symbols or not edges.issuperset(zip(w, w[1:]))
+        if len(w) != depth or w[0] not in A.symbols or not A.edges.issuperset(zip(w, w[1:]))
     )
 
 
@@ -320,9 +323,9 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     if not lines:
         raise MalformedInput("empty function file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "depth" or not head[1].isdecimal():
+    depth = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
+    if depth is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
-    depth = int(head[1])
     table: dict[Word, Fraction] = {}
     for ln in lines[1:]:
         parts = ln.split()

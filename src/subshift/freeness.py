@@ -214,17 +214,11 @@ class FreenessCertificate:
             raise CertificateInvalid(f"[{label}] sequence built over a different matrix")
         if e.witness.window(0, j) != w:
             raise CertificateInvalid(f"[{label}] witness does not lie in the cylinder")
-        junction = A.rows[w[-1] - 1][w[i] - 1]
-        if e.forced is None:
-            if junction:
-                raise CertificateInvalid(
-                    f"[{label}] junction edge exists, a forced point is required"
-                )
-        else:
-            if not junction:
-                raise CertificateInvalid(
-                    f"[{label}] no junction edge, yet a forced point is recorded"
-                )
+        if ((w[-1], w[i]) in A.edges) != (e.forced is not None):
+            raise CertificateInvalid(
+                f"[{label}] a forced point is recorded iff the junction edge exists"
+            )
+        if e.forced is not None:
             if e.forced.window(0, j) != w:
                 raise CertificateInvalid(f"[{label}] forced point not in the cylinder")
             if _tail_difference(e.forced, i, j) is not None:
@@ -345,7 +339,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     entries = []
     for w in enumerate_words(A, j):
         r = w[i:]
-        if A.rows[w[-1] - 1][r[0] - 1]:
+        if (w[-1], r[0]) in A.edges:
             forced = one_sided_seq(A, w, r)
             witness = one_sided_seq(A, w, _diverting_tail(A, r))
         else:

@@ -6,7 +6,8 @@ symbol words whose consecutive pairs are edges; a path between two
 symbols always uses at least one edge, so a path from i to itself is a
 closed walk such as "11" or "212".
 
-Each matrix stores its successor and predecessor tuples once, at
+Each matrix stores its edge set, which decides admissibility
+(``AdjacencyMatrix.admits``), and its neighbour tuples once, at
 construction.  Every path question is answered by one breadth-first
 search (``_distances``) and one greedy reconstruction of the
 lexicographically smallest shortest walk (``_shortest_walk``).
@@ -29,10 +30,12 @@ class AdjacencyMatrix:
 
     Rows index the current symbol, columns the next one.  Every row must
     contain a 1 so the shift map is defined on every point; zero columns
-    are allowed (the shift is then not onto).
+    are allowed (the shift is then not onto).  `edges` holds the pairs
+    (i, j) with entry 1; ``admits`` reads it for every admissibility test.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _successors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
     _predecessors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
@@ -48,9 +51,9 @@ class AdjacencyMatrix:
             if 1 not in row:
                 raise ZeroRow(f"symbol {r} has no successor")
         succ = tuple(tuple(j for j, b in enumerate(row, 1) if b) for row in self.rows)
-        pred = tuple(
-            tuple(i for i, row in enumerate(self.rows, 1) if row[j]) for j in range(n)
-        )
+        pred = tuple(tuple(i for i, row in enumerate(self.rows, 1) if row[j]) for j in range(n))
+        edges = frozenset((i, j) for i, js in enumerate(succ, 1) for j in js)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_successors", succ)
         object.__setattr__(self, "_predecessors", pred)
 
@@ -70,10 +73,19 @@ class AdjacencyMatrix:
         if not (isinstance(s, int) and 1 <= s <= self.n):
             raise SymbolOutOfRange(f"symbol {s!r} not in 1..{self.n}")
 
+    def admits(self, word: Word) -> bool:
+        """True iff every consecutive pair of `word` is in the edge set.
+        Symbols are checked (SymbolOutOfRange) only when the set cannot vouch
+        for them: under two symbols, a missing pair, or a non-int like 1.0."""
+        pairs_ok = self.edges.issuperset(zip(word, word[1:]))
+        if len(word) > 1 and pairs_ok and all(type(s) is int for s in word):
+            return True
+        for s in word:
+            self.check_symbol(s)
+        return pairs_ok
+
     def entry(self, i: int, j: int) -> int:
-        self.check_symbol(i)
-        self.check_symbol(j)
-        return self.rows[i - 1][j - 1]
+        return int(self.admits((i, j)))
 
     def successors(self, i: int) -> tuple[int, ...]:
         """Symbols j with an edge i -> j, ascending."""
@@ -84,6 +96,15 @@ class AdjacencyMatrix:
         """Symbols i with an edge i -> j, ascending (column j)."""
         self.check_symbol(j)
         return self._predecessors[j - 1]
+
+
+def parse_natural(token: str) -> int | None:
+    """`token` as a natural number, or None unless it is plain decimal
+    digits that int() accepts (it refuses more than 4300 digits)."""
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:
+        return None
 
 
 def parse_matrix(text: str) -> AdjacencyMatrix:
@@ -98,10 +119,9 @@ def parse_matrix(text: str) -> AdjacencyMatrix:
         lines.pop()
     if not lines:
         raise MalformedInput("empty matrix file")
-    head = lines[0].strip()
-    if not head.isdecimal():
+    n = parse_natural(lines[0].strip())
+    if n is None:
         raise MalformedInput(f"first line must be the matrix size, got {lines[0]!r}")
-    n = int(head)
     if n < 1:
         raise MalformedInput("matrix size must be at least 1")
     if len(lines) != n + 1:
@@ -210,15 +230,9 @@ def shortest_cycle_avoiding(A: AdjacencyMatrix, banned: int) -> Word | None:
     without `banned` has no cycle.
     """
     allowed = frozenset(v for v in A.symbols if v != banned)
-    best: Word | None = None
-    for v in sorted(allowed):
-        walk = _shortest_walk(A, v, (v,), allowed)
-        if walk is None:
-            continue
-        period = walk[:-1]
-        if best is None or (len(period), period) < (len(best), best):
-            best = period
-    return best
+    walks = (_shortest_walk(A, v, (v,), allowed) for v in allowed)
+    # A period starts with its start symbol, so the key breaks ties by start first.
+    return min((w[:-1] for w in walks if w is not None), key=lambda p: (len(p), p), default=None)
 
 
 def first_return_word(A: AdjacencyMatrix, start: int) -> Word:

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath, SymbolOutOfRange
+from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath
 from .graph import AdjacencyMatrix, Word, find_path
 
 
@@ -46,15 +46,12 @@ def word_to_string(w: Word) -> str:
 
 
 def is_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> bool:
-    """True iff every consecutive pair of `w` is an edge of A.
+    """True iff every consecutive pair of `w` is in A's edge set (``A.admits``).
 
     Empty and single-symbol words are admissible.  Symbols outside the
     alphabet raise SymbolOutOfRange.
     """
-    word = as_word(w)
-    for s in word:
-        A.check_symbol(s)
-    return all(A.rows[a - 1][b - 1] for a, b in zip(word, word[1:]))
+    return A.admits(as_word(w))
 
 
 def require_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> Word:
@@ -68,9 +65,10 @@ def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
     """All admissible words of length k, in lexicographic order."""
     if k < 1:
         raise DepthZero("word length must be at least 1")
+    succ = {s: A.successors(s) for s in A.symbols}
     words: list[Word] = [(s,) for s in A.symbols]
     for _ in range(k - 1):
-        words = [w + (s,) for w in words for s in A.successors(w[-1])]
+        words = [w + (s,) for w in words for s in succ[w[-1]]]
     return words
 
 
@@ -79,9 +77,10 @@ def word_count(A: AdjacencyMatrix, k: int) -> int:
     them: the sum of the entries of A^(k-1), in O(k * n^2) steps."""
     if k < 1:
         raise DepthZero("word length must be at least 1")
+    pred = [A.predecessors(s) for s in A.symbols]
     ending = [1] * A.n  # admissible words of the current length, by last symbol
     for _ in range(k - 1):
-        ending = [sum(ending[p - 1] for p in A.predecessors(s)) for s in A.symbols]
+        ending = [sum(ending[p - 1] for p in ps) for ps in pred]
     return sum(ending)
 
 
@@ -90,7 +89,7 @@ def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     A(w_p, w_1); each names the period-p point w repeated forever."""
     if p < 1:
         raise DepthZero("period must be at least 1")
-    return [w for w in enumerate_words(A, p) if A.rows[w[-1] - 1][w[0] - 1]]
+    return [w for w in enumerate_words(A, p) if (w[-1], w[0]) in A.edges]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +100,8 @@ class EventuallyPeriodicSeq:
     copies of `left_period` fill the negative positions, copies of
     `right_period` the positions past the core.  Coordinate i of the
     sequence is the symbol at absolute position origin + i, so shifting
-    just moves the origin.
+    just moves the origin.  It is admissible iff the word
+    L[-1:] + L + C + R + R[:1] is (every edge it uses is a pair there).
 
     Periods are stored as given (no primitive-root reduction) and the
     core may be empty, so purely periodic points have a small canonical
@@ -116,20 +116,11 @@ class EventuallyPeriodicSeq:
     origin: int = 0
 
     def __post_init__(self) -> None:
-        if not self.left_period or not self.right_period:
-            raise MalformedInput("left and right periods must be nonempty")
-        for s in (*self.left_period, *self.core, *self.right_period):
-            self.matrix.check_symbol(s)
         L, C, R = self.left_period, self.core, self.right_period
-        pieces = [*zip(L, L[1:]), (L[-1], L[0])]        # left edges and wrap
-        pieces.append((L[-1], C[0] if C else R[0]))
-        pieces.extend(zip(C, C[1:]))
-        if C:
-            pieces.append((C[-1], R[0]))
-        pieces.extend([*zip(R, R[1:]), (R[-1], R[0])])  # right edges and wrap
-        for a, b in pieces:
-            if not self.matrix.rows[a - 1][b - 1]:
-                raise InadmissibleWord(f"junction {a} -> {b} is not an edge")
+        if not L or not R:
+            raise MalformedInput("left and right periods must be nonempty")
+        if not self.matrix.admits(L[-1:] + L + C + R + R[:1]):
+            raise InadmissibleWord(f"sequence {self.to_literal()} is not admissible")
 
     def at_abs(self, p: int) -> int:
         """Symbol at absolute position p (core starts at 0)."""

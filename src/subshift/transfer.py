@@ -32,7 +32,7 @@ from .errors import (
     NotTransfer,
     SupportViolation,
 )
-from .graph import AdjacencyMatrix, Word
+from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import enumerate_words, word_from_string, word_to_string
 
 AbstractTransferOp = Callable[[CylinderFunction], CylinderFunction]
@@ -87,32 +87,26 @@ class Weight:
         return f"Weight({self.carrier!r}, domain={self.domain!r})"
 
 
-def check_supported(f: CylinderFunction, U: DomainMask) -> None:
-    """Raise SupportViolation unless f vanishes outside U."""
-    d = max(f.depth, U.depth)
-    fd = refine(f, d)
-    for w, v in fd.values.items():
-        if v != 0 and not U.covers(w):
-            raise SupportViolation(
-                f"function is {v} on cylinder {word_to_string(w)} outside the domain"
-            )
-
-
 def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     """Apply the transfer operator of `rho` to `f`.
 
-    f must be supported in the domain of rho.  At depth max(rho.depth,
-    f.depth) - 1 (at least 1), L(f)(x) is the sum of rho(a.x) * f(a.x)
-    over the predecessors a of x_1; rho's carrier is zero off its domain,
-    so a preimage outside the domain adds an exact zero.
+    f must be supported in the domain of rho (SupportViolation otherwise);
+    d = max(rho.depth, f.depth) is at least the domain depth, so f's depth-d
+    table decides it.  At depth d - 1 (at least 1), L(f)(x) is the sum of
+    rho(a.x) * f(a.x) over the predecessors a of x_1; rho's carrier is zero
+    off its domain, so a preimage outside the domain adds an exact zero.
     """
     A = rho.matrix
     if f.matrix != A:
         raise MatrixMismatch("function built over a different matrix")
-    check_supported(f, rho.domain)
     d = max(rho.depth, f.depth)
     rv = refine(rho.carrier, d).values
     fv = refine(f, d).values
+    for w, v in fv.items():
+        if v != 0 and not rho.domain.covers(w):
+            raise SupportViolation(
+                f"function is {v} on cylinder {word_to_string(w)} outside the domain"
+            )
 
     def preimage_sum(x: Word) -> Fraction:
         ys = [((a,) + x)[:d] for a in A.predecessors(x[0])]
@@ -251,9 +245,9 @@ def parse_weight_file(A: AdjacencyMatrix, text: str) -> Weight:
         return Weight.full(carrier)
     carrier = parse_function_file(A, "\n".join(lines[:split_at]))
     head = lines[split_at].split()
-    if len(head) != 2 or head[0] != "domain" or not head[1].isdecimal():
+    depth = parse_natural(head[1]) if len(head) == 2 and head[0] == "domain" else None
+    if depth is None:
         raise MalformedInput(f"bad domain header {lines[split_at]!r}")
-    depth = int(head[1])
     words = []
     for ln in lines[split_at + 1 :]:
         ln = ln.strip()

@@ -183,7 +183,7 @@ def render_report(v: AnalysisVerdict) -> str:
 def _load_report(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise MalformedInput(f"report is not valid JSON: {exc}") from None
 
 

@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 import subshift as ss
+from subshift.errors import SymbolOutOfRange
 
 
 def random_matrix(rng, nmax=4, nmin=1) -> ss.AdjacencyMatrix:
@@ -77,6 +78,27 @@ def brute_force_words(A: ss.AdjacencyMatrix, k: int) -> list[tuple[int, ...]]:
         if all(A.rows[a - 1][b - 1] for a, b in zip(w, w[1:])):
             out.append(w)
     return out
+
+
+def brute_force_admissible(A: ss.AdjacencyMatrix, word) -> bool:
+    """Every symbol an int in 1..n (SymbolOutOfRange first, before any
+    answer), then every consecutive pair a 1 entry of the rows."""
+    for s in word:
+        if not (isinstance(s, int) and 1 <= s <= A.n):
+            raise SymbolOutOfRange(f"symbol {s!r} not in 1..{A.n}")
+    return all(A.rows[a - 1][b - 1] for a, b in zip(word, word[1:]))
+
+
+def brute_force_shortest_cycle_avoiding(A: ss.AdjacencyMatrix, banned: int):
+    """The smallest (length, word) period whose cycle, closing edge
+    included, avoids `banned`; None if there is none.  A shortest cycle
+    repeats no symbol, so lengths up to the number of other symbols do."""
+    others = [s for s in range(1, A.n + 1) if s != banned]
+    for length in range(1, len(others) + 1):
+        for w in itertools.product(others, repeat=length):  # lexicographic
+            if all(A.rows[a - 1][b - 1] for a, b in zip(w, w[1:] + w[:1])):
+                return w
+    return None
 
 
 def matrix_power_word_count(A: ss.AdjacencyMatrix, k: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,9 @@ def test_bad_exponents_exit_2(golden_file, capsys):
     capsys.readouterr()
 
 
+_DIGITS_5000 = "1" * 5000  # past int()'s 4300-digit limit for strings
+
+
 @pytest.mark.parametrize(
     "matrix, weight",
     [
@@ -157,12 +161,22 @@ def test_bad_exponents_exit_2(golden_file, capsys):
         (GOLDEN, "depth ²\n1 1\n2 1\n"),
         (GOLDEN, "depth 1\n1 1\n2 1\ndomain ²\n1\n"),
         (GOLDEN, "depth 1\n1 1/0\n2 1\n"),
+        pytest.param(f"{_DIGITS_5000}\n1 1\n1 0\n", ONES_FUNCTION, id="5000-digit-size"),
+        pytest.param(GOLDEN, f"depth {_DIGITS_5000}\n1 1\n2 1\n", id="5000-digit-depth"),
+        pytest.param(
+            GOLDEN, f"depth 1\n1 1\n2 1\ndomain {_DIGITS_5000}\n1\n", id="5000-digit-domain"
+        ),
+        pytest.param(GOLDEN, "depth 1\n1 1e1000000000\n2 1\n", id="exponent"),
+        pytest.param(GOLDEN, "depth 1\n1 1/2\n2 2E1\n", id="capital-exponent"),
     ],
 )
 def test_unparsable_numbers_exit_2_without_traceback(tmp_path, capsys, matrix, weight):
     m = write(tmp_path, "m.mat", matrix)
     w = write(tmp_path, "w.weight", weight)
     f = write(tmp_path, "f.func", ONES_FUNCTION)
+    started = time.perf_counter()
     assert main(["transfer", "apply", m, w, f]) == 2
+    assert time.perf_counter() - started < 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+

@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
-from support import brute_force_transitive
+from subshift.graph import shortest_cycle_avoiding
+from support import (
+    brute_force_shortest_cycle_avoiding,
+    brute_force_transitive,
+    no_zero_row_matrices,
+)
 
 
 @st.composite
@@ -178,3 +183,11 @@ def test_matrix_rejects_bad_rows():
         ss.AdjacencyMatrix.from_rows([[1, 2], [1, 0]])
     with pytest.raises(ZeroRow):
         ss.AdjacencyMatrix.from_rows([[1, 1], [0, 0]])
+
+
+def test_shortest_cycle_avoiding_exhaustive_n3():
+    for n in (1, 2, 3):
+        for A in no_zero_row_matrices(n):
+            for banned in range(0, n + 2):
+                expected = brute_force_shortest_cycle_avoiding(A, banned)
+                assert shortest_cycle_avoiding(A, banned) == expected, (A.rows, banned)

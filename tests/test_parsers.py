@@ -9,6 +9,8 @@ at most 8 and every example runs in milliseconds; that cap bounds the
 runtime of this test, it does not mean deeper headers are cheap.
 """
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,3 +118,8 @@ def test_word_from_string_is_total(text):
 @given(st.one_of(st.tuples(st.just(GOLDEN), st.text(max_size=20)), _sequence_literals()))
 def test_sequence_literals_are_total(case):
     _succeeds_or_raises_subshift_error(ss.EventuallyPeriodicSeq.from_literal, *case)
+
+
+def test_decimal_values_parse():
+    f = ss.parse_function_file(GOLDEN, "depth 1\n1 0.5\n2 -3\n")
+    assert f.values == {(1,): Fraction(1, 2), (2,): Fraction(-3)}

@@ -12,7 +12,12 @@ from subshift.errors import (
     SymbolOutOfRange,
 )
 from subshift.sequences import word_count
-from support import brute_force_words, matrix_power_word_count, random_matrix
+from support import (
+    brute_force_admissible,
+    brute_force_words,
+    matrix_power_word_count,
+    random_matrix,
+)
 
 
 def words_equal(ws, strings):
@@ -176,3 +181,63 @@ def test_one_sided_seq_reads_prefix_then_tail(golden):
     assert s.window(0, 7) == (2, 1, 1, 2, 1, 2, 1)
     with pytest.raises(InadmissibleWord):
         ss.one_sided_seq(golden, "22", "1")
+
+
+@st.composite
+def _admissibility_cases(draw):
+    """A matrix with n <= 4, a word, and the three parts of a sequence.
+
+    Symbols come from -1..n+1 and the non-int values 1.0, True and "1";
+    half of the words start as walks in the graph, so admissible words
+    are common, and may then have one symbol replaced.
+    """
+    n = draw(st.integers(1, 4))
+    masks = [draw(st.integers(1, 2**n - 1)) for _ in range(n)]
+    A = ss.AdjacencyMatrix.from_rows([[(m >> c) & 1 for c in range(n)] for m in masks])
+    symbols = st.one_of(st.integers(-1, n + 1), st.sampled_from([1.0, True, "1"]))
+
+    def word(min_size):
+        if draw(st.booleans()):
+            return tuple(draw(st.lists(symbols, min_size=min_size, max_size=4)))
+        w = [draw(st.integers(1, n))]
+        for _ in range(draw(st.integers(max(min_size - 1, 0), 3))):
+            w.append(draw(st.sampled_from(A.successors(w[-1]))))
+        if draw(st.booleans()):
+            w[draw(st.integers(0, len(w) - 1))] = draw(symbols)
+        return tuple(w[: max(min_size, draw(st.integers(0, len(w))))])
+
+    return A, word(0), (word(1), word(0), word(1))
+
+
+def _outcome(call, *args):
+    """What `call` returns, or the class of the SubshiftError it raises."""
+    try:
+        return call(*args)
+    except ss.SubshiftError as exc:
+        return type(exc)
+
+
+def _built(cls, *args):
+    """True if cls(*args) constructs, else the SubshiftError class it raises."""
+    return _outcome(lambda: cls(*args) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_admissibility_cases())
+def test_admissibility_agrees_with_the_rows(case):
+    A, w, (L, C, R) = case
+    assert _outcome(A.admits, w) == _outcome(brute_force_admissible, A, w)
+    coerced = tuple(int(s) for s in w)  # as_word's reading of a symbol tuple
+    expected = _outcome(brute_force_admissible, A, coerced)
+    assert _outcome(ss.is_admissible, A, w) == expected
+
+    ring = _outcome(brute_force_admissible, A, L + L + C + R + R)
+    seq = _built(ss.EventuallyPeriodicSeq, A, L, C, R)
+    assert seq == (InadmissibleWord if ring is False else ring)
+
+    if w:
+        table = {v: 0 for v in brute_force_words(A, len(w)) if v != coerced}
+        table[w] = 1
+        built = True if expected is True else MalformedInput
+        assert _built(ss.CylinderFunction, A, len(w), table) == built
+        assert _built(ss.DomainMask, A, len(w), frozenset([w])) == built

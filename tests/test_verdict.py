@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import CertificateInvalid, MalformedInput
@@ -227,6 +230,56 @@ def test_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
             continue
         with pytest.raises(ss.SubshiftError):
             ss.verify_report(text)
+
+
+_GOLDEN_REPORT = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 3))
+_GOLDEN_DOC = json.loads(_GOLDEN_REPORT)
+_SUBTREES = (
+    None, True, 0, -1, 1, 3, 2.5, 10**6, "", "x", "121", "L:1 C: R:1 O:0", [], {}, [1],
+    {"i": 0}, _GOLDEN_DOC["matrix"], _GOLDEN_DOC["certificates"]["invariant_set"],
+    _GOLDEN_DOC["certificates"]["minimality"][1], _GOLDEN_DOC["certificates"]["freeness"][2],
+    _GOLDEN_DOC["certificates"]["freeness"][3]["entries"][1],
+)
+
+
+def _paths(node, path=()):
+    """Key paths of every node of a JSON document, () for the document itself."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _edited_reports(draw):
+    """The golden depth-3 report after one to three structural edits: a
+    subtree replaced from a pool, a key or list item dropped, or a list
+    item duplicated in place."""
+    doc = copy.deepcopy(_GOLDEN_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, last = draw(st.sampled_from([p for p in _paths(doc) if p]))
+        node = doc
+        for key in parents:
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if action == "replace":
+            node[last] = copy.deepcopy(draw(st.sampled_from(_SUBTREES)))
+        elif action == "drop":
+            del node[last]
+        elif isinstance(node, list):
+            node.insert(last, copy.deepcopy(node[last]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_reports())
+# json.loads raises a plain ValueError past int()'s digit limit.
+@example(_GOLDEN_REPORT.replace('"depth_budget": 3', '"depth_budget": ' + "1" * 5000))
+def test_structurally_edited_reports_verify_or_raise_subshift_errors(text):
+    try:
+        ss.verify_report(text)
+    except ss.SubshiftError:
+        pass
 
 
 def test_analyze_formula_exhaustive_n2():
