@@ -1,25 +1,29 @@
 """Locally constant functions and clopen sets, with exact rational values.
 
 A cylinder function of depth k is constant on every cylinder named by an
-admissible depth-k word, so it is stored as a total table from those
-words to Fractions.  These functions are dense among the continuous
-ones and every identity this package checks is an exact equality of
-such tables, never an approximation.  Scalars are real: the involution
-is the identity here.
+admissible depth-k word.  It stores only its nonzero values, keyed by
+their words, and every operation reads and writes only those entries.
+``CylinderFunction.values`` is a read-only view of the total table: it
+lists every admissible depth-k word in lexicographic order and reads 0
+on the words that are not stored.  These functions are dense among the
+continuous ones and every identity this package checks is an exact
+equality of such tables, never an approximation.  Scalars are real: the
+involution is the identity here.
 Tables from outside (files, callers) are checked by the constructor.
 It reads only the words it was given: each key must be a word of the
 table's depth whose pairs lie in the matrix's stored edge set
 (``AdjacencyMatrix.edges``), and the number of keys must equal the
 admissible word count (``sequences.word_count``), so no word is listed.
-``DomainMask`` checks its member words the same way.  Tables the engine
-derives are built by ``CylinderFunction.tabulate``, valid by
-construction, and are not checked again.
+``DomainMask`` checks its member words the same way.  Functions the
+engine derives are built by ``CylinderFunction.from_nonzero`` (or by
+``tabulate`` from a rule on every word), valid by construction, and are
+not checked again.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +32,7 @@ from .errors import (
     MalformedInput,
     MatrixMismatch,
     ShallowerDepth,
+    SymbolOutOfRange,
     TooShort,
 )
 from .graph import AdjacencyMatrix, Word, parse_natural
@@ -42,7 +47,8 @@ from .sequences import (
 )
 
 _UNARY_OPS = {"neg": operator.neg, "abs": abs}
-_BINARY_OPS = {"add": operator.add, "mul": operator.mul}
+_BINARY_OPS = ("add", "mul")
+_ZERO = Fraction(0)
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -61,13 +67,64 @@ def _as_fraction(value: object) -> Fraction:
     raise MalformedInput(f"values must be exact rationals, got {type(value).__name__}")
 
 
+def _as_key(w: str | Iterable[int]) -> Word:
+    """A table key or mask member as a Word; a non-integer symbol is malformed input."""
+    try:
+        return as_word(w)
+    except SymbolOutOfRange as exc:
+        raise MalformedInput(f"table and mask words must be symbol words: {exc}") from None
+
+
+def _is_word(A: AdjacencyMatrix, depth: int, w: Word) -> bool:
+    # Edges join symbols of the alphabet, so past w[0] the edge set checks the range.
+    return len(w) == depth and w[0] in A.symbols and A.edges.issuperset(zip(w, w[1:]))
+
+
 def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> list[str]:
     """The given words that are not admissible depth-`depth` words, sorted."""
-    # Edges join symbols of the alphabet, so past w[0] the edge set checks the range.
-    return sorted(
-        word_to_string(w) for w in words
-        if len(w) != depth or w[0] not in A.symbols or not A.edges.issuperset(zip(w, w[1:]))
-    )
+    return sorted(word_to_string(w) for w in words if not _is_word(A, depth, w))
+
+
+def _extend(A: AdjacencyMatrix, table: Mapping[Word, object], extra: int) -> dict[Word, object]:
+    """Each key of `table` lengthened by every admissible continuation of
+    `extra` symbols, keeping its value."""
+    items = table.items()
+    for _ in range(extra):
+        items = [(w + (s,), v) for w, v in items for s in A.successors(w[-1])]
+    return dict(items)
+
+
+class CylinderValues(Mapping):
+    """The total table of a depth-k function, read from its nonzero entries.
+
+    Iteration lists every admissible depth-k word in lexicographic order
+    and ``len`` is their count; an admissible word that is not stored
+    reads Fraction(0), and any other key raises KeyError.
+    """
+
+    __slots__ = ("matrix", "depth", "nonzero")
+
+    def __init__(self, A: AdjacencyMatrix, depth: int, nonzero: dict[Word, Fraction]) -> None:
+        self.matrix = A
+        self.depth = depth
+        self.nonzero = nonzero
+
+    def __getitem__(self, w: Word) -> Fraction:
+        v = self.nonzero.get(w)
+        if v is not None:
+            return v
+        if isinstance(w, tuple) and _is_word(self.matrix, self.depth, w):
+            return _ZERO
+        raise KeyError(w)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(enumerate_words(self.matrix, self.depth))
+
+    def __len__(self) -> int:
+        return word_count(self.matrix, self.depth)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +132,10 @@ class CylinderFunction:
     """A function on the shift space depending on the first `depth` symbols.
 
     `values` must assign a rational to every admissible word of length
-    `depth`.  Refining the table to a larger depth represents the same
-    function; equality between instances is that of the functions they
-    represent, after refinement to a common depth.
+    `depth`; the function keeps the nonzero ones, and `values` becomes a
+    read-only view (``CylinderValues``).  Refining to a larger depth
+    represents the same function; equality between instances is that of
+    the functions they represent, after refinement to a common depth.
     """
 
     matrix: AdjacencyMatrix
@@ -87,7 +145,7 @@ class CylinderFunction:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise DepthZero("cylinder functions need depth at least 1")
-        table = {as_word(w): _as_fraction(v) for w, v in self.values.items()}
+        table = {_as_key(w): _as_fraction(v) for w, v in self.values.items()}
         k = self.depth
         unknown = _unknown_words(self.matrix, k, table)
         if unknown:
@@ -96,22 +154,32 @@ class CylinderFunction:
         missing = word_count(self.matrix, k) - len(table) if table else "all"
         if missing:
             raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
-        object.__setattr__(self, "values", table)
+        nonzero = {w: v for w, v in table.items() if v}
+        object.__setattr__(self, "values", CylinderValues(self.matrix, k, nonzero))
+
+    @classmethod
+    def from_nonzero(
+        cls, A: AdjacencyMatrix, depth: int, nonzero: dict[Word, Fraction]
+    ) -> "CylinderFunction":
+        """The function with these values, 0 elsewhere.  The keys must be
+        admissible depth-`depth` words and the values nonzero Fractions;
+        valid by construction, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "matrix", A)
+        object.__setattr__(f, "depth", depth)
+        object.__setattr__(f, "values", CylinderValues(A, depth, nonzero))
+        return f
 
     @classmethod
     def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
         """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "matrix", A)
-        object.__setattr__(f, "depth", depth)
-        table = {w: _as_fraction(rule(w)) for w in enumerate_words(A, depth)}
-        object.__setattr__(f, "values", table)
-        return f
+        table = {w: v for w in enumerate_words(A, depth) if (v := _as_fraction(rule(w)))}
+        return cls.from_nonzero(A, depth, table)
 
     @classmethod
     def constant(cls, A: AdjacencyMatrix, value, depth: int = 1) -> "CylinderFunction":
         c = _as_fraction(value)
-        return cls.tabulate(A, depth, lambda w: c)
+        return cls.from_nonzero(A, depth, dict.fromkeys(enumerate_words(A, depth), c) if c else {})
 
     @classmethod
     def zero(cls, A: AdjacencyMatrix, depth: int = 1) -> "CylinderFunction":
@@ -123,13 +191,18 @@ class CylinderFunction:
         w = require_admissible(A, word)
         if not w:
             raise MalformedInput("indicator needs a nonempty word")
-        return cls.tabulate(A, len(w), lambda v: Fraction(v == w))
+        return cls.from_nonzero(A, len(w), {w: Fraction(1)})
+
+    @property
+    def nonzero(self) -> dict[Word, Fraction]:
+        """The stored entries: the words where the function is not 0."""
+        return self.values.nonzero
 
     def refine(self, depth: int) -> "CylinderFunction":
         return refine(self, depth)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not self.nonzero
 
     def __call__(self, x) -> Fraction:
         return evaluate(self, x)
@@ -140,7 +213,7 @@ class CylinderFunction:
         if self.matrix != other.matrix:
             return False
         k = max(self.depth, other.depth)
-        return refine(self, k).values == refine(other, k).values
+        return refine(self, k).nonzero == refine(other, k).nonzero
 
     def __add__(self, other) -> "CylinderFunction":
         return pointwise("add", self, _coerce(self, other))
@@ -148,7 +221,11 @@ class CylinderFunction:
     __radd__ = __add__
 
     def __mul__(self, other) -> "CylinderFunction":
-        return pointwise("mul", self, _coerce(self, other))
+        if isinstance(other, CylinderFunction):
+            return pointwise("mul", self, other)
+        c = _as_fraction(other)
+        scaled = {w: c * v for w, v in self.nonzero.items()} if c else {}
+        return CylinderFunction.from_nonzero(self.matrix, self.depth, scaled)
 
     __rmul__ = __mul__
 
@@ -175,40 +252,60 @@ def _coerce(like: CylinderFunction, value) -> CylinderFunction:
 
 
 def refine(f: CylinderFunction, depth: int) -> CylinderFunction:
-    """The same function tabulated on depth-`depth` cylinders."""
+    """The same function on depth-`depth` cylinders: each stored word is
+    extended by its admissible continuations."""
     if depth < f.depth:
         raise ShallowerDepth(f"cannot refine depth {f.depth} down to {depth}")
     if depth == f.depth:
         return f
-    return CylinderFunction.tabulate(f.matrix, depth, lambda w: f.values[w[: f.depth]])
+    table = _extend(f.matrix, f.nonzero, depth - f.depth)
+    return CylinderFunction.from_nonzero(f.matrix, depth, table)
 
 
 def alpha(f: CylinderFunction) -> CylinderFunction:
     """Composition with the shift: alpha(f)(x) = f(shift(x)).
 
     The result depends on one more coordinate than f, so its depth grows
-    by one; its value on a word drops the first symbol.
+    by one; it holds f(w) on a.w for each stored w and each predecessor a
+    of w[0].
     """
-    return CylinderFunction.tabulate(f.matrix, f.depth + 1, lambda w: f.values[w[1:]])
+    A = f.matrix
+    table = {(a,) + w: v for w, v in f.nonzero.items() for a in A.predecessors(w[0])}
+    return CylinderFunction.from_nonzero(A, f.depth + 1, table)
 
 
 def pointwise(op: str, f: CylinderFunction, g: CylinderFunction | None = None) -> CylinderFunction:
-    """Apply an exact pointwise operation: add, mul (binary), neg, abs (unary)."""
+    """Apply an exact pointwise operation: add, mul (binary), neg, abs (unary).
+
+    Only stored entries are read: neg and abs map them, mul keeps the
+    words both operands store, and add merges the two, dropping sums that
+    cancel to 0.
+    """
     if op not in (*_UNARY_OPS, *_BINARY_OPS):
         raise MalformedInput(f"unknown pointwise op {op!r}")
     if op in _UNARY_OPS:
         if g is not None:
             raise MalformedInput(f"{op} takes a single function")
         fn = _UNARY_OPS[op]
-        return CylinderFunction.tabulate(f.matrix, f.depth, lambda w: fn(f.values[w]))
+        table = {w: fn(v) for w, v in f.nonzero.items()}
+        return CylinderFunction.from_nonzero(f.matrix, f.depth, table)
     if g is None:
         raise MalformedInput(f"{op} takes two functions")
     if f.matrix != g.matrix:
         raise MatrixMismatch("operands built over different matrices")
     k = max(f.depth, g.depth)
-    fv, gv = refine(f, k).values, refine(g, k).values
-    fn = _BINARY_OPS[op]
-    return CylinderFunction.tabulate(f.matrix, k, lambda w: fn(fv[w], gv[w]))
+    fv, gv = refine(f, k).nonzero, refine(g, k).nonzero
+    if op == "mul":
+        if len(gv) < len(fv):
+            fv, gv = gv, fv
+        table = {w: v * gv[w] for w, v in fv.items() if w in gv}
+    else:
+        table = dict(fv)
+        for w, v in gv.items():
+            total = table.pop(w, 0) + v
+            if total:
+                table[w] = total
+    return CylinderFunction.from_nonzero(f.matrix, k, table)
 
 
 def evaluate(f: CylinderFunction, x) -> Fraction:
@@ -240,7 +337,7 @@ class DomainMask:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise DepthZero("masks need depth at least 1")
-        members = frozenset(as_word(w) for w in self.members)
+        members = frozenset(_as_key(w) for w in self.members)
         bad = _unknown_words(self.matrix, self.depth, members)
         if bad:
             raise MalformedInput(f"mask words must be admissible depth-{self.depth} words, got {bad}")
@@ -256,7 +353,7 @@ class DomainMask:
 
     @classmethod
     def from_words(cls, A: AdjacencyMatrix, words: Iterable[str | Iterable[int]], depth: int | None = None) -> "DomainMask":
-        ws = frozenset(as_word(w) for w in words)
+        ws = frozenset(_as_key(w) for w in words)
         if depth is None:
             lengths = {len(w) for w in ws}
             if len(lengths) != 1:
@@ -269,10 +366,8 @@ class DomainMask:
             raise ShallowerDepth(f"cannot refine depth {self.depth} down to {depth}")
         if depth == self.depth:
             return self
-        words = frozenset(
-            w for w in enumerate_words(self.matrix, depth) if w[: self.depth] in self.members
-        )
-        return DomainMask(self.matrix, depth, words)
+        words = _extend(self.matrix, dict.fromkeys(self.members), depth - self.depth)
+        return DomainMask(self.matrix, depth, frozenset(words))
 
     def covers(self, word: Word) -> bool:
         """True iff the cylinder of `word` lies inside the mask (needs
@@ -282,8 +377,8 @@ class DomainMask:
         return word[: self.depth] in self.members
 
     def indicator(self) -> CylinderFunction:
-        return CylinderFunction.tabulate(
-            self.matrix, self.depth, lambda w: Fraction(w in self.members)
+        return CylinderFunction.from_nonzero(
+            self.matrix, self.depth, dict.fromkeys(self.members, Fraction(1))
         )
 
     def is_empty(self) -> bool:
@@ -340,7 +435,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 def format_function_file(f: CylinderFunction) -> str:
     lines = [f"depth {f.depth}"]
+    nonzero = f.nonzero
     lines.extend(
-        f"{word_to_string(w)} {f.values[w]}" for w in sorted(f.values)
+        f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in enumerate_words(f.matrix, f.depth)
     )
     return "\n".join(lines) + "\n"

@@ -15,15 +15,24 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath
+from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath, SymbolOutOfRange
 from .graph import AdjacencyMatrix, Word, find_path
 
 
 def as_word(w: str | Iterable[int]) -> Word:
-    """Coerce a word literal or iterable of symbols to a Word tuple."""
+    """A word literal or iterable of symbols as a Word tuple.
+
+    Symbols are taken as given, never converted: one that is not an int
+    raises SymbolOutOfRange here, and the alphabet's range is checked
+    where the word meets a matrix.
+    """
     if isinstance(w, str):
         return word_from_string(w)
-    return tuple(int(s) for s in w)
+    word = tuple(w)
+    for s in word:
+        if not isinstance(s, int):
+            raise SymbolOutOfRange(f"symbol {s!r} is not an integer")
+    return word
 
 
 def word_from_string(text: str) -> Word:

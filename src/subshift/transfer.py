@@ -44,9 +44,11 @@ class Weight:
 
     The carrier is normalized at construction: it is refined to at least
     the domain depth and set to zero outside the domain, the canonical
-    extension of a function living on U.  Values must be nonnegative on
-    U; zero values are allowed and are reported by :func:`zero_set`,
-    never assumed away.
+    extension of a function living on U.  It is built from the domain's
+    member words when U is at least as deep as the carrier, and otherwise
+    by keeping the stored words U covers, so no other word is listed.
+    Values must be nonnegative on U; zero values are allowed and are
+    reported by :func:`zero_set`, never assumed away.
     """
 
     carrier: CylinderFunction
@@ -55,14 +57,16 @@ class Weight:
     def __post_init__(self) -> None:
         if self.carrier.matrix != self.domain.matrix:
             raise MatrixMismatch("carrier and domain built over different matrices")
-        U = self.domain
-        c = refine(self.carrier, max(self.carrier.depth, U.depth))
-        for w, v in c.values.items():
-            if v < 0 and U.covers(w):
-                raise NegativeWeight(f"weight is {v} on cylinder {word_to_string(w)}")
-        carrier = CylinderFunction.tabulate(
-            c.matrix, c.depth, lambda w: c.values[w] if U.covers(w) else 0
-        )
+        U, c, values = self.domain, self.carrier.depth, self.carrier.nonzero
+        if U.depth >= c:
+            depth, table = U.depth, {u: v for u in U.members if (v := values.get(u[:c]))}
+        else:
+            depth, table = c, {w: v for w, v in values.items() if U.covers(w)}
+        negative = [w for w, v in table.items() if v < 0]
+        if negative:
+            w = min(negative)
+            raise NegativeWeight(f"weight is {table[w]} on cylinder {word_to_string(w)}")
+        carrier = CylinderFunction.from_nonzero(self.matrix, depth, table)
         object.__setattr__(self, "carrier", carrier)
 
     @classmethod
@@ -91,28 +95,34 @@ def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     """Apply the transfer operator of `rho` to `f`.
 
     f must be supported in the domain of rho (SupportViolation otherwise);
-    d = max(rho.depth, f.depth) is at least the domain depth, so f's depth-d
-    table decides it.  At depth d - 1 (at least 1), L(f)(x) is the sum of
-    rho(a.x) * f(a.x) over the predecessors a of x_1; rho's carrier is zero
-    off its domain, so a preimage outside the domain adds an exact zero.
+    d = max(rho.depth, f.depth) is at least the domain depth, so f's
+    depth-d words decide it.  L(f)(x) is the sum of rho(a.x) * f(a.x) over
+    the predecessors a of x_1, computed as a scatter over the nonzero
+    words y of f at depth d: each adds rho(y[:e]) * f(y), rho read at its
+    own depth e, to the depth-(d - 1) word y[1:], or to every successor
+    of y[0] when d = 1.  rho's carrier is zero off its domain, so only
+    preimages inside the domain contribute.
     """
     A = rho.matrix
     if f.matrix != A:
         raise MatrixMismatch("function built over a different matrix")
-    d = max(rho.depth, f.depth)
-    rv = refine(rho.carrier, d).values
-    fv = refine(f, d).values
-    for w, v in fv.items():
-        if v != 0 and not rho.domain.covers(w):
-            raise SupportViolation(
-                f"function is {v} on cylinder {word_to_string(w)} outside the domain"
-            )
-
-    def preimage_sum(x: Word) -> Fraction:
-        ys = [((a,) + x)[:d] for a in A.predecessors(x[0])]
-        return sum((rv[y] * fv[y] for y in ys), Fraction(0))
-
-    return CylinderFunction.tabulate(A, max(d - 1, 1), preimage_sum)
+    d, e = max(rho.depth, f.depth), rho.depth
+    fv = refine(f, d).nonzero
+    outside = [y for y in fv if not rho.domain.covers(y)]
+    if outside:
+        y = min(outside)
+        raise SupportViolation(
+            f"function is {fv[y]} on cylinder {word_to_string(y)} outside the domain"
+        )
+    rv = rho.carrier.nonzero
+    images = (lambda y: (y[1:],)) if d > 1 else (lambda y: [(s,) for s in A.successors(y[0])])
+    sums: dict[Word, Fraction] = {}
+    for y, v in fv.items():
+        r = rv.get(y[:e])
+        if r is not None:
+            for x in images(y):
+                sums[x] = sums.get(x, 0) + r * v
+    return CylinderFunction.from_nonzero(A, max(d - 1, 1), {x: v for x, v in sums.items() if v})
 
 
 def as_operator(rho: Weight) -> AbstractTransferOp:
@@ -172,17 +182,13 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
     def shifted_query(w: Word) -> Fraction:
         q = queried.get(w[:d])
-        return Fraction(0) if q is None else q.values[w[1 : q.depth + 1]]
+        return 0 if q is None else q.nonzero.get(w[1 : q.depth + 1], 0)
 
     depth = max(d, *(q.depth + 1 for q in queried.values()))
     rho = Weight(CylinderFunction.tabulate(A, depth, shifted_query), U)
 
     basis = [indicators[a] for a in members]
-    basis.extend(
-        CylinderFunction.indicator(A, w)
-        for w in enumerate_words(A, d + 1)
-        if U.covers(w)
-    )
+    basis.extend(CylinderFunction.indicator(A, w) for w in sorted(U.refine(d + 1).members))
     for xi in basis:
         if transfer_apply(rho, xi) != query(xi):
             raise NotTransfer("operator disagrees with its recovered weight on an indicator")
@@ -197,7 +203,8 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
 def zero_set(rho: Weight) -> frozenset[Word]:
     """The carrier-depth words on which the weight vanishes."""
-    return frozenset(w for w, v in rho.carrier.values.items() if v == 0)
+    nonzero = rho.carrier.nonzero
+    return frozenset(w for w in enumerate_words(rho.matrix, rho.depth) if w not in nonzero)
 
 
 def weights_equivalent(
@@ -216,13 +223,11 @@ def weights_equivalent(
     if rho.domain != rho2.domain:
         raise DomainMismatch("weights live on different domains")
     k = max(rho.depth, rho2.depth)
-    c1 = refine(rho.carrier, k).values
-    c2 = refine(rho2.carrier, k).values
-    if {w for w, v in c1.items() if v == 0} != {w for w, v in c2.items() if v == 0}:
+    c1 = refine(rho.carrier, k).nonzero
+    c2 = refine(rho2.carrier, k).nonzero
+    if c1.keys() != c2.keys():
         return False, None
-    r = CylinderFunction.tabulate(
-        rho.matrix, k, lambda w: c1[w] / c2[w] if c2[w] != 0 else Fraction(1)
-    )
+    r = CylinderFunction.tabulate(rho.matrix, k, lambda w: c1[w] / c2[w] if w in c2 else 1)
     if pointwise("mul", r, rho2.carrier) != rho.carrier:
         raise CertificateInvalid("equivalence witness does not reproduce the weight")
     return True, r

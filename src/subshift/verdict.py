@@ -183,8 +183,20 @@ def render_report(v: AnalysisVerdict) -> str:
 def _load_report(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+    except (RecursionError, ValueError) as exc:
+        # JSONDecodeError, an integer past int()'s digit limit, or nesting past the recursion limit
         raise MalformedInput(f"report is not valid JSON: {exc}") from None
+
+
+def _json_bool(doc: dict, *path: str) -> bool:
+    """The field at `path` as a JSON boolean, the way ``json_int`` reads
+    integers: 0, 1 or a string raises, never coerces."""
+    value = doc
+    for key in path:
+        value = value[key]
+    if type(value) is not bool:
+        raise MalformedInput(f"{'.'.join(path)} must be a JSON boolean, got {value!r}")
+    return value
 
 
 def parse_report(text: str) -> AnalysisVerdict:
@@ -199,13 +211,13 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
         return AnalysisVerdict(
             matrix=A,
             depth_budget=json_int(doc, "depth_budget"),
-            transitive=bool(doc["hypotheses"]["transitive"]),
-            cycle=bool(doc["hypotheses"]["cycle"]),
+            transitive=_json_bool(doc, "hypotheses", "transitive"),
+            cycle=_json_bool(doc, "hypotheses", "cycle"),
             one_sided=doc["one_sided"]["status"],
             two_sided=doc["two_sided"]["status"],
             conclusion=doc["conclusion"],
             hypothesis_failed=doc.get("hypothesis_failed"),
-            corollary_no_invertible_weight=bool(doc["corollary_no_invertible_weight"]),
+            corollary_no_invertible_weight=_json_bool(doc, "corollary_no_invertible_weight"),
             invariant_set=(
                 None if invariant is None else InvariantSetCertificate.from_dict(A, invariant)
             ),

@@ -80,6 +80,24 @@ def brute_force_words(A: ss.AdjacencyMatrix, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def dense_refine(A: ss.AdjacencyMatrix, table: dict, k: int, depth: int) -> dict:
+    """The depth-`depth` table of the function whose depth-k table is `table`."""
+    return {w: table[w[:k]] for w in brute_force_words(A, depth)}
+
+
+def brute_force_transfer(A: ss.AdjacencyMatrix, rho, f, depth: int) -> dict:
+    """The preimage sum on every admissible length-`depth` word x: rho(a.x)
+    * f(a.x) over the symbols a with an edge a -> x[0].  rho and f read the
+    prefix of a word that they depend on."""
+    return {
+        x: sum(
+            (rho((a,) + x) * f((a,) + x) for a in range(1, A.n + 1) if A.rows[a - 1][x[0] - 1]),
+            Fraction(0),
+        )
+        for x in brute_force_words(A, depth)
+    }
+
+
 def brute_force_admissible(A: ss.AdjacencyMatrix, word) -> bool:
     """Every symbol an int in 1..n (SymbolOutOfRange first, before any
     answer), then every consecutive pair a 1 entry of the rows."""

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import (
@@ -12,7 +15,13 @@ from subshift.errors import (
     ShallowerDepth,
     TooShort,
 )
-from support import random_function, random_matrix
+from support import (
+    brute_force_transfer,
+    brute_force_words,
+    dense_refine,
+    random_function,
+    random_matrix,
+)
 
 
 def table(A, depth, mapping):
@@ -211,3 +220,83 @@ def test_constructors_check_only_the_given_words(golden):
     with pytest.raises(MalformedInput, match=r"\['22'\]"):
         ss.DomainMask.from_words(golden, ["12", "22"])
     assert ss.DomainMask.full(golden, 3).is_full()
+
+
+_VALUES = st.sampled_from([0, 0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _sparse_cases(draw):
+    """A matrix with n <= 4 and tables that are mostly exact zeros."""
+    n = draw(st.integers(1, 4))
+    masks = [draw(st.integers(1, 2**n - 1)) for _ in range(n)]
+    A = ss.AdjacencyMatrix.from_rows([[(m >> c) & 1 for c in range(n)] for m in masks])
+
+    def table(depth, values=_VALUES):
+        return {w: Fraction(draw(values)) for w in brute_force_words(A, depth)}
+
+    kf, kg, ku, ke = (draw(st.integers(1, 3)) for _ in range(4))
+    members = frozenset(w for w in brute_force_words(A, ku) if draw(st.booleans()))
+    kh = draw(st.integers(ku, 3))
+    h = {w: v if w[:ku] in members else Fraction(0) for w, v in table(kh).items()}
+    weight = table(ke, st.sampled_from([0, 0, 1, 2, Fraction(1, 3)]))
+    return A, (kf, table(kf)), (kg, table(kg)), (ku, members), (kh, h), (ke, weight), draw(_VALUES)
+
+
+def _matches(f, depth, reference):
+    """f has this depth and total table, and stores exactly its nonzero values."""
+    return (
+        f.depth == depth
+        and f.values == reference
+        and f.nonzero == {w: v for w, v in reference.items() if v}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_cases(), st.integers(0, 2))
+def test_sparse_operations_match_dense_tables(case, extra):
+    A, (kf, ft), (kg, gt), (ku, members), (kh, ht), (ke, et), c = case
+    f, g = ss.CylinderFunction(A, kf, ft), ss.CylinderFunction(A, kg, gt)
+
+    # The values view: key order, length, zeros read back, KeyError off the words.
+    words = brute_force_words(A, kf)
+    assert list(f.values) == words and len(f.values) == len(words)
+    assert f.values == ft and dict(f.values) == ft
+    assert all(f.values[w] == ft[w] and type(f.values[w]) is Fraction for w in words)
+    for key in ((0,) * kf, (A.n + 1,) * kf, words[0] * 2, words[0][:-1], "1" * kf, None):
+        with pytest.raises(KeyError):
+            f.values[key]
+    inadmissible = [w for w in itertools.product(range(1, A.n + 1), repeat=kf) if w not in ft]
+    for w in inadmissible[:3]:
+        with pytest.raises(KeyError):
+            f.values[w]
+
+    k2 = kf + extra
+    assert _matches(ss.refine(f, k2), k2, dense_refine(A, ft, kf, k2))
+    assert _matches(ss.alpha(f), kf + 1, {w: ft[w[1:]] for w in brute_force_words(A, kf + 1)})
+    assert _matches(-f, kf, {w: -v for w, v in ft.items()})
+    assert _matches(abs(f), kf, {w: abs(v) for w, v in ft.items()})
+    assert _matches(c * f, kf, {w: c * v for w, v in ft.items()})
+    k = max(kf, kg)
+    fk, gk = dense_refine(A, ft, kf, k), dense_refine(A, gt, kg, k)
+    assert _matches(ss.pointwise("add", f, g), k, {w: fk[w] + gk[w] for w in fk})
+    assert _matches(ss.pointwise("mul", f, g), k, {w: fk[w] * gk[w] for w in fk})
+    assert (f == g) == (fk == gk)
+    assert f.is_zero() == (not any(ft.values()))
+
+    U = ss.DomainMask(A, ku, members)
+    ku2 = ku + extra
+    assert U.refine(ku2).members == {w for w in brute_force_words(A, ku2) if w[:ku] in members}
+    indicator = {w: Fraction(w in members) for w in brute_force_words(A, ku)}
+    assert _matches(U.indicator(), ku, indicator)
+
+    rho = ss.Weight(ss.CylinderFunction(A, ke, et), U)
+    h = ss.CylinderFunction(A, kh, ht)
+    d = max(ke, ku, kh)
+    expected = brute_force_transfer(
+        A,
+        lambda y: et[y[:ke]] if y[:ku] in members else 0,
+        lambda y: ht[y[:kh]],
+        max(d - 1, 1),
+    )
+    assert _matches(ss.transfer_apply(rho, h), max(d - 1, 1), expected)

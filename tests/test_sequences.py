@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subshift as ss
@@ -222,13 +222,17 @@ def _built(cls, *args):
     return _outcome(lambda: cls(*args) is not None)
 
 
+_GOLDEN = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_admissibility_cases())
+@example((_GOLDEN, (1.5, 2), ((1,), (), (1,))))  # a float symbol is not truncated
+@example((_GOLDEN, ("x",), ((1,), (), (1,))))  # a str symbol raises SymbolOutOfRange
 def test_admissibility_agrees_with_the_rows(case):
     A, w, (L, C, R) = case
     assert _outcome(A.admits, w) == _outcome(brute_force_admissible, A, w)
-    coerced = tuple(int(s) for s in w)  # as_word's reading of a symbol tuple
-    expected = _outcome(brute_force_admissible, A, coerced)
+    expected = _outcome(brute_force_admissible, A, w)  # as_word converts no symbol
     assert _outcome(ss.is_admissible, A, w) == expected
 
     ring = _outcome(brute_force_admissible, A, L + L + C + R + R)
@@ -236,7 +240,7 @@ def test_admissibility_agrees_with_the_rows(case):
     assert seq == (InadmissibleWord if ring is False else ring)
 
     if w:
-        table = {v: 0 for v in brute_force_words(A, len(w)) if v != coerced}
+        table = {v: 0 for v in brute_force_words(A, len(w)) if v != w}
         table[w] = 1
         built = True if expected is True else MalformedInput
         assert _built(ss.CylinderFunction, A, len(w), table) == built

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,15 @@ def test_weight_normalization(golden):
     assert ss.Weight(negative_outside, U).carrier.values[(1, 2)] == 0
     with pytest.raises(NegativeWeight):
         ss.Weight(ss.CylinderFunction(golden, 1, {(1,): -1, (2,): 1}), ss.DomainMask.full(golden))
+    # A domain shallower than the carrier keeps the stored words it covers,
+    # and a negative value names the smallest covered word.
+    V = ss.DomainMask.from_words(golden, ["1"])
+    words = ss.enumerate_words(golden, 3)
+    deep = ss.CylinderFunction(golden, 3, {w: -1 if w[0] == 2 else 1 for w in words})
+    assert ss.Weight(deep, V).carrier.values == {w: int(w[0] == 1) for w in words}
+    negative = ss.CylinderFunction(golden, 3, {w: -1 if w[1] == 2 else 1 for w in words})
+    with pytest.raises(NegativeWeight, match="cylinder 121"):
+        ss.Weight(negative, V)
 
 
 def test_transfer_apply_examples(golden, full2):
@@ -147,6 +157,17 @@ def test_recover_weight_round_trip_with_zeros_and_domains():
         assert recovered == rho
 
 
+def test_recover_weight_is_fast_on_a_full_depth_5_domain():
+    # 243 member cylinders and 729 at depth 6: every indicator check reads
+    # only the indicator's one nonzero entry, not a table of all words.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    rho = ss.Weight(ss.CylinderFunction.constant(full3, "1/2"), ss.DomainMask.full(full3, 5))
+    start = time.perf_counter()
+    recovered = ss.recover_weight(ss.as_operator(rho), rho.domain)
+    assert time.perf_counter() - start < 1.0
+    assert recovered == rho
+
+
 def test_recover_weight_rejects_non_transfer(golden):
     U = ss.DomainMask.full(golden)
     with pytest.raises(NotTransfer):
@@ -221,6 +242,15 @@ def test_weights_equivalent_respects_zero_cylinders(golden):
         ss.CylinderFunction(golden, 2, {(1, 1): 1, (1, 2): 1, (2, 1): 3}), U
     )
     assert ss.weights_equivalent(rho, bumped) == (False, None)
+
+
+def test_deep_empty_domain_lists_no_words(golden):
+    # Depth 40 has 267,914,296 admissible words; the carrier is built from
+    # the domain's members, of which there are none.
+    start = time.perf_counter()
+    rho = ss.parse_weight_file(golden, "depth 1\n1 1\n2 1\ndomain 40\n")
+    assert time.perf_counter() - start < 1.0
+    assert rho.depth == 40 and rho.carrier.is_zero() and rho.domain.is_empty()
 
 
 def test_weight_file_round_trip(golden):

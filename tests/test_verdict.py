@@ -132,6 +132,30 @@ def test_verify_report_rejects_garbage(golden):
     infinite["depth_budget"] = float("inf")  # json writes Infinity
     with pytest.raises(MalformedInput):
         ss.verify_report(json.dumps(infinite))
+    nested = "[" * 100000  # json.loads raises RecursionError on it
+    with pytest.raises(MalformedInput):
+        ss.verify_report(nested)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("hypotheses", "transitive"), "x"),
+        (("hypotheses", "transitive"), 1),
+        (("hypotheses", "cycle"), 0),
+        (("hypotheses", "cycle"), None),
+        (("corollary_no_invertible_weight",), "true"),
+    ],
+)
+def test_parse_report_reads_flags_as_json_booleans(golden, path, value):
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(MalformedInput, match=".".join(path)):
+        ss.parse_report(json.dumps(doc))
 
 
 def test_verify_report_requires_every_promised_certificate(golden):
