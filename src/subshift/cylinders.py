@@ -38,6 +38,7 @@ from .errors import (
 from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
+    OneSidedPoint,
     as_word,
     enumerate_words,
     require_admissible,
@@ -309,9 +310,9 @@ def pointwise(op: str, f: CylinderFunction, g: CylinderFunction | None = None) -
 
 
 def evaluate(f: CylinderFunction, x) -> Fraction:
-    """Value of f at a point: x is a word (>= depth symbols) or a sequence,
-    read forward from its origin."""
-    if isinstance(x, EventuallyPeriodicSeq):
+    """Value of f at a point: x is a word (>= depth symbols), a two-sided
+    sequence or a one-sided point, read forward from coordinate 0."""
+    if isinstance(x, (EventuallyPeriodicSeq, OneSidedPoint)):
         if x.matrix != f.matrix:
             raise MatrixMismatch("sequence built over a different matrix")
         return f.values[x.window(0, f.depth)]
@@ -421,7 +422,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     depth = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
     if depth is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
-    table: dict[Word, Fraction] = {}
+    table: dict[Word, str] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -429,7 +430,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
         word = word_from_string(parts[0])
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
-        table[word] = _as_fraction(parts[1])
+        table[word] = parts[1]  # the constructor converts each value once
     return CylinderFunction(A, depth, table)
 
 

@@ -71,3 +71,7 @@ class BadExponents(SubshiftError):
 
 class CertificateInvalid(SubshiftError):
     """A certificate failed re-verification."""
+
+
+class WorkLimitExceeded(SubshiftError):
+    """A request would build more certificate data than the documented limit."""

@@ -9,18 +9,21 @@ For a transitive matrix whose graph is not a cycle this module builds:
   first that lands in the second after finitely many shifts (so no
   proper nonempty open set is shift-invariant);
 * for exponents i < j, a table over all depth-j cylinders [w] showing
-  that the set {x : shift^i(x) = shift^j(x)} meets [w] in at most one
-  point and never contains it.
+  that the set {x : shift^i(x) = shift^j(x)} never contains [w]: a
+  one-sided point w . t^infinity where the two shifts differ, stored
+  as t alone, since the entries follow the order of the words.
 
 Every certificate re-verifies itself from its stored data alone via
-``verify``; construction runs ``verify`` before returning.  One-sided
-points are stored in the two-sided representation with canonical left
-padding and all one-sided checks read coordinates >= 0 only.
+``verify``; construction runs ``verify`` before returning.  Invariant-set
+points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import (
     BadExponents,
@@ -28,6 +31,8 @@ from .errors import (
     GraphIsCycle,
     MalformedInput,
     NotTransitive,
+    SubshiftError,
+    WorkLimitExceeded,
 )
 from .graph import (
     AdjacencyMatrix,
@@ -40,6 +45,7 @@ from .graph import (
 )
 from .sequences import (
     EventuallyPeriodicSeq,
+    OneSidedPoint,
     as_word,
     contains_word,
     enumerate_words,
@@ -47,6 +53,8 @@ from .sequences import (
     periodic_seq,
     require_admissible,
     word_count,
+    word_counts,
+    word_from_string,
     word_to_string,
 )
 
@@ -138,44 +146,51 @@ class MinimalityWitness:
 
 @dataclass(frozen=True, eq=False)
 class FreenessEntry:
-    """The per-cylinder record: the unique point of [word] where the i-th
-    and j-th shifts could agree (or None when the junction edge is
-    missing), and a point of [word] where they provably differ."""
+    """The per-cylinder record: a point word . tail^infinity of [word]
+    where the i-th and j-th shifts differ, and where they first do."""
 
-    word: Word
-    forced: EventuallyPeriodicSeq | None
-    witness: EventuallyPeriodicSeq
+    witness: OneSidedPoint
     differs_at: int  # 1-based coordinate where the shifted tails differ
 
-    def to_dict(self) -> dict:
-        return {
-            "word": word_to_string(self.word),
-            "forced": None if self.forced is None else self.forced.to_literal(),
-            "witness": self.witness.to_literal(),
-            "differs_at": self.differs_at,
-        }
-
-    @classmethod
-    def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "FreenessEntry":
-        forced = data.get("forced")
-        return cls(
-            as_word(data["word"]),
-            None if forced is None else EventuallyPeriodicSeq.from_literal(A, forced),
-            EventuallyPeriodicSeq.from_literal(A, data["witness"]),
-            json_int(data, "differs_at"),
-        )
+    @property
+    def word(self) -> Word:
+        return self.witness.prefix
 
 
-def _tail_difference(s: EventuallyPeriodicSeq, i: int, j: int) -> int | None:
+def _format1_entry(A: AdjacencyMatrix, i: int, w: Word, data: dict) -> dict:
+    """A report-format-1 entry at the word w as the format-2 entry it
+    encodes.  Its word, its witness literal (any left period) and its forced
+    point w . (w[i:])^inf, null without the junction edge, must be exactly
+    what the format-2 entry implies."""
+    witness, forced = EventuallyPeriodicSeq.from_literal(A, data["witness"]), data["forced"]
+    if data["word"] != word_to_string(w) or (witness.origin, witness.core) != (0, w):
+        raise CertificateInvalid("word or witness literal does not start with the entry's word")
+    if forced is not None:
+        forced = EventuallyPeriodicSeq.from_literal(A, forced)
+        forced = (forced.origin, forced.core, forced.right_period)
+    if forced != ((0, w, w[i:]) if (w[-1], w[i]) in A.edges else None):
+        raise CertificateInvalid("forced literal is not w . (w[i:])^inf, or null without its edge")
+    return {"differs_at": data["differs_at"], "tail": word_to_string(witness.right_period)}
+
+
+@contextmanager
+def located(place: str | Callable[[], str]):
+    """Prefix `place` (or, on failure, the string it returns) to the message
+    of any SubshiftError raised inside, so the error names where it lies."""
+    try:
+        yield
+    except SubshiftError as exc:
+        raise type(exc)(f"{place if isinstance(place, str) else place()}{exc}") from None
+
+
+def _tail_difference(s: OneSidedPoint, i: int, j: int) -> int | None:
     """First coordinate c >= 0 with s[i+c] != s[j+c], or None if the two
     shifted tails agree everywhere.
 
-    Both tails are eventually periodic with the right period of s and
-    preperiod at most len(core), so scanning len(core) + len(period)
-    coordinates decides equality exactly.
+    Both tails are periodic with the tail period from coordinate
+    len(prefix) on, so scanning len(prefix) + len(tail) coordinates decides.
     """
-    limit = len(s.core) + len(s.right_period)
-    for c in range(limit):
+    for c in range(len(s.prefix) + len(s.tail)):
         if s[i + c] != s[j + c]:
             return c
     return None
@@ -186,9 +201,9 @@ class FreenessCertificate:
     """One entry per admissible depth-j word, proving no cylinder sits
     inside {x : shift^i(x) = shift^j(x)}.
 
-    The set is closed, so this is exactly the empty-interior statement;
-    the per-cylinder uniqueness of the forced point covers all deeper
-    cylinders at once (a set with at most one point contains no cylinder).
+    The set is closed, so this is exactly the empty-interior statement.
+    It meets [w] only in w . (w[i:])^inf, so it holds no deeper cylinder
+    either; each witness shows it does not hold [w] itself.
     """
 
     matrix: AdjacencyMatrix
@@ -199,56 +214,44 @@ class FreenessCertificate:
     def verify(self) -> None:
         i, j, A = self.i, self.j, self.matrix
         if not 0 <= i < j:
-            raise CertificateInvalid("certificate exponents must satisfy 0 <= i < j")
+            raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         words = [e.word for e in self.entries]
         if len(words) != word_count(A, j) or words != enumerate_words(A, j):
-            raise CertificateInvalid("entry table does not cover the depth-j cylinders")
-        for e in self.entries:
-            self._verify_entry(e)
-
-    def _verify_entry(self, e: FreenessEntry) -> None:
-        A, i, j = self.matrix, self.i, self.j
-        w = e.word
-        label = word_to_string(w)
-        if e.witness.matrix != A or (e.forced is not None and e.forced.matrix != A):
-            raise CertificateInvalid(f"[{label}] sequence built over a different matrix")
-        if e.witness.window(0, j) != w:
-            raise CertificateInvalid(f"[{label}] witness does not lie in the cylinder")
-        if ((w[-1], w[i]) in A.edges) != (e.forced is not None):
-            raise CertificateInvalid(
-                f"[{label}] a forced point is recorded iff the junction edge exists"
-            )
-        if e.forced is not None:
-            if e.forced.window(0, j) != w:
-                raise CertificateInvalid(f"[{label}] forced point not in the cylinder")
-            if _tail_difference(e.forced, i, j) is not None:
-                raise CertificateInvalid(
-                    f"[{label}] forced point does not equalize the shifts"
-                )
-        c = _tail_difference(e.witness, i, j)
-        if c is None:
-            raise CertificateInvalid(f"[{label}] witness equalizes the shifts")
-        if c != e.differs_at - 1:
-            raise CertificateInvalid(
-                f"[{label}] recorded difference coordinate {e.differs_at} "
-                f"does not match the first difference {c + 1}"
-            )
+            raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
+        with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
+            for k, e in enumerate(self.entries):
+                if e.witness.matrix != A:
+                    raise CertificateInvalid("witness built over a different matrix")
+                c = _tail_difference(e.witness, i, j)
+                if c is None:
+                    raise CertificateInvalid("witness equalizes the shifts")
+                if c != e.differs_at - 1:
+                    raise CertificateInvalid(f"differs_at {e.differs_at}, but they first differ at {c + 1}")
 
     def to_dict(self) -> dict:
         return {
             "i": self.i,
             "j": self.j,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [
+                {"differs_at": e.differs_at, "tail": word_to_string(e.witness.tail)}
+                for e in self.entries
+            ],
         }
 
     @classmethod
-    def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "FreenessCertificate":
-        return cls(
-            A,
-            json_int(data, "i"),
-            json_int(data, "j"),
-            tuple(FreenessEntry.from_dict(A, e) for e in data["entries"]),
-        )
+    def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
+        """The table as a report of `report_format` stores it: entry k belongs
+        to the k-th depth-j word, listed once the entry count matches."""
+        i, j, rows = json_int(data, "i"), json_int(data, "j"), data["entries"]
+        if len(rows) != word_count(A, j):
+            raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
+        words, entries = enumerate_words(A, j), []
+        with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
+            for k, (w, row) in enumerate(zip(words, rows)):
+                row = _format1_entry(A, i, w, row) if report_format == 1 else row
+                tail = word_from_string(row["tail"])
+                entries.append(FreenessEntry(one_sided_seq(A, w, tail), json_int(row, "differs_at")))
+        return cls(A, i, j, tuple(entries))
 
 
 def _require_dichotomy_hypotheses(A: AdjacencyMatrix) -> None:
@@ -321,6 +324,24 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
     return wit
 
 
+MAX_FREENESS_ENTRIES = 1_000_000  # the golden-mean matrix passes it at depth budget 21
+
+
+def require_work_limit(A: AdjacencyMatrix, tables_per_depth: Iterable[int]) -> None:
+    """Raise WorkLimitExceeded before any freeness table is built if the
+    tables, numbering the k-th item of `tables_per_depth` at depth k (the
+    last item nonzero), would hold over MAX_FREENESS_ENTRIES entries.
+    Stops where the total or N_k passes it: N_k never decreases."""
+    total = 0
+    for tables, n_k in zip(tables_per_depth, word_counts(A)):
+        total += tables * n_k
+        if max(total, n_k) > MAX_FREENESS_ENTRIES:
+            raise WorkLimitExceeded(
+                f"freeness tables would hold over {MAX_FREENESS_ENTRIES} entries "
+                "(subshift.freeness.MAX_FREENESS_ENTRIES)"
+            )
+
+
 def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertificate:
     """Certify per depth-j cylinder that shift^i and shift^j agree on at
     most one point of it, and exhibit a point where they differ.
@@ -328,29 +349,23 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     A point x in [w] has shift^i(x) = shift^j(x) exactly when its tail
     repeats r = w[i:] forever, which needs the edge from w's last symbol
     back to the start of r; if that edge exists the repetition is the
-    unique candidate (the forced point), otherwise the intersection is
-    empty.  The differing witness extends w by a tail that visits a
-    symbol r misses, or diverts off r's cycle when r uses the whole
-    alphabet; either way the two shifted tails cannot agree.
+    unique candidate, otherwise the intersection is empty.  The
+    differing witness extends w by a tail that visits a symbol r misses,
+    or diverts off r's cycle when r uses the whole alphabet; without the
+    junction edge any cycle back to w's last symbol will do.  Either way
+    the two shifted tails cannot agree.
     """
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
+    require_work_limit(A, chain(repeat(0, j - 1), (1,)))
     entries = []
     for w in enumerate_words(A, j):
-        r = w[i:]
-        if (w[-1], r[0]) in A.edges:
-            forced = one_sided_seq(A, w, r)
-            witness = one_sided_seq(A, w, _diverting_tail(A, r))
-        else:
-            forced = None
-            witness = one_sided_seq(A, w, find_path(A, w[-1], w[-1])[1:])
-        c = _tail_difference(witness, i, j)
-        if c is None:
-            raise CertificateInvalid(
-                f"construction failed to separate the shifts on {word_to_string(w)}"
-            )
-        entries.append(FreenessEntry(w, forced, witness, c + 1))
+        junction = (w[-1], w[i]) in A.edges
+        tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
+        witness = one_sided_seq(A, w, tail)
+        c = _tail_difference(witness, i, j)  # None fails verify: the witness equalizes
+        entries.append(FreenessEntry(witness, 0 if c is None else c + 1))
     cert = FreenessCertificate(A, i, j, tuple(entries))
     cert.verify()
     return cert

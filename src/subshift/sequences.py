@@ -4,19 +4,21 @@ A word is a tuple of symbols; the empty word is allowed and admissible.
 Points of the two-sided shift space are represented by
 :class:`EventuallyPeriodicSeq`: a left period repeated to minus infinity,
 a finite core, and a right period repeated to plus infinity, together
-with an origin marking coordinate 0.  Every proof witness needed here is
-eventually periodic on both sides, so this representation is complete
-for the certificates this package produces.
+with an origin marking coordinate 0; points of the one-sided space by
+:class:`OneSidedPoint`: a prefix, then a tail period repeated forever.
+Every proof witness needed here is eventually periodic, so these
+representations are complete for the certificates this package produces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 
-from .errors import DepthZero, InadmissibleWord, MalformedInput, NoPath, SymbolOutOfRange
-from .graph import AdjacencyMatrix, Word, find_path
+from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange
+from .graph import AdjacencyMatrix, Word
 
 
 def as_word(w: str | Iterable[int]) -> Word:
@@ -81,16 +83,22 @@ def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
     return words
 
 
-def word_count(A: AdjacencyMatrix, k: int) -> int:
-    """The number of admissible words of length k, counted without listing
-    them: the sum of the entries of A^(k-1), in O(k * n^2) steps."""
-    if k < 1:
-        raise DepthZero("word length must be at least 1")
+def word_counts(A: AdjacencyMatrix) -> Iterator[int]:
+    """N_1, N_2, ...: the number of admissible words of each length, counted
+    without listing them.  N_k is the sum of the entries of A^(k-1); each
+    step costs O(n^2).  With no zero rows N_k never decreases."""
     pred = [A.predecessors(s) for s in A.symbols]
     ending = [1] * A.n  # admissible words of the current length, by last symbol
-    for _ in range(k - 1):
+    while True:
+        yield sum(ending)
         ending = [sum(ending[p - 1] for p in ps) for ps in pred]
-    return sum(ending)
+
+
+def word_count(A: AdjacencyMatrix, k: int) -> int:
+    """The number of admissible words of length k (``word_counts``)."""
+    if k < 1:
+        raise DepthZero("word length must be at least 1")
+    return next(islice(word_counts(A), k - 1, None))
 
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
@@ -229,34 +237,38 @@ def periodic_seq(A: AdjacencyMatrix, period: str | Iterable[int], origin: int = 
     return EventuallyPeriodicSeq(A, word, (), word, origin)
 
 
-def left_padding(A: AdjacencyMatrix, first: int) -> Word:
-    """A period word that can sit to the left of a block starting with `first`.
+@dataclass(frozen=True)
+class OneSidedPoint:
+    """The one-sided point prefix . tail^infinity, read at coordinates k >= 0.
 
-    Picks the smallest predecessor p of `first` lying on a cycle and
-    returns that cycle rotated to end at p.  Used to embed one-sided
-    points into the two-sided representation; reads at coordinates >= 0
-    are unaffected by the choice.
+    It is admissible iff the word prefix + tail + tail[:1] is (the last
+    pair wraps the tail around).  Equality compares the stored words.
     """
-    for p in A.predecessors(first):
-        try:
-            return find_path(A, p, p)[1:]
-        except NoPath:
-            continue
-    raise InadmissibleWord(f"no admissible left extension for symbol {first}")
+
+    matrix: AdjacencyMatrix
+    prefix: Word
+    tail: Word
+
+    def __post_init__(self) -> None:
+        if not self.prefix or not self.tail:
+            raise MalformedInput("one-sided point needs a nonempty prefix and tail period")
+        if not self.matrix.admits(self.prefix + self.tail + self.tail[:1]):
+            word = f"{word_to_string(self.prefix)}.({word_to_string(self.tail)})"
+            raise InadmissibleWord(f"point {word}^inf is not admissible")
+
+    def __getitem__(self, k: int) -> int:
+        if k < 0:
+            raise IndexError(f"a one-sided point has no coordinate {k}")
+        p = len(self.prefix)
+        return self.prefix[k] if k < p else self.tail[(k - p) % len(self.tail)]
+
+    def window(self, start: int, length: int) -> Word:
+        """Symbols at coordinates start .. start+length-1 (start >= 0)."""
+        return tuple(self[k] for k in range(start, start + length))
 
 
 def one_sided_seq(
     A: AdjacencyMatrix, prefix: str | Iterable[int], tail_period: str | Iterable[int]
-) -> EventuallyPeriodicSeq:
-    """The one-sided point prefix . tail_period^infinity, embedded two-sidedly.
-
-    Coordinate 0 is the first symbol of `prefix`; negative coordinates
-    hold canonical padding and must not be read by one-sided checks.
-    """
-    head = as_word(prefix)
-    if not head:
-        raise MalformedInput("one-sided point needs a nonempty prefix")
-    tail = as_word(tail_period)
-    if not tail:
-        raise MalformedInput("one-sided point needs a nonempty tail period")
-    return EventuallyPeriodicSeq(A, left_padding(A, head[0]), head, tail, 0)
+) -> OneSidedPoint:
+    """The one-sided point prefix . tail_period^infinity."""
+    return OneSidedPoint(A, as_word(prefix), as_word(tail_period))

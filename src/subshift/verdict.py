@@ -29,7 +29,9 @@ from .freeness import (
     find_nontrivial_invariant,
     freeness_certificate,
     json_int,
+    located,
     minimality_witness,
+    require_work_limit,
 )
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
 from .sequences import enumerate_words, word_count
@@ -133,6 +135,7 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     v = _skeleton(A, depth_budget)
     if v.conclusion == INCONCLUSIVE:
         return v
+    require_work_limit(A, range(1, depth_budget + 1))  # j tables of depth j
     return replace(
         v,
         invariant_set=find_nontrivial_invariant(A),
@@ -155,6 +158,7 @@ def _verdict_to_dict(v: AnalysisVerdict) -> dict:
     one = ["minimality", "freeness"] if v.one_sided == "simple" else []
     two = ["invariant_set"] if v.two_sided == "non_simple" else []
     doc = {
+        "format": 2,  # reports before this key are format 1 (verify_report reads both)
         "matrix": matrix_echo(v.matrix),
         "depth_budget": v.depth_budget,
         "hypotheses": {"transitive": v.transitive, "cycle": v.cycle},
@@ -206,11 +210,21 @@ def parse_report(text: str) -> AnalysisVerdict:
 def _verdict_from_doc(doc) -> AnalysisVerdict:
     try:
         A = AdjacencyMatrix.from_rows(doc["matrix"]["rows"])
+        b = json_int(doc, "depth_budget")
         certs = doc["certificates"]
         invariant = certs["invariant_set"]
+        # Tables are counted and listed only once every (i, j) is the budget's, so
+        # the work stays bounded by the document; verify_report judges an empty list.
+        pairs = [(json_int(t, "i"), json_int(t, "j")) for t in certs["freeness"]]
+        if pairs and (len(pairs) != b * (b + 1) // 2 or pairs != _freeness_pairs(b)):
+            raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
+        freeness: list[FreenessCertificate] = []
+        with located(lambda: f"certificates.freeness[{len(freeness)}] "):
+            for t in certs["freeness"]:  # format 1 predates the "format" key
+                freeness.append(FreenessCertificate.from_dict(A, t, 2 if "format" in doc else 1))
         return AnalysisVerdict(
             matrix=A,
-            depth_budget=json_int(doc, "depth_budget"),
+            depth_budget=b,
             transitive=_json_bool(doc, "hypotheses", "transitive"),
             cycle=_json_bool(doc, "hypotheses", "cycle"),
             one_sided=doc["one_sided"]["status"],
@@ -224,13 +238,11 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
             minimality=tuple(
                 MinimalityWitness.from_dict(A, d) for d in certs["minimality"]
             ),
-            freeness=tuple(
-                FreenessCertificate.from_dict(A, d) for d in certs["freeness"]
-            ),
+            freeness=tuple(freeness),
             citations=tuple(doc["citations"]),
             notes=tuple(doc.get("notes", [])),
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedInput(f"report document is missing or mistypes a field: {exc}") from None
 
 
@@ -243,7 +255,8 @@ def verify_report(text: str) -> AnalysisVerdict:
     carries no certificates; a conclusive one holds exactly those
     ``analyze`` emits for its depth budget, counts compared before any
     expected list is built, and each is re-verified from its stored data.
-    Raises CertificateInvalid on any failure.
+    A report without a ``format`` key is read as format 1 (README).
+    Raises CertificateInvalid on any failure, naming its place in the document.
     """
     doc = _load_report(text)
     v = _verdict_from_doc(doc)
@@ -252,6 +265,8 @@ def verify_report(text: str) -> AnalysisVerdict:
         raise CertificateInvalid("depth_budget must be at least 2")
     skeleton = _skeleton(A, b)
     expected = _verdict_to_dict(skeleton)
+    if "format" not in doc:
+        del expected["format"]
     conclusive = skeleton.conclusion == NOT_ISOMORPHIC
 
     def canonical(d: dict, key: str) -> str:
@@ -262,18 +277,18 @@ def verify_report(text: str) -> AnalysisVerdict:
             raise CertificateInvalid(f"report field {key!r} must read {canonical(expected, key)}")
     if not conclusive:
         return v
-    if v.invariant_set is None:
+    if v.invariant_set is None or not v.freeness:
         raise CertificateInvalid("conclusive verdict is missing certificates")
-    tables = [(c.i, c.j) for c in v.freeness]
-    if len(tables) != b * (b + 1) // 2 or tables != _freeness_pairs(b):
-        raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
     spots = [(m.start, m.target) for m in v.minimality]
     n_spots = sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
     if len(spots) != n_spots or spots != _minimality_spot_pairs(A):
         raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
-    v.invariant_set.verify()
-    for wit in v.minimality:
-        wit.verify()
-    for cert in v.freeness:
-        cert.verify()
+    with located("certificates.invariant_set: "):
+        v.invariant_set.verify()
+    for k, wit in enumerate(v.minimality):
+        with located(f"certificates.minimality[{k}]: "):
+            wit.verify()
+    for k, cert in enumerate(v.freeness):
+        with located(f"certificates.freeness[{k}] "):
+            cert.verify()
     return v

@@ -8,6 +8,7 @@ to the pigeonhole length, counts by plain integer matrix powers.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import subshift as ss
@@ -151,3 +152,37 @@ def brute_force_preimage_count(A: ss.AdjacencyMatrix, s: int) -> int:
     """Number of one-step preimages of a point starting with s: count the
     admissible two-symbol words ending in s."""
     return sum(1 for w in brute_force_words(A, 2) if w[1] == s)
+
+
+def tail_entry_verifies(A: ss.AdjacencyMatrix, w, i: int, j: int, tail_text, differs_at) -> bool:
+    """Whether a format-2 freeness entry of the table (i, j) at the word w
+    is valid: `tail_text` spells a nonempty word t over 1..n (digits, so
+    n <= 9), w + t + t[:1] uses only 1-entries of the rows (t follows w and
+    wraps around), and on x = w t t t ... the first c with x[i + c] !=
+    x[j + c] is differs_at - 1.  Scans far past where periodicity would
+    allow a first difference."""
+    if not (isinstance(tail_text, str) and tail_text and set(tail_text) <= set("123456789")):
+        return False
+    tail = tuple(int(ch) for ch in tail_text)
+    path = tuple(w) + tail + tail[:1]
+    if not all(s <= A.n for s in tail) or not all(
+        A.rows[a - 1][b - 1] for a, b in zip(path, path[1:])
+    ):
+        return False
+    x = tuple(w) + tail * (2 * (len(w) + j + len(tail)))
+    diffs = [c for c in range(len(x) - j) if x[i + c] != x[j + c]]
+    return bool(diffs) and diffs[0] == differs_at - 1
+
+
+def format1_as_format2(doc: dict) -> dict:
+    """A format-1 report document as the format-2 document it encodes: a
+    top-level "format": 2, and each freeness entry reduced to its
+    differs_at and the right period of its witness literal as the tail."""
+    out = json.loads(json.dumps(doc))
+    out["format"] = 2
+    for table in out["certificates"]["freeness"]:
+        table["entries"] = [
+            {"differs_at": e["differs_at"], "tail": e["witness"].split()[2].removeprefix("R:")}
+            for e in table["entries"]
+        ]
+    return out

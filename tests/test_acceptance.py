@@ -89,10 +89,13 @@ def test_criterion_4_golden_mean_end_to_end():
                 assert e.witness.window(0, j) == e.word
                 c = e.differs_at - 1
                 assert e.witness[i + c] != e.witness[j + c]
-                if e.forced is not None:
-                    assert e.forced.window(0, j) == e.word
-                    span = len(e.forced.core) + len(e.forced.right_period)
-                    assert all(e.forced[i + t] == e.forced[j + t] for t in range(span))
+                # With the junction edge, w . (w[i:])^inf is the one point of [w]
+                # that equalizes the shifts.
+                if GOLDEN.rows[e.word[-1] - 1][e.word[i] - 1]:
+                    forced = ss.one_sided_seq(GOLDEN, e.word, e.word[i:])
+                    assert forced.window(0, j) == e.word
+                    span = len(forced.prefix) + len(forced.tail)
+                    assert all(forced[i + t] == forced[j + t] for t in range(span))
             table.verify()
     _report(4, "golden-mean end-to-end with re-verification", 2.0, t0)
 

@@ -111,10 +111,11 @@ def test_witness_minimal(golden_file, capsys):
 def test_witness_freeness(golden_file, capsys):
     assert main(["witness", "freeness", golden_file, "1", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    words = [e["word"] for e in doc["freeness"]["entries"]]
-    assert words == ["11", "12", "21"]
+    assert all(set(e) == {"differs_at", "tail"} for e in doc["freeness"]["entries"])
     A = ss.parse_matrix(GOLDEN)
-    ss.FreenessCertificate.from_dict(A, doc["freeness"]).verify()
+    cert = ss.FreenessCertificate.from_dict(A, doc["freeness"])
+    assert [ss.word_to_string(e.word) for e in cert.entries] == ["11", "12", "21"]
+    cert.verify()
 
 
 @pytest.mark.parametrize(
@@ -149,6 +150,22 @@ def test_bad_word_argument_exits_2(golden_file, capsys):
 def test_bad_exponents_exit_2(golden_file, capsys):
     assert main(["witness", "freeness", golden_file, "2", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{m}", "--depth", "22"],  # sum of j * N_j is 2,474,233
+        ["analyze", "{m}", "--depth", "1000000"],
+        ["witness", "freeness", "{m}", "0", "40"],  # N_40 is 267,914,296
+    ],
+)
+def test_work_past_the_limit_exits_2_at_once(golden_file, capsys, argv):
+    started = time.perf_counter()
+    assert main([a.format(m=golden_file) for a in argv]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_FREENESS_ENTRIES" in err and "Traceback" not in err
 
 
 _DIGITS_5000 = "1" * 5000  # past int()'s 4300-digit limit for strings

@@ -181,6 +181,18 @@ def test_function_file_round_trip(golden):
     assert text == "depth 2\n11 1/2\n12 0\n21 -7/3\n"
 
 
+def test_function_file_values_are_converted_once(monkeypatch):
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    text = ss.format_function_file(ss.CylinderFunction.constant(full3, "1/2", 3))
+    calls = []
+    convert = ss.cylinders._as_fraction
+    monkeypatch.setattr(ss.cylinders, "_as_fraction", lambda v: calls.append(v) or convert(v))
+    f = ss.parse_function_file(full3, text)
+    assert len(calls) == 27 and set(f.values.values()) == {Fraction(1, 2)}
+    with pytest.raises(MalformedInput, match="cannot parse rational 'one'"):
+        ss.parse_function_file(full3, text.replace("1/2", "one", 1))
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -8,8 +8,10 @@ from subshift.errors import (
     BadExponents,
     CertificateInvalid,
     GraphIsCycle,
+    InadmissibleWord,
     MalformedInput,
     NotTransitive,
+    WorkLimitExceeded,
 )
 from support import no_zero_row_matrices, random_matrix
 
@@ -101,8 +103,6 @@ def test_minimality_witness_needs_real_connector():
 def test_minimality_witness_rejects_bad_words(golden):
     with pytest.raises(MalformedInput):
         ss.minimality_witness(golden, "", "1")
-    from subshift.errors import InadmissibleWord
-
     with pytest.raises(InadmissibleWord):
         ss.minimality_witness(golden, "22", "1")
 
@@ -129,15 +129,20 @@ def test_minimality_tamper_detection(golden):
         replace(wit, prefix=(2, 1, 1, 1)).verify()
 
 
+def equalizes(point, i, j):
+    span = len(point.prefix) + len(point.tail)
+    return all(point[i + t] == point[j + t] for t in range(span))
+
+
 def test_freeness_certificate_golden_1_2(golden):
     cert = ss.freeness_certificate(golden, 1, 2)
     assert [ss.word_to_string(e.word) for e in cert.entries] == ["11", "12", "21"]
-    by_word = {ss.word_to_string(e.word): e for e in cert.entries}
     # [11]: the only candidate fixed by shift^1 = shift^2 is 111...
-    assert by_word["11"].forced == ss.one_sided_seq(golden, "11", "1")
+    assert equalizes(ss.one_sided_seq(golden, "11", "1"), 1, 2)
     # [12]: no edge 2 -> 2, so no point of [12] equalizes the shifts
-    assert by_word["12"].forced is None
-    assert by_word["21"].forced == ss.one_sided_seq(golden, "21", "1")
+    with pytest.raises(InadmissibleWord):
+        ss.one_sided_seq(golden, "12", "2")
+    assert equalizes(ss.one_sided_seq(golden, "21", "1"), 1, 2)
     for e in cert.entries:
         assert e.witness.window(0, 2) == e.word
         c = e.differs_at - 1
@@ -147,9 +152,10 @@ def test_freeness_certificate_golden_1_2(golden):
 
 def test_freeness_certificate_zero_exponent(golden):
     cert = ss.freeness_certificate(golden, 0, 1)
-    by_word = {ss.word_to_string(e.word): e for e in cert.entries}
-    assert by_word["1"].forced == ss.periodic_seq(golden, "1")
-    assert by_word["2"].forced is None  # no self-loop at 2
+    assert [ss.word_to_string(e.word) for e in cert.entries] == ["1", "2"]
+    assert equalizes(ss.one_sided_seq(golden, "1", "1"), 0, 1)
+    with pytest.raises(InadmissibleWord):  # no self-loop at 2
+        ss.one_sided_seq(golden, "2", "2")
     cert.verify()
 
 
@@ -192,11 +198,13 @@ def test_freeness_tamper_detection(golden):
         ss.FreenessCertificate(golden, 1, 2, tuple(entries)).verify()
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 1, 2, cert.entries[:-1]).verify()
-    swapped = [
-        replace(e, forced=None) if e.forced is not None else e for e in cert.entries
-    ]
+    # The forced point w . (w[1:])^inf as a witness equalizes the shifts.
+    forced = replace(cert.entries[0], witness=ss.one_sided_seq(golden, "11", "1"))
+    with pytest.raises(CertificateInvalid, match=r"entries\[0\] \[11\]: witness equalizes"):
+        ss.FreenessCertificate(golden, 1, 2, (forced,) + cert.entries[1:]).verify()
+    elsewhere = replace(cert.entries[0], witness=ss.one_sided_seq(golden, "12", "1"))
     with pytest.raises(CertificateInvalid):
-        ss.FreenessCertificate(golden, 1, 2, tuple(swapped)).verify()
+        ss.FreenessCertificate(golden, 1, 2, (elsewhere,) + cert.entries[1:]).verify()
     # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()
@@ -211,3 +219,19 @@ def test_certificate_serialization_round_trip(golden):
     rebuilt = ss.FreenessCertificate.from_dict(golden, free.to_dict())
     rebuilt.verify()
     assert rebuilt.to_dict() == free.to_dict()
+
+
+def test_work_limit_counts_entries_before_building(golden):
+    # Golden-mean sums of j * N_j: 852,340 at depth budget 20, 1,454,137 at 21.
+    assert ss.freeness.MAX_FREENESS_ENTRIES == 1_000_000
+    ss.freeness.require_work_limit(golden, range(1, 21))
+    with pytest.raises(WorkLimitExceeded):
+        ss.freeness.require_work_limit(golden, range(1, 22))
+    with pytest.raises(WorkLimitExceeded):
+        ss.analyze(golden, 21)
+    # One table: N_28 = 832,040 is within the limit, N_29 = 1,346,269 past it.
+    ss.freeness.require_work_limit(golden, [0] * 27 + [1])
+    with pytest.raises(WorkLimitExceeded):
+        ss.freeness_certificate(golden, 0, 29)
+    with pytest.raises(WorkLimitExceeded):
+        ss.freeness_certificate(golden, 0, 10**9)

@@ -181,6 +181,11 @@ def test_one_sided_seq_reads_prefix_then_tail(golden):
     assert s.window(0, 7) == (2, 1, 1, 2, 1, 2, 1)
     with pytest.raises(InadmissibleWord):
         ss.one_sided_seq(golden, "22", "1")
+    with pytest.raises(InadmissibleWord):  # the tail 2 wraps around through 2 -> 2
+        ss.one_sided_seq(golden, "1", "2")
+    with pytest.raises(IndexError):
+        s[-1]
+    assert ss.evaluate(ss.CylinderFunction.indicator(golden, "21"), s) == 1
 
 
 @st.composite

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +11,27 @@ from hypothesis import strategies as st
 import subshift as ss
 from subshift.errors import CertificateInvalid, MalformedInput
 from support import (
+    brute_force_words,
+    format1_as_format2,
     masked,
     no_zero_row_matrices,
     random_function,
     random_matrix,
     random_weight,
+    tail_entry_verifies,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# analyze's reports at report format 1, before the format key existed.
+FORMAT1_FIXTURES = {
+    "golden_d4": ([[1, 1], [1, 0]], 4),
+    "full3_d3": ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 3),
+    "n4_d4": ([[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1], [1, 1, 0, 0]], 4),
+}
+
+
+def format1_text(name: str) -> str:
+    return (FIXTURES / f"{name}_format1.json").read_text()
 
 
 def test_analyze_golden(golden):
@@ -237,32 +253,57 @@ def _leaf_paths(node, path=()):
         yield from _leaf_paths(child, path + (key,))
 
 
-def test_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
-    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+def _mutation_verifies(A, doc, path, old, new) -> bool:
+    """Whether a report whose leaf at `path` changed from old to new should
+    still verify: only a same-value change, or a freeness tail that the
+    independent oracle accepts for the entry's word."""
+    if json.dumps(new) == json.dumps(old):
+        return True
+    if path[-1] != "tail":
+        return False
+    _, _, t, _, k, _ = path
+    table = doc["certificates"]["freeness"][t]
+    i, j = table["i"], table["j"]
+    w = brute_force_words(A, j)[k]
+    return tail_entry_verifies(A, w, i, j, new, table["entries"][k]["differs_at"])
+
+
+def _check_leaf_mutations(A, doc):
     paths = list(_leaf_paths(doc))
     rng = random.Random(43)
     for _ in range(300):
         mutated = json.loads(json.dumps(doc))
-        *parents, last = rng.choice(paths)
+        path = rng.choice(paths)
+        *parents, last = path
         node = mutated
         for key in parents:
             node = node[key]
         old, node[last] = node[last], rng.choice(_LEAF_VALUES)
         text = json.dumps(mutated)
-        if json.dumps(node[last]) == json.dumps(old):
+        if _mutation_verifies(A, doc, path, old, node[last]):
             ss.verify_report(text)
             continue
         with pytest.raises(ss.SubshiftError):
             ss.verify_report(text)
 
 
+def test_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
+    _check_leaf_mutations(golden, json.loads(ss.render_report(ss.analyze(golden, 3))))
+
+
+def test_format1_report_leaf_mutations_succeed_or_raise_subshift_errors(golden):
+    _check_leaf_mutations(golden, json.loads(format1_text("golden_d4")))
+
+
 _GOLDEN_REPORT = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 3))
 _GOLDEN_DOC = json.loads(_GOLDEN_REPORT)
+_FORMAT1_DOC = json.loads(format1_text("golden_d4"))
 _SUBTREES = (
     None, True, 0, -1, 1, 3, 2.5, 10**6, "", "x", "121", "L:1 C: R:1 O:0", [], {}, [1],
     {"i": 0}, _GOLDEN_DOC["matrix"], _GOLDEN_DOC["certificates"]["invariant_set"],
     _GOLDEN_DOC["certificates"]["minimality"][1], _GOLDEN_DOC["certificates"]["freeness"][2],
     _GOLDEN_DOC["certificates"]["freeness"][3]["entries"][1],
+    _FORMAT1_DOC["certificates"]["freeness"][3]["entries"][1], {"format": 2},
 )
 
 
@@ -275,11 +316,11 @@ def _paths(node, path=()):
 
 
 @st.composite
-def _edited_reports(draw):
-    """The golden depth-3 report after one to three structural edits: a
-    subtree replaced from a pool, a key or list item dropped, or a list
-    item duplicated in place."""
-    doc = copy.deepcopy(_GOLDEN_DOC)
+def _edited_reports(draw, source=_GOLDEN_DOC):
+    """A report (by default the golden depth-3 one) after one to three
+    structural edits: a subtree replaced from a pool, a key or list item
+    dropped, or a list item duplicated in place."""
+    doc = copy.deepcopy(source)
     for _ in range(draw(st.integers(1, 3))):
         *parents, last = draw(st.sampled_from([p for p in _paths(doc) if p]))
         node = doc
@@ -304,6 +345,87 @@ def test_structurally_edited_reports_verify_or_raise_subshift_errors(text):
         ss.verify_report(text)
     except ss.SubshiftError:
         pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edited_reports(_FORMAT1_DOC))
+def test_structurally_edited_format1_reports_verify_or_raise_subshift_errors(text):
+    try:
+        ss.verify_report(text)
+    except ss.SubshiftError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT1_FIXTURES))
+def test_format1_fixtures_verify_and_map_to_format2(name):
+    rows, depth = FORMAT1_FIXTURES[name]
+    text = format1_text(name)
+    assert "format" not in json.loads(text)
+    assert ss.verify_report(text).depth_budget == depth
+    expected = json.dumps(format1_as_format2(json.loads(text)), indent=2, sort_keys=True) + "\n"
+    assert ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows(rows), depth)) == expected
+
+
+def _tampered_format1(t, k, field, value):
+    doc = json.loads(format1_text("golden_d4"))
+    doc["certificates"]["freeness"][t]["entries"][k][field] = value
+    return json.dumps(doc)
+
+
+# Tables 3 and 4 hold (i, j) = (0, 3) and (1, 3).  Entry 2 of (1, 3) is [121]:
+# junction edge 1 -> 2, forced point 121.(21)^inf.  Entry 4 of (0, 3) is [212]:
+# no edge 2 -> 2, so no forced point.
+_FORMAT1_TAMPERS = {
+    "word": (4, 2, "word", "211"),
+    "forced-dropped": (4, 2, "forced", None),
+    "forced-origin": (4, 2, "forced", "L:1 C:121 R:21 O:1"),
+    "forced-period": (4, 2, "forced", "L:1 C:121 R:2121 O:0"),
+    "forced-added": (3, 4, "forced", "L:1 C:212 R:12 O:0"),
+    "witness-core": (4, 2, "witness", "L:1 C:12 R:112 O:0"),
+    "witness-origin": (4, 2, "witness", "L:1 C:121 R:121 O:1"),
+    "witness-equalizes": (4, 2, "witness", "L:1 C:121 R:21 O:0"),
+    "differs_at": (4, 2, "differs_at", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORMAT1_TAMPERS))
+def test_tampered_format1_entries_raise_certificate_invalid(case):
+    t, k, field, value = _FORMAT1_TAMPERS[case]
+    assert json.loads(format1_text("golden_d4"))["certificates"]["freeness"][t]["entries"][k][field] != value
+    with pytest.raises(CertificateInvalid, match=rf"^certificates\.freeness\[{t}\] \(i={t - 3}, j=3\)\.entries\[{k}\] "):
+        ss.verify_report(_tampered_format1(t, k, field, value))
+
+
+def test_failures_name_their_place_in_the_document(golden):
+    place = "certificates.freeness[4] (i=1, j=3).entries[2] [121]: "
+    text = _tampered_format1(*_FORMAT1_TAMPERS["witness-equalizes"])
+    with pytest.raises(CertificateInvalid) as failure:
+        ss.verify_report(text)
+    assert str(failure.value) == place + "witness equalizes the shifts"
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    doc["certificates"]["freeness"][4]["entries"][2]["tail"] = "21"
+    with pytest.raises(CertificateInvalid) as failure:
+        ss.verify_report(json.dumps(doc))
+    assert str(failure.value) == place + "witness equalizes the shifts"
+    doc["certificates"]["freeness"][4]["entries"][2]["tail"] = "22"
+    with pytest.raises(ss.SubshiftError, match=r"^certificates\.freeness\[4\] .*\[121\]: point"):
+        ss.verify_report(json.dumps(doc))
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    doc["certificates"]["minimality"][1]["shifts"] += 1
+    with pytest.raises(CertificateInvalid, match=r"^certificates\.minimality\[1\]: "):
+        ss.verify_report(json.dumps(doc))
+
+
+def test_report_format_key(golden):
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    assert doc["format"] == 2
+    for value in (1, 3, "2", None):
+        with pytest.raises(ss.SubshiftError, match="format"):
+            ss.verify_report(json.dumps(dict(doc, format=value)))
+    # A format-2 body without the key is read as format 1, whose entries name their words.
+    del doc["format"]
+    with pytest.raises(MalformedInput):
+        ss.verify_report(json.dumps(doc))
 
 
 def test_analyze_formula_exhaustive_n2():
@@ -331,7 +453,7 @@ def test_report_bytes_are_pinned():
         for A in no_zero_row_matrices(n):
             digest.update(ss.render_report(ss.analyze(A, 3)).encode())
     assert digest.hexdigest() == (
-        "cd8986e220a44358eda3dcf17d12bccf8e13cb19eb96a98b6f78f9d2428e6ea1"
+        "4887dcf0af26c6198bac03276ce664fcbffe280d3dce97f33e5af789c1a16512"
     )
 
 
