@@ -21,7 +21,12 @@ import sys
 
 from .cylinders import CylinderFunction, format_function_file, parse_function_file
 from .errors import SubshiftError
-from .freeness import find_nontrivial_invariant, freeness_certificate, minimality_witness
+from .freeness import (
+    find_nontrivial_invariant,
+    freeness_certificate,
+    minimality_witness,
+    require_listable,
+)
 from .graph import parse_matrix
 from .sequences import enumerate_words, word_to_string
 from .transfer import (
@@ -59,47 +64,37 @@ def _function_table(f: CylinderFunction) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="subshift", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("matrix")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    writes = [matrix, out]
 
-    p = sub.add_parser("analyze", help="run the full dichotomy analysis")
-    p.add_argument("matrix")
+    p = sub.add_parser("analyze", parents=writes, help="run the full dichotomy analysis")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--out")
 
     pt = sub.add_parser("transfer", help="weighted transfer operator tools")
     tsub = pt.add_subparsers(dest="action", required=True)
-    p = tsub.add_parser("apply", help="apply the operator of WEIGHT to FUNCTION")
-    p.add_argument("matrix")
+    p = tsub.add_parser("apply", parents=writes, help="apply the operator of WEIGHT to FUNCTION")
     p.add_argument("weight")
     p.add_argument("function")
-    p.add_argument("--out")
-    p = tsub.add_parser("recover", help="recover the weight from the operator it induces")
-    p.add_argument("matrix")
+    p = tsub.add_parser("recover", parents=writes, help="recover the weight from the operator it induces")
     p.add_argument("weight")
-    p.add_argument("--out")
-    p = tsub.add_parser("equiv", help="decide equivalence of two weights")
-    p.add_argument("matrix")
+    p = tsub.add_parser("equiv", parents=writes, help="decide equivalence of two weights")
     p.add_argument("weight1")
     p.add_argument("weight2")
-    p.add_argument("--out")
 
     pw = sub.add_parser("witness", help="individual certificates")
     wsub = pw.add_subparsers(dest="action", required=True)
-    p = wsub.add_parser("invariant", help="nontrivial invariant open set")
-    p.add_argument("matrix")
-    p.add_argument("--out")
-    p = wsub.add_parser("minimal", help="orbit witness from cylinder W to cylinder Z")
-    p.add_argument("matrix")
+    wsub.add_parser("invariant", parents=writes, help="nontrivial invariant open set")
+    p = wsub.add_parser("minimal", parents=writes, help="orbit witness from cylinder W to cylinder Z")
     p.add_argument("w")
     p.add_argument("z")
-    p.add_argument("--out")
-    p = wsub.add_parser("freeness", help="freeness table for exponents I < J")
-    p.add_argument("matrix")
+    p = wsub.add_parser("freeness", parents=writes, help="freeness table for exponents I < J")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
-    p.add_argument("--out")
 
-    p = sub.add_parser("words", help="list admissible words of length K")
-    p.add_argument("matrix")
+    p = sub.add_parser("words", parents=[matrix], help="list admissible words of length K")
     p.add_argument("k", type=int)
 
     return parser
@@ -149,6 +144,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # words
+    require_listable(A, args.k)
     listing = "".join(word_to_string(w) + "\n" for w in enumerate_words(A, args.k))
     _emit(listing, None)
     return 0

@@ -35,6 +35,7 @@ from .errors import (
     SymbolOutOfRange,
     TooShort,
 )
+from .freeness import require_listable
 from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
@@ -84,15 +85,6 @@ def _is_word(A: AdjacencyMatrix, depth: int, w: Word) -> bool:
 def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> list[str]:
     """The given words that are not admissible depth-`depth` words, sorted."""
     return sorted(word_to_string(w) for w in words if not _is_word(A, depth, w))
-
-
-def _extend(A: AdjacencyMatrix, table: Mapping[Word, object], extra: int) -> dict[Word, object]:
-    """Each key of `table` lengthened by every admissible continuation of
-    `extra` symbols, keeping its value."""
-    items = table.items()
-    for _ in range(extra):
-        items = [(w + (s,), v) for w, v in items for s in A.successors(w[-1])]
-    return dict(items)
 
 
 class CylinderValues(Mapping):
@@ -173,7 +165,9 @@ class CylinderFunction:
 
     @classmethod
     def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
-        """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked."""
+        """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked.
+        WorkLimitExceeded if listing the words is past the work limit (``require_listable``)."""
+        require_listable(A, depth)
         table = {w: v for w in enumerate_words(A, depth) if (v := _as_fraction(rule(w)))}
         return cls.from_nonzero(A, depth, table)
 
@@ -259,8 +253,10 @@ def refine(f: CylinderFunction, depth: int) -> CylinderFunction:
         raise ShallowerDepth(f"cannot refine depth {f.depth} down to {depth}")
     if depth == f.depth:
         return f
-    table = _extend(f.matrix, f.nonzero, depth - f.depth)
-    return CylinderFunction.from_nonzero(f.matrix, depth, table)
+    items = f.nonzero.items()
+    for _ in range(depth - f.depth):
+        items = [(w + (s,), v) for w, v in items for s in f.matrix.successors(w[-1])]
+    return CylinderFunction.from_nonzero(f.matrix, depth, dict(items))
 
 
 def alpha(f: CylinderFunction) -> CylinderFunction:
@@ -326,9 +322,9 @@ def evaluate(f: CylinderFunction, x) -> Fraction:
 class DomainMask:
     """A clopen subset of the shift space: a union of depth-k cylinders.
 
-    The default domain used by weights is the whole space.  Masks refine
-    like functions and compare mathematically (as sets), not by
-    representation.
+    The default domain used by weights is the whole space.  A mask is the
+    support of its 0-1 ``indicator`` and refines and compares through it,
+    so equality is as sets, not by representation.
     """
 
     matrix: AdjacencyMatrix
@@ -363,12 +359,7 @@ class DomainMask:
         return cls(A, depth, ws)
 
     def refine(self, depth: int) -> "DomainMask":
-        if depth < self.depth:
-            raise ShallowerDepth(f"cannot refine depth {self.depth} down to {depth}")
-        if depth == self.depth:
-            return self
-        words = _extend(self.matrix, dict.fromkeys(self.members), depth - self.depth)
-        return DomainMask(self.matrix, depth, frozenset(words))
+        return DomainMask(self.matrix, depth, frozenset(refine(self.indicator(), depth).nonzero))
 
     def covers(self, word: Word) -> bool:
         """True iff the cylinder of `word` lies inside the mask (needs
@@ -391,10 +382,7 @@ class DomainMask:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DomainMask):
             return NotImplemented
-        if self.matrix != other.matrix:
-            return False
-        k = max(self.depth, other.depth)
-        return self.refine(k).members == other.refine(k).members
+        return self.indicator() == other.indicator()
 
     def __repr__(self) -> str:
         words = sorted(word_to_string(w) for w in self.members)
@@ -435,6 +423,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 
 def format_function_file(f: CylinderFunction) -> str:
+    """The function table format of f, every word listed (``require_listable``)."""
+    require_listable(f.matrix, f.depth)
     lines = [f"depth {f.depth}"]
     nonzero = f.nonzero
     lines.extend(

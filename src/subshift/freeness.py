@@ -49,7 +49,6 @@ from .sequences import (
     as_word,
     contains_word,
     enumerate_words,
-    one_sided_seq,
     periodic_seq,
     require_admissible,
     word_count,
@@ -59,12 +58,34 @@ from .sequences import (
 )
 
 
-def json_int(data: dict, key: str) -> int:
-    """data[key] as a JSON integer; a float or a boolean raises, never truncates."""
-    value = data[key]
-    if type(value) is not int:
-        raise MalformedInput(f"{key} must be a JSON integer, got {value!r}")
+_JSON_TYPES = {int: "integer", bool: "boolean"}
+
+
+def json_field(data: dict, kind: type, *path: str):
+    """The field at the key `path` of `data` as a JSON `kind`, int or bool,
+    never coerced: a float or a boolean is no integer, 0 or "x" no boolean."""
+    value = data
+    for key in path:
+        value = value[key]
+    if type(value) is not kind:
+        raise MalformedInput(f"{'.'.join(path)} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def exact_keys(data: dict, keys: frozenset[str], place: str = "") -> dict:
+    """`data`, if its keys are exactly `keys`, those ``to_dict`` writes there."""
+    if data.keys() != keys:
+        extra, missing = data.keys() - keys, keys - data.keys()
+        key = min(extra, key=repr) if extra else min(missing)
+        raise MalformedInput(f"{place}{'unexpected' if extra else 'missing'} key {key!r}")
+    return data
+
+
+_INVARIANT_KEYS = frozenset({"word", "member", "non_member"})
+_MINIMALITY_KEYS = frozenset({"from", "to", "prefix", "shifts"})
+_TABLE_KEYS = frozenset({"i", "j", "entries"})
+_ENTRY_KEYS = frozenset({"differs_at", "tail"})
+_FORMAT1_ENTRY_KEYS = frozenset({"word", "witness", "forced", "differs_at"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +117,7 @@ class InvariantSetCertificate:
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "InvariantSetCertificate":
+        exact_keys(data, _INVARIANT_KEYS)
         return cls(
             A,
             as_word(data["word"]),
@@ -135,12 +157,13 @@ class MinimalityWitness:
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "MinimalityWitness":
+        exact_keys(data, _MINIMALITY_KEYS)
         return cls(
             A,
             as_word(data["from"]),
             as_word(data["to"]),
             as_word(data["prefix"]),
-            json_int(data, "shifts"),
+            json_field(data, int, "shifts"),
         )
 
 
@@ -162,6 +185,7 @@ def _format1_entry(A: AdjacencyMatrix, i: int, w: Word, data: dict) -> dict:
     encodes.  Its word, its witness literal (any left period) and its forced
     point w . (w[i:])^inf, null without the junction edge, must be exactly
     what the format-2 entry implies."""
+    exact_keys(data, _FORMAT1_ENTRY_KEYS)
     witness, forced = EventuallyPeriodicSeq.from_literal(A, data["witness"]), data["forced"]
     if data["word"] != word_to_string(w) or (witness.origin, witness.core) != (0, w):
         raise CertificateInvalid("word or witness literal does not start with the entry's word")
@@ -242,15 +266,16 @@ class FreenessCertificate:
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
         to the k-th depth-j word, listed once the entry count matches."""
-        i, j, rows = json_int(data, "i"), json_int(data, "j"), data["entries"]
+        i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
+        exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if len(rows) != word_count(A, j):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         words, entries = enumerate_words(A, j), []
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
-                row = _format1_entry(A, i, w, row) if report_format == 1 else row
-                tail = word_from_string(row["tail"])
-                entries.append(FreenessEntry(one_sided_seq(A, w, tail), json_int(row, "differs_at")))
+                row = _format1_entry(A, i, w, row) if report_format == 1 else exact_keys(row, _ENTRY_KEYS)
+                witness = OneSidedPoint(A, w, word_from_string(row["tail"]))
+                entries.append(FreenessEntry(witness, json_field(row, int, "differs_at")))
         return cls(A, i, j, tuple(entries))
 
 
@@ -327,19 +352,28 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
 MAX_FREENESS_ENTRIES = 1_000_000  # the golden-mean matrix passes it at depth budget 21
 
 
-def require_work_limit(A: AdjacencyMatrix, tables_per_depth: Iterable[int]) -> None:
-    """Raise WorkLimitExceeded before any freeness table is built if the
-    tables, numbering the k-th item of `tables_per_depth` at depth k (the
-    last item nonzero), would hold over MAX_FREENESS_ENTRIES entries.
-    Stops where the total or N_k passes it: N_k never decreases."""
+def require_work_limit(
+    A: AdjacencyMatrix, tables_per_depth: Iterable[int], work: str = "freeness tables would hold"
+) -> None:
+    """Raise WorkLimitExceeded, its message led by `work`, before any freeness
+    table is built if the tables, numbering the k-th item of `tables_per_depth`
+    at depth k (the last item nonzero), would hold over MAX_FREENESS_ENTRIES
+    entries.  Stops where the total or N_k passes it: N_k never decreases."""
     total = 0
     for tables, n_k in zip(tables_per_depth, word_counts(A)):
         total += tables * n_k
         if max(total, n_k) > MAX_FREENESS_ENTRIES:
             raise WorkLimitExceeded(
-                f"freeness tables would hold over {MAX_FREENESS_ENTRIES} entries "
-                "(subshift.freeness.MAX_FREENESS_ENTRIES)"
+                f"{work} over {MAX_FREENESS_ENTRIES} entries (subshift.freeness.MAX_FREENESS_ENTRIES)"
             )
+
+
+def require_listable(A: AdjacencyMatrix, k: int) -> None:
+    """Raise WorkLimitExceeded before the length-k words are listed if
+    ``enumerate_words``, which builds the words of every length j <= k,
+    would build over MAX_FREENESS_ENTRIES symbols (the sum of j * N_j,
+    which is also the entry count of ``analyze`` at depth budget k)."""
+    require_work_limit(A, range(1, k + 1), f"listing the length-{k} words would build")
 
 
 def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertificate:
@@ -363,7 +397,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     for w in enumerate_words(A, j):
         junction = (w[-1], w[i]) in A.edges
         tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
-        witness = one_sided_seq(A, w, tail)
+        witness = OneSidedPoint(A, w, tail)
         c = _tail_difference(witness, i, j)  # None fails verify: the witness equalizes
         entries.append(FreenessEntry(witness, 0 if c is None else c + 1))
     cert = FreenessCertificate(A, i, j, tuple(entries))

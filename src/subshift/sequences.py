@@ -67,7 +67,7 @@ def is_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> bool:
 
 def require_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> Word:
     word = as_word(w)
-    if not is_admissible(A, word):
+    if not A.admits(word):
         raise InadmissibleWord(f"word {word_to_string(word)} is not admissible")
     return word
 

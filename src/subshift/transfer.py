@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cylinders import CylinderFunction, DomainMask, alpha, pointwise, refine
+from .cylinders import (
+    CylinderFunction,
+    DomainMask,
+    alpha,
+    format_function_file,
+    parse_function_file,
+    pointwise,
+    refine,
+)
 from .errors import (
     CertificateInvalid,
     DomainMismatch,
@@ -32,6 +40,7 @@ from .errors import (
     NotTransfer,
     SupportViolation,
 )
+from .freeness import require_listable
 from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import enumerate_words, word_from_string, word_to_string
 
@@ -203,6 +212,7 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
 def zero_set(rho: Weight) -> frozenset[Word]:
     """The carrier-depth words on which the weight vanishes."""
+    require_listable(rho.matrix, rho.depth)
     nonzero = rho.carrier.nonzero
     return frozenset(w for w in enumerate_words(rho.matrix, rho.depth) if w not in nonzero)
 
@@ -237,8 +247,6 @@ def parse_weight_file(A: AdjacencyMatrix, text: str) -> Weight:
     """Parse a weight file: the function table format, optionally followed
     by a "domain <d>" header and one mask word per line.  Without a
     domain section the weight lives on the whole space."""
-    from .cylinders import parse_function_file
-
     lines = text.split("\n")
     split_at = None
     for idx, ln in enumerate(lines):
@@ -253,23 +261,11 @@ def parse_weight_file(A: AdjacencyMatrix, text: str) -> Weight:
     depth = parse_natural(head[1]) if len(head) == 2 and head[0] == "domain" else None
     if depth is None:
         raise MalformedInput(f"bad domain header {lines[split_at]!r}")
-    words = []
-    for ln in lines[split_at + 1 :]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        w = word_from_string(ln)
-        if len(w) != depth:
-            raise MalformedInput(
-                f"domain word {ln!r} does not have the declared depth {depth}"
-            )
-        words.append(w)
-    return Weight(carrier, DomainMask(A, depth, frozenset(words)))
+    words = frozenset(word_from_string(ln) for ln in lines[split_at + 1 :] if ln.strip())
+    return Weight(carrier, DomainMask(A, depth, words))
 
 
 def format_weight_file(rho: Weight) -> str:
-    from .cylinders import format_function_file
-
     out = format_function_file(rho.carrier)
     out += f"domain {rho.domain.depth}\n"
     for w in sorted(rho.domain.members):

@@ -26,9 +26,10 @@ from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
     MinimalityWitness,
+    exact_keys,
     find_nontrivial_invariant,
     freeness_certificate,
-    json_int,
+    json_field,
     located,
     minimality_witness,
     require_work_limit,
@@ -64,6 +65,7 @@ _DICHOTOMY_CITATIONS = (
 )
 
 _MINIMALITY_SPOT_DEPTHS = (1, 2)
+_CERTIFICATE_KEYS = frozenset({"invariant_set", "minimality", "freeness"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,17 +194,6 @@ def _load_report(text: str):
         raise MalformedInput(f"report is not valid JSON: {exc}") from None
 
 
-def _json_bool(doc: dict, *path: str) -> bool:
-    """The field at `path` as a JSON boolean, the way ``json_int`` reads
-    integers: 0, 1 or a string raises, never coerces."""
-    value = doc
-    for key in path:
-        value = value[key]
-    if type(value) is not bool:
-        raise MalformedInput(f"{'.'.join(path)} must be a JSON boolean, got {value!r}")
-    return value
-
-
 def parse_report(text: str) -> AnalysisVerdict:
     return _verdict_from_doc(_load_report(text))
 
@@ -210,12 +201,18 @@ def parse_report(text: str) -> AnalysisVerdict:
 def _verdict_from_doc(doc) -> AnalysisVerdict:
     try:
         A = AdjacencyMatrix.from_rows(doc["matrix"]["rows"])
-        b = json_int(doc, "depth_budget")
-        certs = doc["certificates"]
+        b = json_field(doc, int, "depth_budget")
+        certs = exact_keys(doc["certificates"], _CERTIFICATE_KEYS, "certificates: ")
         invariant = certs["invariant_set"]
+        with located("certificates.invariant_set: "):
+            invariant = None if invariant is None else InvariantSetCertificate.from_dict(A, invariant)
+        minimality: list[MinimalityWitness] = []
+        with located(lambda: f"certificates.minimality[{len(minimality)}]: "):
+            for d in certs["minimality"]:
+                minimality.append(MinimalityWitness.from_dict(A, d))
         # Tables are counted and listed only once every (i, j) is the budget's, so
         # the work stays bounded by the document; verify_report judges an empty list.
-        pairs = [(json_int(t, "i"), json_int(t, "j")) for t in certs["freeness"]]
+        pairs = [(json_field(t, int, "i"), json_field(t, int, "j")) for t in certs["freeness"]]
         if pairs and (len(pairs) != b * (b + 1) // 2 or pairs != _freeness_pairs(b)):
             raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
         freeness: list[FreenessCertificate] = []
@@ -225,19 +222,15 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
         return AnalysisVerdict(
             matrix=A,
             depth_budget=b,
-            transitive=_json_bool(doc, "hypotheses", "transitive"),
-            cycle=_json_bool(doc, "hypotheses", "cycle"),
+            transitive=json_field(doc, bool, "hypotheses", "transitive"),
+            cycle=json_field(doc, bool, "hypotheses", "cycle"),
             one_sided=doc["one_sided"]["status"],
             two_sided=doc["two_sided"]["status"],
             conclusion=doc["conclusion"],
             hypothesis_failed=doc.get("hypothesis_failed"),
-            corollary_no_invertible_weight=_json_bool(doc, "corollary_no_invertible_weight"),
-            invariant_set=(
-                None if invariant is None else InvariantSetCertificate.from_dict(A, invariant)
-            ),
-            minimality=tuple(
-                MinimalityWitness.from_dict(A, d) for d in certs["minimality"]
-            ),
+            corollary_no_invertible_weight=json_field(doc, bool, "corollary_no_invertible_weight"),
+            invariant_set=invariant,
+            minimality=tuple(minimality),
             freeness=tuple(freeness),
             citations=tuple(doc["citations"]),
             notes=tuple(doc.get("notes", [])),

@@ -158,14 +158,57 @@ def test_bad_exponents_exit_2(golden_file, capsys):
         ["analyze", "{m}", "--depth", "22"],  # sum of j * N_j is 2,474,233
         ["analyze", "{m}", "--depth", "1000000"],
         ["witness", "freeness", "{m}", "0", "40"],  # N_40 is 267,914,296
+        ["words", "{m}", "40"],
+        ["words", "{m}", "1000000000"],
+        ["transfer", "recover", "{m}", "{w}"],  # tabulates every depth-40 word
+        ["transfer", "equiv", "{m}", "{w}", "{v}"],  # lists the depth-40 zero set
+        ["transfer", "apply", "{m}", "{w}", "{z}"],  # prints every depth-39 word
     ],
 )
-def test_work_past_the_limit_exits_2_at_once(golden_file, capsys, argv):
+def test_work_past_the_limit_exits_2_at_once(golden_file, tmp_path, capsys, argv):
+    # Weights on a one-word depth-40 domain parse at once.
+    domain = "domain 40\n" + "1" * 40 + "\n"
+    files = {
+        "m": golden_file,
+        "w": write(tmp_path, "w", "depth 1\n1 1\n2 1\n" + domain),
+        "v": write(tmp_path, "v", "depth 1\n1 0\n2 1\n" + domain),
+        "z": write(tmp_path, "z", "depth 1\n1 0\n2 0\n"),
+    }
     started = time.perf_counter()
-    assert main([a.format(m=golden_file) for a in argv]) == 2
+    assert main([a.format(**files) for a in argv]) == 2
     assert time.perf_counter() - started < 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MAX_FREENESS_ENTRIES" in err and "Traceback" not in err
+
+
+_OUT_VERBS = {
+    "analyze": ["{m}", "--depth", "2"],
+    "transfer apply": ["{m}", "{w}", "{f}"],
+    "transfer recover": ["{m}", "{w}"],
+    "transfer equiv": ["{m}", "{w}", "{w}"],
+    "witness invariant": ["{m}"],
+    "witness minimal": ["{m}", "21", "12"],
+    "witness freeness": ["{m}", "1", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_OUT_VERBS))
+def test_out_goes_before_or_after_the_positionals(golden_file, tmp_path, capsys, verb):
+    w, f = write(tmp_path, "w", WEIGHT_HALF_THIRD), write(tmp_path, "f", ONES_FUNCTION)
+    head, rest = verb.split(), [a.format(m=golden_file, w=w, f=f) for a in _OUT_VERBS[verb]]
+    assert main(head + rest) == 0
+    printed = capsys.readouterr().out
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(head + ["--out", str(before)] + rest) == 0
+    assert main(head + rest + ["--out", str(after)]) == 0
+    assert capsys.readouterr().out == ""
+    assert before.read_text() == after.read_text() == printed
+
+
+def test_words_takes_no_out(golden_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["words", golden_file, "2", "--out", str(tmp_path / "listing")])
+    assert exited.value.code == 2 and "--out" in capsys.readouterr().err
 
 
 _DIGITS_5000 = "1" * 5000  # past int()'s 4300-digit limit for strings

@@ -153,6 +153,8 @@ def test_mask_basics(golden):
     with pytest.raises(MalformedInput):
         ss.DomainMask.from_words(golden, ["22"])  # inadmissible member
     assert U == U.refine(3)  # equality is as sets
+    with pytest.raises(ShallowerDepth, match="cannot refine depth 2 down to 1"):
+        V.refine(1)
 
 
 def test_mask_image_examples(golden, full2):
@@ -247,12 +249,14 @@ def _sparse_cases(draw):
     def table(depth, values=_VALUES):
         return {w: Fraction(draw(values)) for w in brute_force_words(A, depth)}
 
-    kf, kg, ku, ke = (draw(st.integers(1, 3)) for _ in range(4))
+    kf, kg, ku, kv, ke = (draw(st.integers(1, 3)) for _ in range(5))
     members = frozenset(w for w in brute_force_words(A, ku) if draw(st.booleans()))
+    other = frozenset(w for w in brute_force_words(A, kv) if draw(st.booleans()))
     kh = draw(st.integers(ku, 3))
     h = {w: v if w[:ku] in members else Fraction(0) for w, v in table(kh).items()}
     weight = table(ke, st.sampled_from([0, 0, 1, 2, Fraction(1, 3)]))
-    return A, (kf, table(kf)), (kg, table(kg)), (ku, members), (kh, h), (ke, weight), draw(_VALUES)
+    masks = (ku, members), (kv, other)
+    return A, (kf, table(kf)), (kg, table(kg)), masks, (kh, h), (ke, weight), draw(_VALUES)
 
 
 def _matches(f, depth, reference):
@@ -267,7 +271,7 @@ def _matches(f, depth, reference):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_cases(), st.integers(0, 2))
 def test_sparse_operations_match_dense_tables(case, extra):
-    A, (kf, ft), (kg, gt), (ku, members), (kh, ht), (ke, et), c = case
+    A, (kf, ft), (kg, gt), ((ku, members), (kv, other)), (kh, ht), (ke, et), c = case
     f, g = ss.CylinderFunction(A, kf, ft), ss.CylinderFunction(A, kg, gt)
 
     # The values view: key order, length, zeros read back, KeyError off the words.
@@ -296,9 +300,20 @@ def test_sparse_operations_match_dense_tables(case, extra):
     assert (f == g) == (fk == gk)
     assert f.is_zero() == (not any(ft.values()))
 
-    U = ss.DomainMask(A, ku, members)
+    def member_oracle(k, words, depth):
+        """The depth-`depth` words inside the union of the depth-k cylinders of `words`."""
+        return {w for w in brute_force_words(A, depth) if w[:k] in words}
+
+    U, V = ss.DomainMask(A, ku, members), ss.DomainMask(A, kv, other)
     ku2 = ku + extra
-    assert U.refine(ku2).members == {w for w in brute_force_words(A, ku2) if w[:ku] in members}
+    assert U.refine(ku2).members == member_oracle(ku, members, ku2)
+    assert V.refine(kv + extra).members == member_oracle(kv, other, kv + extra)
+    # Equality is as point sets: both refined to the common depth, over one matrix.
+    kc = max(ku, kv)
+    assert (U == V) == (member_oracle(ku, members, kc) == member_oracle(kv, other, kc))
+    assert U == ss.DomainMask(A, ku2, member_oracle(ku, members, ku2))
+    full = ss.AdjacencyMatrix.from_rows([[1] * A.n] * A.n)  # admits every word of A
+    assert (U == ss.DomainMask(full, ku, members)) == (A == full)
     indicator = {w: Fraction(w in members) for w in brute_force_words(A, ku)}
     assert _matches(U.indicator(), ku, indicator)
 

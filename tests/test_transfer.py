@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import subshift as ss
 from subshift.errors import (
     DomainMismatch,
+    MalformedInput,
     MatrixMismatch,
     NegativeWeight,
     NotTransfer,
@@ -260,6 +261,9 @@ def test_weight_file_round_trip(golden):
     assert ss.parse_weight_file(golden, text) == rho
     full = ss.parse_weight_file(golden, "depth 1\n1 1/2\n2 1\n")
     assert full.domain.is_full()
+    # The mask constructor rejects a domain word of the wrong length.
+    with pytest.raises(MalformedInput, match=r"depth-2 words, got \['121'\]"):
+        ss.parse_weight_file(golden, "depth 1\n1 1/2\n2 1\ndomain 2\n11\n121\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -416,6 +416,45 @@ def test_failures_name_their_place_in_the_document(golden):
         ss.verify_report(json.dumps(doc))
 
 
+_UNWRITTEN_KEYS = [
+    (("certificates", "freeness", 0, "entries", 0), "word", "222",
+     "certificates.freeness[0] (i=0, j=1).entries[0] [1]: unexpected key 'word'"),
+    (("certificates", "freeness", 0), "note", "x",
+     "certificates.freeness[0] (i=0, j=1): unexpected key 'note'"),
+    (("certificates", "minimality", 0), "extra", 1, "certificates.minimality[0]: unexpected key 'extra'"),
+    (("certificates", "invariant_set"), "claim", True, "certificates.invariant_set: unexpected key 'claim'"),
+    (("certificates",), "extra_cert", [], "certificates: unexpected key 'extra_cert'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, key, value, message",
+    _UNWRITTEN_KEYS,
+    ids=["entry", "table", "minimality", "invariant_set", "certificates"],
+)
+def test_verify_report_rejects_keys_to_dict_never_writes(golden, path, key, value, message):
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(MalformedInput) as failure:
+        ss.verify_report(json.dumps(doc))
+    assert str(failure.value) == message
+
+
+def test_format1_entries_hold_exactly_their_four_keys():
+    doc = json.loads(format1_text("golden_d4"))
+    entry = doc["certificates"]["freeness"][0]["entries"][0]
+    place = r"^certificates\.freeness\[0\] \(i=0, j=1\)\.entries\[0\] \[1\]: "
+    entry["tail"] = "1"
+    with pytest.raises(MalformedInput, match=place + "unexpected key 'tail'$"):
+        ss.verify_report(json.dumps(doc))
+    del entry["tail"], entry["forced"]
+    with pytest.raises(MalformedInput, match=place + "missing key 'forced'$"):
+        ss.verify_report(json.dumps(doc))
+
+
 def test_report_format_key(golden):
     doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
     assert doc["format"] == 2
