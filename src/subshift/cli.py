@@ -17,6 +17,7 @@ files, malformed words, or inputs outside a verb's hypotheses).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cylinders import CylinderFunction, format_function_file, parse_function_file
@@ -61,7 +62,14 @@ def _function_table(f: CylinderFunction) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every verb, built once per process on first use.
+
+    Parsing keeps no state between calls (each ``parse_args`` fills a new
+    namespace), so ``main`` reuses this one parser; every caller shares
+    it and must not change it.
+    """
     parser = argparse.ArgumentParser(prog="subshift", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     matrix = argparse.ArgumentParser(add_help=False)
@@ -151,6 +159,9 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb on `argv` (default ``sys.argv[1:]``) and return its exit
+    status.  The parser is built once per process (``build_parser``), so
+    repeated in-process calls pay only for their own verb."""
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

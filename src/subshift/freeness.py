@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 
 from .errors import (
@@ -393,10 +394,12 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
     require_work_limit(A, chain(repeat(0, j - 1), (1,)))
+    # A shortest path depends only on its two ends: one search per pair, n^2 at most.
+    path = cache(lambda start, end: find_path(A, start, end))
     entries = []
     for w in enumerate_words(A, j):
         junction = (w[-1], w[i]) in A.edges
-        tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
+        tail = _diverting_tail(A, w[i:], path) if junction else path(w[-1], w[-1])[1:]
         witness = OneSidedPoint(A, w, tail)
         c = _tail_difference(witness, i, j)  # None fails verify: the witness equalizes
         entries.append(FreenessEntry(witness, 0 if c is None else c + 1))
@@ -405,9 +408,9 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     return cert
 
 
-def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
+def _diverting_tail(A: AdjacencyMatrix, r: Word, path: Callable[[int, int], Word]) -> Word:
     """A period word starting at r[0], ending next to it like r does, that
-    differs from the pure repetition of r.
+    differs from the pure repetition of r; `path` is ``find_path`` over A.
 
     Prefers a trip through a symbol absent from r; when r exhausts the
     alphabet it leaves r's cycle along some extra edge, which the
@@ -415,8 +418,7 @@ def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
     """
     outside = [y for y in A.symbols if y not in set(r)]
     if outside:
-        to_y = find_path(A, r[0], outside[0])
-        return to_y + find_path(A, outside[0], r[-1])[1:]
+        return path(r[0], outside[0]) + path(outside[0], r[-1])[1:]
     k = len(r)
     for idx in range(k):
         follow = r[(idx + 1) % k]
@@ -425,5 +427,5 @@ def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
                 continue
             if b == r[-1]:
                 return r[: idx + 1] + (b,)
-            return r[: idx + 1] + (b,) + find_path(A, b, r[-1])[1:]
+            return r[: idx + 1] + (b,) + path(b, r[-1])[1:]
     raise GraphIsCycle("no diverting edge found; the graph is a cycle")

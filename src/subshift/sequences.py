@@ -26,11 +26,15 @@ def as_word(w: str | Iterable[int]) -> Word:
 
     Symbols are taken as given, never converted: one that is not an int
     raises SymbolOutOfRange here, and the alphabet's range is checked
-    where the word meets a matrix.
+    where the word meets a matrix.  A value that is neither a string nor
+    iterable is MalformedInput.
     """
     if isinstance(w, str):
         return word_from_string(w)
-    word = tuple(w)
+    try:
+        word = tuple(w)
+    except TypeError:
+        raise MalformedInput(f"a word must be a string or an iterable, got {type(w).__name__}") from None
     for s in word:
         if not isinstance(s, int):
             raise SymbolOutOfRange(f"symbol {s!r} is not an integer")

@@ -167,6 +167,11 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
     d+1 inside U (NotTransfer on disagreement) and must be linear on
     fixed rational combinations of neighbouring indicators.  A negative
     recovered value means L was not positive (NegativeWeight).
+
+    L is queried once per indicator: the depth-d answers that build rho
+    also serve its spot-check, so a nonempty U costs |members| +
+    |depth-(d+1) members| + (|members| - 1) queries, the last for the
+    linearity combinations.
     """
     A = U.matrix
     d = U.depth
@@ -186,7 +191,9 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
             raise NotTransfer("operator is nonzero on the zero function")
         return rho
 
-    indicators = {a: CylinderFunction.indicator(A, a) for a in members}
+    # Mask members are admissible by construction, and so are their extensions.
+    indicator = lambda w: CylinderFunction.from_nonzero(A, len(w), {w: Fraction(1)})
+    indicators = {a: indicator(a) for a in members}
     queried = {a: query(indicators[a]) for a in members}
 
     def shifted_query(w: Word) -> Fraction:
@@ -196,10 +203,11 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
     depth = max(d, *(q.depth + 1 for q in queried.values()))
     rho = Weight(CylinderFunction.tabulate(A, depth, shifted_query), U)
 
-    basis = [indicators[a] for a in members]
-    basis.extend(CylinderFunction.indicator(A, w) for w in sorted(U.refine(d + 1).members))
-    for xi in basis:
-        if transfer_apply(rho, xi) != query(xi):
+    deeper = [a + (x,) for a in members for x in A.successors(a[-1])]  # U's depth-(d+1) cylinders
+    for w in members + deeper:
+        xi = indicator(w)
+        answer = queried[w] if len(w) == d else query(xi)
+        if transfer_apply(rho, xi) != answer:
             raise NotTransfer("operator disagrees with its recovered weight on an indicator")
     s, t = _LINEARITY_COEFFS
     for a, b in zip(members, members[1:]):

@@ -1,10 +1,11 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 import subshift as ss
-from subshift.cli import main
+from subshift.cli import build_parser, main
 
 GOLDEN = "2\n1 1\n1 0\n"
 SWAP = "2\n0 1\n1 0\n"
@@ -240,3 +241,38 @@ def test_unparsable_numbers_exit_2_without_traceback(tmp_path, capsys, matrix, w
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
+
+
+def test_one_parser_serves_every_call_without_leaking_state(golden_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    w = write(tmp_path, "w.weight", WEIGHT_HALF_THIRD)
+    report, recovered = tmp_path / "report.json", tmp_path / "recovered"
+    sequence = [
+        ["analyze", golden_file, "--depth", "3", "--out", str(report)],
+        ["analyze", golden_file, "--depth", "x"],  # a usage error
+        ["analyze", golden_file],  # the default depth 4 must apply
+        ["transfer", "recover", golden_file, w, "--out", str(recovered)],
+        ["transfer", "recover", golden_file, w],
+        ["words", golden_file, "3"],
+    ]
+
+    def run(argv):
+        report.unlink(missing_ok=True)
+        recovered.unlink(missing_ok=True)
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        printed = capsys.readouterr()
+        written = Path(argv[-1]).read_bytes() if "--out" in argv else None
+        return status, printed.out, printed.err, written
+
+    in_turn = [run(argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()  # each call alone, on a parser of its own
+        alone.append(run(argv))
+    assert in_turn == alone
+    assert [status for status, *_ in in_turn] == [0, 2, 0, 0, 0, 0]
+    assert json.loads(in_turn[2][1])["depth_budget"] == 4
+    assert in_turn[3][3].decode() == in_turn[4][1]

@@ -250,3 +250,41 @@ def test_admissibility_agrees_with_the_rows(case):
         built = True if expected is True else MalformedInput
         assert _built(ss.CylinderFunction, A, len(w), table) == built
         assert _built(ss.DomainMask, A, len(w), frozenset([w])) == built
+
+
+_LEAVES = st.one_of(
+    st.integers(-2, 5), st.floats(), st.none(), st.booleans(), st.text(max_size=3), st.binary(max_size=3)
+)
+_ANY_VALUES = st.one_of(
+    st.integers(),
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.lists(inner, max_size=4).map(lambda xs: (x for x in xs)),
+        ),
+        max_leaves=8,
+    ),
+)
+_WORD_CALLS = {
+    "as_word": ss.as_word,
+    "is_admissible": lambda value: ss.is_admissible(_GOLDEN, value),
+    "indicator": lambda value: ss.CylinderFunction.indicator(_GOLDEN, value),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_WORD_CALLS)), _ANY_VALUES)
+@example("as_word", None)  # each of these four raised a bare TypeError
+@example("as_word", 1.5)
+@example("is_admissible", 5)
+@example("indicator", 5)
+def test_words_from_arbitrary_values_succeed_or_raise_subshift_errors(call, value):
+    # Ints, floats, None, bytes, strings, and nested lists, tuples and generators of them.
+    try:
+        result = _WORD_CALLS[call](value)
+    except ss.SubshiftError:
+        return
+    if call == "as_word":
+        assert isinstance(result, tuple) and all(isinstance(s, int) for s in result)

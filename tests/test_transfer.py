@@ -191,6 +191,60 @@ def test_recover_weight_wrong_matrix(golden, full2):
         )
 
 
+def _tampered(rho, word, extra):
+    """The operator of rho, except that it adds `extra` to its value on the
+    indicator of `word`."""
+    target = ss.CylinderFunction.indicator(rho.matrix, word)
+    return lambda f: ss.transfer_apply(rho, f) + (extra if f == target else 0)
+
+
+def _right_on_indicators_only(rho):
+    """The operator of rho on each cylinder indicator, and 0 on anything else."""
+    def L(f):
+        if list(f.nonzero.values()) == [1]:
+            return ss.transfer_apply(rho, f)
+        return ss.CylinderFunction.zero(rho.matrix)
+    return L
+
+
+def test_recover_weight_rejection_branches_fire():
+    A = ss.AdjacencyMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 0, 1]])
+    rho = ss.Weight.full(ss.CylinderFunction(A, 1, {(1,): "1/2", (2,): "1/3", (3,): 2}))
+    U = rho.domain
+    # 1 -> 3 is no edge, so no weight puts L(xi_1) on [3]; xi_11 and xi_12 stay untouched.
+    off_image = ss.CylinderFunction.indicator(A, "3")
+    cases = [
+        (_tampered(rho, "1", off_image), U, NotTransfer, "disagrees"),  # at depth d
+        (_tampered(rho, "12", 1), U, NotTransfer, "disagrees"),  # at depth d + 1
+        (_right_on_indicators_only(rho), U, NotTransfer, "not linear"),
+        (lambda f: None, U, NotTransfer, "did not return a cylinder function"),
+        (lambda f: -ss.transfer_apply(rho, f), U, NegativeWeight, "weight is -1/2"),
+        (lambda f: ss.CylinderFunction.constant(A, 1), ss.DomainMask.empty(A), NotTransfer, "zero function"),
+    ]
+    assert ss.recover_weight(ss.as_operator(rho), U) == rho  # the untampered operator passes
+    for L, domain, error, message in cases:
+        with pytest.raises(error, match=message):
+            ss.recover_weight(L, domain)
+
+
+def test_recover_weight_queries_each_indicator_once():
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    U = ss.DomainMask.from_words(full3, ["11", "12", "23", "31", "33"])
+    rho = ss.Weight(ss.CylinderFunction(full3, 1, {(1,): 1, (2,): "1/2", (3,): 3}), U)
+    queries = []
+
+    def counting(f):
+        queries.append((f.depth, tuple(sorted(f.nonzero.items()))))
+        return ss.transfer_apply(rho, f)
+
+    assert ss.recover_weight(counting, U) == rho
+    members, deeper = sorted(U.members), sorted(U.refine(3).members)
+    assert len(queries) == len(members) + len(deeper) + (len(members) - 1) == 24
+    assert len(set(queries)) == len(queries)
+    indicators = {q for q in queries if [v for _, v in q[1]] == [1]}
+    assert indicators == {(len(w), ((w, 1),)) for w in members + deeper}
+
+
 def test_zero_set_examples(golden, full2):
     assert ss.zero_set(const_weight(golden)) == frozenset()
     ind = ss.Weight.full(ss.CylinderFunction.indicator(full2, "1"))
