@@ -35,14 +35,15 @@ from .errors import (
     SymbolOutOfRange,
     TooShort,
 )
-from .freeness import require_listable
 from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
     OneSidedPoint,
     as_word,
     enumerate_words,
+    extend_words,
     require_admissible,
+    require_work_limit,
     word_count,
     word_from_string,
     word_to_string,
@@ -166,8 +167,8 @@ class CylinderFunction:
     @classmethod
     def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
         """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked.
-        WorkLimitExceeded if listing the words is past the work limit (``require_listable``)."""
-        require_listable(A, depth)
+        WorkLimitExceeded if listing the words is past the work limit (``require_work_limit``)."""
+        require_work_limit(A, depth)
         table = {w: v for w in enumerate_words(A, depth) if (v := _as_fraction(rule(w)))}
         return cls.from_nonzero(A, depth, table)
 
@@ -248,15 +249,15 @@ def _coerce(like: CylinderFunction, value) -> CylinderFunction:
 
 def refine(f: CylinderFunction, depth: int) -> CylinderFunction:
     """The same function on depth-`depth` cylinders: each stored word is
-    extended by its admissible continuations."""
+    extended (``extend_words``) once ``require_work_limit`` allows it."""
     if depth < f.depth:
         raise ShallowerDepth(f"cannot refine depth {f.depth} down to {depth}")
     if depth == f.depth:
         return f
-    items = f.nonzero.items()
-    for _ in range(depth - f.depth):
-        items = [(w + (s,), v) for w, v in items for s in f.matrix.successors(w[-1])]
-    return CylinderFunction.from_nonzero(f.matrix, depth, dict(items))
+    A, k, values = f.matrix, f.depth, f.nonzero
+    require_work_limit(A, depth, values, f"refining to depth {depth} would build")
+    table = {w: values[w[:k]] for w in extend_words(A, list(values), depth - k)}
+    return CylinderFunction.from_nonzero(A, depth, table)
 
 
 def alpha(f: CylinderFunction) -> CylinderFunction:
@@ -423,8 +424,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 
 def format_function_file(f: CylinderFunction) -> str:
-    """The function table format of f, every word listed (``require_listable``)."""
-    require_listable(f.matrix, f.depth)
+    """The function table format of f, every word listed (``require_work_limit``)."""
+    require_work_limit(f.matrix, f.depth)
     lines = [f"depth {f.depth}"]
     nonzero = f.nonzero
     lines.extend(

@@ -16,15 +16,15 @@ For a transitive matrix whose graph is not a cycle this module builds:
 Every certificate re-verifies itself from its stored data alone via
 ``verify``; construction runs ``verify`` before returning.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
+A depth-j table is refused when listing its words is (``require_work_limit``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, repeat
 
 from .errors import (
     BadExponents,
@@ -33,7 +33,6 @@ from .errors import (
     MalformedInput,
     NotTransitive,
     SubshiftError,
-    WorkLimitExceeded,
 )
 from .graph import (
     AdjacencyMatrix,
@@ -45,6 +44,7 @@ from .graph import (
     shortest_cycle_avoiding,
 )
 from .sequences import (
+    MAX_FREENESS_ENTRIES,  # the README documents subshift.freeness.MAX_FREENESS_ENTRIES
     EventuallyPeriodicSeq,
     OneSidedPoint,
     as_word,
@@ -52,8 +52,8 @@ from .sequences import (
     enumerate_words,
     periodic_seq,
     require_admissible,
+    require_work_limit,
     word_count,
-    word_counts,
     word_from_string,
     word_to_string,
 )
@@ -350,33 +350,6 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
     return wit
 
 
-MAX_FREENESS_ENTRIES = 1_000_000  # the golden-mean matrix passes it at depth budget 21
-
-
-def require_work_limit(
-    A: AdjacencyMatrix, tables_per_depth: Iterable[int], work: str = "freeness tables would hold"
-) -> None:
-    """Raise WorkLimitExceeded, its message led by `work`, before any freeness
-    table is built if the tables, numbering the k-th item of `tables_per_depth`
-    at depth k (the last item nonzero), would hold over MAX_FREENESS_ENTRIES
-    entries.  Stops where the total or N_k passes it: N_k never decreases."""
-    total = 0
-    for tables, n_k in zip(tables_per_depth, word_counts(A)):
-        total += tables * n_k
-        if max(total, n_k) > MAX_FREENESS_ENTRIES:
-            raise WorkLimitExceeded(
-                f"{work} over {MAX_FREENESS_ENTRIES} entries (subshift.freeness.MAX_FREENESS_ENTRIES)"
-            )
-
-
-def require_listable(A: AdjacencyMatrix, k: int) -> None:
-    """Raise WorkLimitExceeded before the length-k words are listed if
-    ``enumerate_words``, which builds the words of every length j <= k,
-    would build over MAX_FREENESS_ENTRIES symbols (the sum of j * N_j,
-    which is also the entry count of ``analyze`` at depth budget k)."""
-    require_work_limit(A, range(1, k + 1), f"listing the length-{k} words would build")
-
-
 def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertificate:
     """Certify per depth-j cylinder that shift^i and shift^j agree on at
     most one point of it, and exhibit a point where they differ.
@@ -393,7 +366,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    require_work_limit(A, chain(repeat(0, j - 1), (1,)))
+    require_work_limit(A, j)
     # A shortest path depends only on its two ends: one search per pair, n^2 at most.
     path = cache(lambda start, end: find_path(A, start, end))
     entries = []

@@ -8,17 +8,22 @@ with an origin marking coordinate 0; points of the one-sided space by
 :class:`OneSidedPoint`: a prefix, then a tail period repeated forever.
 Every proof witness needed here is eventually periodic, so these
 representations are complete for the certificates this package produces.
+Words are listed and refined by ``extend_words``; ``require_work_limit``
+counts, listing nothing, what a build would make and refuses it past the limit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm
+from operator import mul
 
-from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange
+from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange, WorkLimitExceeded
 from .graph import AdjacencyMatrix, Word
+
+MAX_FREENESS_ENTRIES = 1_000_000  # the work limit; the golden-mean words pass it at length 21
 
 
 def as_word(w: str | Iterable[int]) -> Word:
@@ -76,23 +81,30 @@ def require_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> Word:
     return word
 
 
-def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
-    """All admissible words of length k, in lexicographic order."""
-    if k < 1:
-        raise DepthZero("word length must be at least 1")
+def extend_words(A: AdjacencyMatrix, words: list[Word], levels: int) -> list[Word]:
+    """Each word followed by each admissible continuation of `levels` more
+    symbols, in order; unbounded, so callers check ``require_work_limit``."""
     succ = {s: A.successors(s) for s in A.symbols}
-    words: list[Word] = [(s,) for s in A.symbols]
-    for _ in range(k - 1):
+    for _ in range(levels if words else 0):  # no words: nothing to build, at any depth
         words = [w + (s,) for w in words for s in succ[w[-1]]]
     return words
 
 
-def word_counts(A: AdjacencyMatrix) -> Iterator[int]:
-    """N_1, N_2, ...: the number of admissible words of each length, counted
-    without listing them.  N_k is the sum of the entries of A^(k-1); each
-    step costs O(n^2).  With no zero rows N_k never decreases."""
+def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
+    """All admissible words of length k, in lexicographic order."""
+    if k < 1:
+        raise DepthZero("word length must be at least 1")
+    return extend_words(A, [(s,) for s in A.symbols], k - 1)
+
+
+def word_counts(A: AdjacencyMatrix, words: Iterable[Word] | None = None) -> Iterator[int]:
+    """N_1, N_2, ...: the number of admissible words of each length, or of
+    the extensions of `words` by 0, 1, ... symbols, counted without listing
+    them: N_k sums the entries of A^(k-1), in O(n^2) a step, never falling."""
     pred = [A.predecessors(s) for s in A.symbols]
-    ending = [1] * A.n  # admissible words of the current length, by last symbol
+    ending = [1 if words is None else 0] * A.n  # words of the current length, by last symbol
+    for w in words or ():
+        ending[w[-1] - 1] += 1
     while True:
         yield sum(ending)
         ending = [sum(ending[p - 1] for p in ps) for ps in pred]
@@ -104,6 +116,22 @@ def word_count(A: AdjacencyMatrix, k: int) -> int:
         raise DepthZero("word length must be at least 1")
     return next(islice(word_counts(A), k - 1, None))
 
+
+def require_work_limit(
+    A: AdjacencyMatrix, depth: int, words: Collection[Word] | None = None, work: str | None = None
+) -> None:
+    """Raise WorkLimitExceeded, its message led by `work`, before words of length
+    `depth` are built from `words` (default: the single symbols) if the sum, over
+    each length l built, of l times the number of length-l words passes the
+    limit: from the single symbols, the sum of j * N_j, as ``analyze`` counts."""
+    start = 1 if words is None else min(map(len, words), default=depth + 1)
+    levels = depth - start  # a word has at most n successors, and n**64 > the limit if n > 1
+    if (levels + 1) * depth * len(words or A.symbols) * A.n ** min(levels, 64) <= MAX_FREENESS_ENTRIES:
+        return
+    built = accumulate(map(mul, range(start, depth + 1), word_counts(A, words)))
+    if any(total > MAX_FREENESS_ENTRIES for total in built):
+        limit = f"over {MAX_FREENESS_ENTRIES} entries (subshift.freeness.MAX_FREENESS_ENTRIES)"
+        raise WorkLimitExceeded(f"{work or f'listing the length-{depth} words would build'} {limit}")
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     """Words w of length p with every consecutive edge and the wrap edge

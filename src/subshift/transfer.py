@@ -40,9 +40,8 @@ from .errors import (
     NotTransfer,
     SupportViolation,
 )
-from .freeness import require_listable
 from .graph import AdjacencyMatrix, Word, parse_natural
-from .sequences import enumerate_words, word_from_string, word_to_string
+from .sequences import enumerate_words, extend_words, require_work_limit, word_from_string, word_to_string
 
 AbstractTransferOp = Callable[[CylinderFunction], CylinderFunction]
 
@@ -203,7 +202,7 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
     depth = max(d, *(q.depth + 1 for q in queried.values()))
     rho = Weight(CylinderFunction.tabulate(A, depth, shifted_query), U)
 
-    deeper = [a + (x,) for a in members for x in A.successors(a[-1])]  # U's depth-(d+1) cylinders
+    deeper = extend_words(A, members, 1)  # U's depth-(d+1) cylinders
     for w in members + deeper:
         xi = indicator(w)
         answer = queried[w] if len(w) == d else query(xi)
@@ -220,7 +219,7 @@ def recover_weight(L: AbstractTransferOp, U: DomainMask) -> Weight:
 
 def zero_set(rho: Weight) -> frozenset[Word]:
     """The carrier-depth words on which the weight vanishes."""
-    require_listable(rho.matrix, rho.depth)
+    require_work_limit(rho.matrix, rho.depth)
     nonzero = rho.carrier.nonzero
     return frozenset(w for w in enumerate_words(rho.matrix, rho.depth) if w not in nonzero)
 

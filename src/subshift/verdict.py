@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import CertificateInvalid, MalformedInput
+from .errors import CertificateInvalid, MalformedInput, WorkLimitExceeded
 from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
@@ -32,10 +32,9 @@ from .freeness import (
     json_field,
     located,
     minimality_witness,
-    require_work_limit,
 )
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
-from .sequences import enumerate_words, word_count
+from .sequences import MAX_FREENESS_ENTRIES, enumerate_words, require_work_limit, word_count
 
 NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
@@ -99,6 +98,10 @@ def _minimality_spot_pairs(A: AdjacencyMatrix):
     return [(w, z) for w in words for z in words]
 
 
+def _minimality_spot_count(A: AdjacencyMatrix) -> int:
+    return sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
+
+
 def _skeleton(A: AdjacencyMatrix, depth_budget: int) -> AnalysisVerdict:
     """Everything a verdict says besides its certificates, which stay empty:
     a function of the matrix and the depth budget alone."""
@@ -130,14 +133,22 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     invariant-set certificate, minimality spot witnesses over shallow
     cylinder pairs, and freeness tables for every exponent pair
     0 <= i < j <= depth_budget; otherwise it is inconclusive and names
-    the failed hypothesis.
+    the failed hypothesis.  WorkLimitExceeded, before any certificate is
+    built, if the freeness tables would hold over MAX_FREENESS_ENTRIES
+    entries (``require_work_limit``) or the minimality spot witnesses
+    would number over it.
     """
     if depth_budget < 2:
         raise MalformedInput("depth budget must be at least 2")
     v = _skeleton(A, depth_budget)
     if v.conclusion == INCONCLUSIVE:
         return v
-    require_work_limit(A, range(1, depth_budget + 1))  # j tables of depth j
+    require_work_limit(A, depth_budget, work="freeness tables would hold")  # j tables of depth j
+    if _minimality_spot_count(A) > MAX_FREENESS_ENTRIES:
+        raise WorkLimitExceeded(
+            f"minimality would need over {MAX_FREENESS_ENTRIES} spot witnesses"
+            " (subshift.freeness.MAX_FREENESS_ENTRIES)"
+        )
     return replace(
         v,
         invariant_set=find_nontrivial_invariant(A),
@@ -273,8 +284,7 @@ def verify_report(text: str) -> AnalysisVerdict:
     if v.invariant_set is None or not v.freeness:
         raise CertificateInvalid("conclusive verdict is missing certificates")
     spots = [(m.start, m.target) for m in v.minimality]
-    n_spots = sum(word_count(A, d) for d in _MINIMALITY_SPOT_DEPTHS) ** 2
-    if len(spots) != n_spots or spots != _minimality_spot_pairs(A):
+    if len(spots) != _minimality_spot_count(A) or spots != _minimality_spot_pairs(A):
         raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
     with located("certificates.invariant_set: "):
         v.invariant_set.verify()

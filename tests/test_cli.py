@@ -164,6 +164,10 @@ def test_bad_exponents_exit_2(golden_file, capsys):
         ["transfer", "recover", "{m}", "{w}"],  # tabulates every depth-40 word
         ["transfer", "equiv", "{m}", "{w}", "{v}"],  # lists the depth-40 zero set
         ["transfer", "apply", "{m}", "{w}", "{z}"],  # prints every depth-39 word
+        # refine counts first: without that, each builds the depth-40 words before it can fail.
+        ["transfer", "apply", "{m}", "{w}", "{f}"],  # refines F to depth 40
+        ["transfer", "equiv", "{m}", "{full}", "{w}"],  # compares the domains at depth 40
+        ["witness", "freeness", "{m}", "0", "21"],  # lists the depth-21 words: 1,454,137 symbols
     ],
 )
 def test_work_past_the_limit_exits_2_at_once(golden_file, tmp_path, capsys, argv):
@@ -174,12 +178,28 @@ def test_work_past_the_limit_exits_2_at_once(golden_file, tmp_path, capsys, argv
         "w": write(tmp_path, "w", "depth 1\n1 1\n2 1\n" + domain),
         "v": write(tmp_path, "v", "depth 1\n1 0\n2 1\n" + domain),
         "z": write(tmp_path, "z", "depth 1\n1 0\n2 0\n"),
+        "f": write(tmp_path, "f", ONES_FUNCTION),
+        "full": write(tmp_path, "full", WEIGHT_HALF_THIRD),
     }
     started = time.perf_counter()
     assert main([a.format(**files) for a in argv]) == 2
     assert time.perf_counter() - started < 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MAX_FREENESS_ENTRIES" in err and "Traceback" not in err
+
+
+def test_minimality_witnesses_are_counted_before_they_are_built(tmp_path, capsys):
+    # The cycle 1 -> 2 -> ... -> 500 -> 1 plus a loop at 1: 500 + 501 words of
+    # length 1 and 2 ask for 1,002,001 spot witnesses, while the freeness
+    # tables at depth budget 4 hold about 5,000 entries.
+    n = 500
+    rows = [["1" if c == (r + 1) % n or r == c == 0 else "0" for c in range(n)] for r in range(n)]
+    m = write(tmp_path, "near-cycle.mat", f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows))
+    started = time.perf_counter()
+    assert main(["analyze", m]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: minimality") and "MAX_FREENESS_ENTRIES" in err
 
 
 _OUT_VERBS = {

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from subshift.errors import (
     MatrixMismatch,
     ShallowerDepth,
     TooShort,
+    WorkLimitExceeded,
 )
 from support import (
     brute_force_transfer,
@@ -52,8 +54,48 @@ def test_refine_examples(golden):
     refined = ss.refine(ind, 2)
     assert refined.values == {(1, 1): 1, (1, 2): 1, (2, 1): 0}
     assert ss.refine(ind, ind.depth) is ind
+    assert ind.refine(2).nonzero == refined.nonzero  # the method is the function
     with pytest.raises(ShallowerDepth):
         ss.refine(refined, 1)
+
+
+_GOLDEN = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+_ONE_WORD_40 = ss.CylinderFunction.indicator(_GOLDEN, "1" * 40)
+_ONE_WORD_1 = ss.DomainMask(_GOLDEN, 1, {(1,)})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _ONE_WORD_1.refine(40),
+        lambda: ss.mask_image(ss.DomainMask(_GOLDEN, 41, {(1,) * 41})) == _ONE_WORD_1,
+        lambda: ss.pointwise("add", _ONE_WORD_40, ss.CylinderFunction.constant(_GOLDEN, 1)),
+        lambda: ss.pointwise("mul", ss.CylinderFunction.constant(_GOLDEN, 1), _ONE_WORD_40),
+        lambda: _ONE_WORD_40 == ss.CylinderFunction.constant(_GOLDEN, 1),
+        # One word, but building its extensions copies 1 + 2 + ... + 10**6 symbols.
+        lambda: ss.refine(ss.CylinderFunction.constant(ss.AdjacencyMatrix.from_rows([[1]]), 1), 10**6),
+    ],
+    ids=["mask-refine", "mask-image-eq", "add", "mul", "eq", "one-word-quadratic"],
+)
+def test_refinement_past_the_work_limit_is_refused_at_once(build):
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitExceeded, match="refining to depth .*MAX_FREENESS_ENTRIES"):
+        build()
+    assert time.perf_counter() - started < 1
+
+
+def test_refinement_counts_from_the_stored_words():
+    full3 = ss.AdjacencyMatrix.from_rows([[1] * 3] * 3)
+    # A dense depth-10 function stores 59,049 words; refining it to depth 11
+    # builds 10 * 3**10 + 11 * 3**11 = 2,539,107 symbols, the sparse one 10 + 33.
+    dense = ss.CylinderFunction.tabulate(full3, 10, lambda w: 1)
+    with pytest.raises(WorkLimitExceeded, match="refining to depth 11"):
+        ss.refine(dense, 11)
+    # From depth 9 to 10 it builds 9 * 3**9 + 10 * 3**10 = 767,637, within the limit.
+    assert len(ss.refine(ss.CylinderFunction.constant(full3, 1, 9), 10).nonzero) == 3**10
+    sparse = ss.CylinderFunction.indicator(full3, "3" * 10) * 5
+    assert ss.refine(sparse, 11).nonzero == {(3,) * 10 + (s,): 5 for s in (1, 2, 3)}
+    assert ss.refine(ss.CylinderFunction.zero(full3), 10**9).is_zero()  # no words, no work
 
 
 def test_alpha_examples(full2, golden):
@@ -75,6 +117,9 @@ def test_pointwise_examples(golden):
     assert ss.pointwise("mul", f, ss.CylinderFunction.zero(golden)).is_zero()
     assert ss.pointwise("neg", ss.pointwise("neg", f)) == f
     assert ss.pointwise("abs", f) == table(golden, 1, {"1": "2/3", "2": 1})
+    g = table(golden, 2, {"11": 3, "12": "1/2", "21": 0})
+    assert f * g == table(golden, 2, {"11": 2, "12": "1/3", "21": 0})
+    assert f - g == table(golden, 2, {"11": "-7/3", "12": "1/6", "21": -1})
 
 
 def test_pointwise_errors(golden, full2):
@@ -152,9 +197,23 @@ def test_mask_basics(golden):
         V.covers((2,))
     with pytest.raises(MalformedInput):
         ss.DomainMask.from_words(golden, ["22"])  # inadmissible member
+    with pytest.raises(MalformedInput, match="share one length"):
+        ss.DomainMask.from_words(golden, ["1", "21"])
     assert U == U.refine(3)  # equality is as sets
     with pytest.raises(ShallowerDepth, match="cannot refine depth 2 down to 1"):
         V.refine(1)
+
+
+def test_reprs_name_the_represented_data(golden):
+    f = table(golden, 1, {"1": "1/2", "2": 0})
+    U = ss.DomainMask.from_words(golden, ["21", "11"])
+    assert repr(f) == "CylinderFunction(depth=1, 1=1/2, 2=0)"
+    assert repr(U) == "DomainMask(depth=2, members=['11', '21'])"
+    assert repr(ss.Weight(f, U)) == (
+        "Weight(CylinderFunction(depth=2, 11=1/2, 12=0, 21=0), "
+        "domain=DomainMask(depth=2, members=['11', '21']))"
+    )
+    assert repr(ss.periodic_seq(golden, "12", 1)) == "EventuallyPeriodicSeq('L:12 C: R:12 O:1')"
 
 
 def test_mask_image_examples(golden, full2):

@@ -221,17 +221,27 @@ def test_certificate_serialization_round_trip(golden):
     assert rebuilt.to_dict() == free.to_dict()
 
 
-def test_work_limit_counts_entries_before_building(golden):
-    # Golden-mean sums of j * N_j: 852,340 at depth budget 20, 1,454,137 at 21.
-    assert ss.freeness.MAX_FREENESS_ENTRIES == 1_000_000
-    ss.freeness.require_work_limit(golden, range(1, 21))
-    with pytest.raises(WorkLimitExceeded):
-        ss.freeness.require_work_limit(golden, range(1, 22))
-    with pytest.raises(WorkLimitExceeded):
+def test_work_limit_counts_entries_before_building(golden, monkeypatch):
+    # Golden-mean sums of j * N_j: 852,340 at depth 20, 1,454,137 at 21.
+    assert ss.freeness.MAX_FREENESS_ENTRIES is ss.sequences.MAX_FREENESS_ENTRIES == 1_000_000
+    ss.sequences.require_work_limit(golden, 20)
+    with pytest.raises(WorkLimitExceeded, match="listing the length-21 words would build"):
+        ss.sequences.require_work_limit(golden, 21)
+    with pytest.raises(WorkLimitExceeded, match="freeness tables would hold"):
         ss.analyze(golden, 21)
-    # One table: N_28 = 832,040 is within the limit, N_29 = 1,346,269 past it.
-    ss.freeness.require_work_limit(golden, [0] * 27 + [1])
-    with pytest.raises(WorkLimitExceeded):
-        ss.freeness_certificate(golden, 0, 29)
-    with pytest.raises(WorkLimitExceeded):
-        ss.freeness_certificate(golden, 0, 10**9)
+
+    class Built(Exception):
+        """analyze got past its work limit and started the freeness tables."""
+
+    def first_table(A, i, j):
+        raise Built
+
+    monkeypatch.setattr(ss.verdict, "freeness_certificate", first_table)
+    with pytest.raises(Built):
+        ss.analyze(golden, 20)
+    monkeypatch.undo()
+    # One table lists the depth-j words, so it is refused exactly when that listing is.
+    assert len(ss.freeness_certificate(golden, 0, 20).entries) == ss.sequences.word_count(golden, 20)
+    for j in (21, 29, 10**9):
+        with pytest.raises(WorkLimitExceeded, match=f"listing the length-{j} words"):
+            ss.freeness_certificate(golden, 0, j)

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +11,9 @@ from subshift.errors import (
     InadmissibleWord,
     MalformedInput,
     SymbolOutOfRange,
+    WorkLimitExceeded,
 )
-from subshift.sequences import word_count
+from subshift.sequences import extend_words, require_work_limit, word_count, word_counts
 from support import (
     brute_force_admissible,
     brute_force_words,
@@ -79,6 +81,29 @@ def test_enumerate_words_against_brute_force_and_matrix_power():
             assert ws == brute_force_words(A, k)
             assert len(ws) == matrix_power_word_count(A, k) == word_count(A, k)
         assert word_count(A, 40) == matrix_power_word_count(A, 40)
+
+
+def test_work_limit_refuses_exactly_past_the_symbols_built(monkeypatch):
+    # Small limits make both ways of deciding run: the bound that needs no
+    # counting, and the count from `word_counts`.
+    rng = random.Random(13)
+    for _ in range(300):
+        A = random_matrix(rng, nmax=3)
+        k = rng.randint(1, 3)
+        level = ss.enumerate_words(A, k)
+        words = None if rng.random() < 0.3 else rng.sample(level, min(len(level), rng.randint(0, 2)))
+        start, length = (ss.enumerate_words(A, 1), 1) if words is None else (words, k)
+        depth = length + rng.randint(0, 5)
+        built = [extend_words(A, start, j) for j in range(depth - length + 1)]
+        assert [len(ws) for ws in built] == list(islice(word_counts(A, words), len(built)))
+        total = sum((length + j) * len(ws) for j, ws in enumerate(built))
+        limit = rng.randint(1, 400)
+        monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", limit)
+        if total > limit:
+            with pytest.raises(WorkLimitExceeded):
+                require_work_limit(A, depth, words)
+        else:
+            require_work_limit(A, depth, words)
 
 
 def test_periodic_points_examples(golden, swap2):

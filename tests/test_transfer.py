@@ -148,6 +148,11 @@ def test_recover_weight_examples(full2, golden):
     counting = const_weight(golden)
     assert ss.recover_weight(ss.as_operator(counting), U) == counting
 
+    empty = ss.Weight(ss.CylinderFunction.constant(golden, 1), ss.DomainMask.empty(golden))
+    assert ss.recover_weight(ss.as_operator(empty), empty.domain) == ss.Weight(
+        ss.CylinderFunction.zero(golden), empty.domain
+    )
+
 
 def test_recover_weight_round_trip_with_zeros_and_domains():
     rng = random.Random(23)
@@ -304,8 +309,10 @@ def test_deep_empty_domain_lists_no_words(golden):
     # the domain's members, of which there are none.
     start = time.perf_counter()
     rho = ss.parse_weight_file(golden, "depth 1\n1 1\n2 1\ndomain 40\n")
+    recovered = ss.recover_weight(ss.as_operator(rho), rho.domain)
     assert time.perf_counter() - start < 1.0
     assert rho.depth == 40 and rho.carrier.is_zero() and rho.domain.is_empty()
+    assert recovered.depth == 40 and recovered.carrier.is_zero() and recovered.domain == rho.domain
 
 
 def test_weight_file_round_trip(golden):
