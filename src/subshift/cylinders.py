@@ -9,15 +9,21 @@ on the words that are not stored.  These functions are dense among the
 continuous ones and every identity this package checks is an exact
 equality of such tables, never an approximation.  Scalars are real: the
 involution is the identity here.
-Tables from outside (files, callers) are checked by the constructor.
-It reads only the words it was given: each key must be a word of the
-table's depth whose pairs lie in the matrix's stored edge set
-(``AdjacencyMatrix.edges``), and the number of keys must equal the
+Tables from callers are checked by the constructor, the reference
+validator.  It reads only the words it was given: each key must be a
+word of the table's depth whose pairs lie in the matrix's stored edge
+set (``AdjacencyMatrix.edges``), and the number of keys must equal the
 admissible word count (``sequences.word_count``), so no word is listed.
-``DomainMask`` checks its member words the same way.  Functions the
-engine derives are built by ``CylinderFunction.from_nonzero`` (or by
-``tabulate`` from a rule on every word), valid by construction, and are
-not checked again.
+``DomainMask`` checks its member words the same way.  A function file is
+checked once, where it enters, by ``parse_function_file``: it makes the
+constructor's checks, with its messages, but reads each word literal of
+a complete file by one lookup among the listed depth-k words (a listing
+no larger than the file) and converts each distinct value text once.
+Parsed files and the functions the engine derives are built by
+``CylinderFunction.from_nonzero`` (or by ``tabulate`` from a rule on
+every word) and are not checked again.  Listing every word of a depth
+(a nonzero ``constant``, ``DomainMask.full``, iterating ``values``,
+writing a file) obeys ``require_work_limit``.
 """
 
 from __future__ import annotations
@@ -88,6 +94,20 @@ def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> lis
     return sorted(word_to_string(w) for w in words if not _is_word(A, depth, w))
 
 
+def _require_every_word(A: AdjacencyMatrix, k: int, unchecked: Iterable[Word], size: int) -> None:
+    """MalformedInput unless a table with `size` distinct keys holds every
+    admissible depth-k word and nothing else, given that its keys outside
+    `unchecked` are such words.  The keys are checked before N_k is
+    counted, so a deep depth with a wrong word is refused at once."""
+    unknown = _unknown_words(A, k, unchecked)
+    if unknown:
+        raise MalformedInput(f"table words must be admissible depth-{k} words (unknown {unknown})")
+    # Every key is an admissible depth-k word, so equal counts mean equal sets.
+    missing = word_count(A, k) - size if size else "all"
+    if missing:
+        raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
+
+
 class CylinderValues(Mapping):
     """The total table of a depth-k function, read from its nonzero entries.
 
@@ -112,6 +132,7 @@ class CylinderValues(Mapping):
         raise KeyError(w)
 
     def __iter__(self) -> Iterator[Word]:
+        require_work_limit(self.matrix, self.depth)
         return iter(enumerate_words(self.matrix, self.depth))
 
     def __len__(self) -> int:
@@ -140,16 +161,9 @@ class CylinderFunction:
         if self.depth < 1:
             raise DepthZero("cylinder functions need depth at least 1")
         table = {_as_key(w): _as_fraction(v) for w, v in self.values.items()}
-        k = self.depth
-        unknown = _unknown_words(self.matrix, k, table)
-        if unknown:
-            raise MalformedInput(f"table words must be admissible depth-{k} words (unknown {unknown})")
-        # Every key is an admissible depth-k word, so equal counts mean equal sets.
-        missing = word_count(self.matrix, k) - len(table) if table else "all"
-        if missing:
-            raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
+        _require_every_word(self.matrix, self.depth, table, len(table))
         nonzero = {w: v for w, v in table.items() if v}
-        object.__setattr__(self, "values", CylinderValues(self.matrix, k, nonzero))
+        object.__setattr__(self, "values", CylinderValues(self.matrix, self.depth, nonzero))
 
     @classmethod
     def from_nonzero(
@@ -174,7 +188,11 @@ class CylinderFunction:
 
     @classmethod
     def constant(cls, A: AdjacencyMatrix, value, depth: int = 1) -> "CylinderFunction":
+        """The function `value` everywhere; a nonzero one stores, so lists, every
+        depth-`depth` word (``require_work_limit``)."""
         c = _as_fraction(value)
+        if c:
+            require_work_limit(A, depth)
         return cls.from_nonzero(A, depth, dict.fromkeys(enumerate_words(A, depth), c) if c else {})
 
     @classmethod
@@ -343,6 +361,8 @@ class DomainMask:
 
     @classmethod
     def full(cls, A: AdjacencyMatrix, depth: int = 1) -> "DomainMask":
+        """The whole space, as every depth-`depth` word (``require_work_limit``)."""
+        require_work_limit(A, depth)
         return cls(A, depth, frozenset(enumerate_words(A, depth)))
 
     @classmethod
@@ -403,24 +423,47 @@ def mask_image(U: DomainMask) -> DomainMask:
 
 def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     """Parse the function table format: a "depth <k>" header, then one
-    "<word> <value>" line per admissible depth-k word (all required)."""
+    "<word> <value>" line per admissible depth-k word (all required).
+
+    The file is checked here, once, as the constructor checks a table, and
+    fails with the constructor's messages.  When a line names an
+    admissible depth-k word and the file has one line per such word, those
+    words are listed once, keyed by their literals, so that each literal
+    is read and checked by one lookup; a literal spelled otherwise is read
+    by ``word_from_string`` and checked on its own.  Each distinct value
+    text is converted once.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise MalformedInput("empty function file")
     head = lines[0].split()
-    depth = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
-    if depth is None:
+    k = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
+    if k is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
+    count = None  # N_k, counted once a line names an admissible depth-k word
+    spelled: dict[str, Word] = {}  # every depth-k word by its literal, once the file may list them all
+    unchecked: list[Word] = []
     table: dict[Word, str] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise MalformedInput(f"bad table line {ln!r}")
-        word = word_from_string(parts[0])
+        word = spelled.get(parts[0])
+        if word is None:
+            word = word_from_string(parts[0])
+            unchecked.append(word)
+            if count is None and _is_word(A, k, word):
+                count = word_count(A, k)
+                if count == len(lines) - 1:
+                    spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
-        table[word] = parts[1]  # the constructor converts each value once
-    return CylinderFunction(A, depth, table)
+        table[word] = parts[1]
+    if k < 1:
+        raise DepthZero("cylinder functions need depth at least 1")
+    values = {v: _as_fraction(v) for v in dict.fromkeys(table.values())}
+    _require_every_word(A, k, unchecked, len(table))
+    return CylinderFunction.from_nonzero(A, k, {w: v for w, s in table.items() if (v := values[s])})
 
 
 def format_function_file(f: CylinderFunction) -> str:

@@ -47,22 +47,31 @@ def as_word(w: str | Iterable[int]) -> Word:
 
 
 def word_from_string(text: str) -> Word:
-    """Parse a word literal: one digit per symbol, or dot-separated numbers
-    when the alphabet goes past 9 (e.g. "121" or "10.2.1")."""
+    """Parse a word literal, the grammar ``word_to_string`` writes.
+
+    A literal without a dot has one decimal digit per symbol ("121"), so
+    "12" is always the word 1 2.  A dotted literal has one numeral per
+    symbol, read by int() ("10.2.1"); a single symbol takes one trailing
+    dot ("12.").  An empty numeral ("1..2", ".") or a trailing dot after
+    two or more numerals ("1.2.") is MalformedInput.
+    """
     text = text.strip()
-    if not text:
-        return ()
-    parts = text.split(".") if "." in text else list(text)
+    parts = text.split(".") if "." in text else text
+    if len(parts) == 2 and not parts[1]:  # "12.": the one symbol 12
+        parts = parts[:1]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
     except ValueError:
         raise MalformedInput(f"cannot parse word literal {text!r}") from None
 
 
 def word_to_string(w: Word) -> str:
-    if all(s <= 9 for s in w):
-        return "".join(str(s) for s in w)
-    return ".".join(str(s) for s in w)
+    """The literal of w that ``word_from_string`` reads back as w: digits
+    while every symbol is at most 9, else dotted numerals."""
+    text = "".join(map(str, w))
+    if len(text) == len(w):
+        return text
+    return ".".join(map(str, w)) + ("." if len(w) == 1 else "")
 
 
 def is_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> bool:
@@ -135,9 +144,11 @@ def require_work_limit(
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     """Words w of length p with every consecutive edge and the wrap edge
-    A(w_p, w_1); each names the period-p point w repeated forever."""
+    A(w_p, w_1); each names the period-p point w repeated forever.  The
+    length-p words are listed, so ``require_work_limit`` applies."""
     if p < 1:
         raise DepthZero("period must be at least 1")
+    require_work_limit(A, p)
     return [w for w in enumerate_words(A, p) if (w[-1], w[0]) in A.edges]
 
 
@@ -285,7 +296,7 @@ class OneSidedPoint:
         if not self.prefix or not self.tail:
             raise MalformedInput("one-sided point needs a nonempty prefix and tail period")
         if not self.matrix.admits(self.prefix + self.tail + self.tail[:1]):
-            word = f"{word_to_string(self.prefix)}.({word_to_string(self.tail)})"
+            word = f"{word_to_string(self.prefix)} . ({word_to_string(self.tail)})"
             raise InadmissibleWord(f"point {word}^inf is not admissible")
 
     def __getitem__(self, k: int) -> int:

@@ -26,6 +26,13 @@ def random_matrix(rng, nmax=4, nmin=1) -> ss.AdjacencyMatrix:
     return ss.AdjacencyMatrix.from_rows(rows)
 
 
+def near_cycle(n: int) -> ss.AdjacencyMatrix:
+    """The cycle 1 -> 2 -> ... -> n -> 1 plus a loop at 1: transitive, not a cycle."""
+    return ss.AdjacencyMatrix.from_rows(
+        [[int(c == (r + 1) % n or r == c == 0) for c in range(n)] for r in range(n)]
+    )
+
+
 def random_fraction(rng, span=6, den=5, nonneg=False, positive=False) -> Fraction:
     lo = 1 if positive else (0 if nonneg else -span)
     return Fraction(rng.randint(lo, span), rng.randint(1, den))

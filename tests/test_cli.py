@@ -61,6 +61,15 @@ def test_words_verb(golden_file, capsys):
     assert capsys.readouterr().out.split() == ["111", "112", "121", "211", "212"]
 
 
+def test_symbols_past_nine_on_the_command_line(tmp_path, capsys):
+    full10 = write(tmp_path, "full10.mat", "10\n" + "1 1 1 1 1 1 1 1 1 1\n" * 10)
+    assert main(["words", full10, "1"]) == 0
+    assert capsys.readouterr().out.split()[8:] == ["9", "10."]
+    assert main(["witness", "minimal", full10, "10.", "1.10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["minimality"] == {"from": "10.", "to": "1.10", "prefix": "10.1.10", "shifts": 1}
+
+
 def test_transfer_apply(golden_file, tmp_path, capsys):
     w = write(tmp_path, "w.weight", "depth 1\n1 1\n2 1\n")
     f = write(tmp_path, "f.func", "depth 1\n1 0\n2 1\n")

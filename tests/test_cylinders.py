@@ -240,16 +240,24 @@ def test_function_file_round_trip(golden):
     text = ss.format_function_file(f)
     assert ss.parse_function_file(golden, text) == f
     assert text == "depth 2\n11 1/2\n12 0\n21 -7/3\n"
+    full10 = ss.AdjacencyMatrix.from_rows([[1] * 10] * 10)
+    f = ss.CylinderFunction(full10, 1, {(s,): Fraction(s, 3) for s in full10.symbols})
+    text = ss.format_function_file(f)
+    assert text.endswith("\n9 3\n10. 10/3\n")
+    assert ss.parse_function_file(full10, text) == f
+    dotted = text.replace("\n3 1\n", "\n3. 1\n")  # a respelled literal is read on its own
+    assert ss.parse_function_file(full10, dotted) == f
 
 
 def test_function_file_values_are_converted_once(monkeypatch):
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     text = ss.format_function_file(ss.CylinderFunction.constant(full3, "1/2", 3))
+    text = text.replace("1/2", "2/4", 10)  # 27 values, two distinct value strings
     calls = []
     convert = ss.cylinders._as_fraction
     monkeypatch.setattr(ss.cylinders, "_as_fraction", lambda v: calls.append(v) or convert(v))
     f = ss.parse_function_file(full3, text)
-    assert len(calls) == 27 and set(f.values.values()) == {Fraction(1, 2)}
+    assert calls == ["2/4", "1/2"] and set(f.values.values()) == {Fraction(1, 2)}
     with pytest.raises(MalformedInput, match="cannot parse rational 'one'"):
         ss.parse_function_file(full3, text.replace("1/2", "one", 1))
 
@@ -264,11 +272,54 @@ def test_function_file_values_are_converted_once(monkeypatch):
         "depth 1\n1 1\n2 2\n22 0",  # unknown word
         "depth 1\n1 one\n2 2",  # bad value
         "depth 1\n1\n2 2",  # bad line
+        "depth 2\n11 0\n12 1\n11 0",  # a duplicated zero-valued word
     ],
 )
 def test_function_file_malformed(golden, text):
     with pytest.raises(MalformedInput):
         ss.parse_function_file(golden, text)
+
+
+@pytest.mark.parametrize(
+    "depth, words",
+    [
+        (2, ["11", "12", "22"]),  # the right line count, one unknown word in place of "21"
+        (2, ["11", "12", "2"]),  # a mixed-length table
+        (2, ["1", "11", "12"]),  # mixed, the first word too short to list the depth-2 words
+        (2, ["11", "1.2", "3.1"]),  # respelled and out-of-range words, not listed
+        (2, ["11", "21"]),  # one word missing
+        (0, ["1"]),
+        (0, []),
+    ],
+)
+def test_function_file_fails_as_the_constructor_does(golden, depth, words):
+    text = f"depth {depth}\n" + "".join(f"{w} 1\n" for w in words)
+    with pytest.raises(ss.SubshiftError) as expected:
+        ss.CylinderFunction(golden, depth, {ss.as_word(w): 1 for w in words})
+    with pytest.raises(ss.SubshiftError) as parsed:
+        ss.parse_function_file(golden, text)
+    assert (type(parsed.value), str(parsed.value)) == (type(expected.value), str(expected.value))
+
+
+_DEEP = "2" * 200_000  # a literal of the header's length that is not admissible on golden
+
+
+@pytest.mark.parametrize(
+    "parse, text, unknown",
+    [
+        (ss.parse_function_file, "depth 1000000000\n1 1\n", "1"),
+        (ss.parse_weight_file, "depth 1000000000\n1 1\ndomain 1\n1\n", "1"),
+        (ss.parse_function_file, f"depth 200000\n{_DEEP} 1\n", _DEEP),
+        (ss.parse_weight_file, f"depth 200000\n{_DEEP} 1\ndomain 1\n1\n", _DEEP),
+    ],
+    ids=["function", "weight", "function-inadmissible", "weight-inadmissible"],
+)
+def test_a_deep_header_is_refused_without_counting(golden, parse, text, unknown):
+    # N_k takes k steps to count; every word is checked before it is counted.
+    started = time.perf_counter()
+    with pytest.raises(MalformedInput, match=rf"unknown \['{unknown}'\]"):
+        parse(golden, text)
+    assert time.perf_counter() - started < 1
 
 
 def test_unknown_word_in_a_deep_function_file_is_named(golden):
@@ -293,6 +344,58 @@ def test_constructors_check_only_the_given_words(golden):
     with pytest.raises(MalformedInput, match=r"\['22'\]"):
         ss.DomainMask.from_words(golden, ["12", "22"])
     assert ss.DomainMask.full(golden, 3).is_full()
+
+
+@pytest.mark.parametrize(
+    "listing",
+    [
+        lambda A: ss.DomainMask.full(A, 40),
+        lambda A: ss.CylinderFunction.constant(A, 1, 40),
+        lambda A: ss.periodic_points(A, 40),
+        lambda A: list(ss.CylinderFunction.zero(A, 40).values),
+    ],
+    ids=["full mask", "constant", "periodic points", "values view"],
+)
+def test_full_listings_obey_the_work_limit(golden, listing):
+    # Depth 40 has 267,914,296 admissible words.
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitExceeded, match="MAX_FREENESS_ENTRIES"):
+        listing(golden)
+    assert time.perf_counter() - started < 1
+
+
+_SPELLINGS = ["0", "-0", "+3", "6/4", "0.5", "-.25", "-7/3", "12"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "drop", "replace"]))
+def test_parsed_files_match_the_constructor(seed, edit):
+    # A table on a random matrix (n <= 12), written with respelled words
+    # and values in shuffled order, parses to the function the validating
+    # constructor builds from the same pairs, or fails with its message.
+    rng = random.Random(seed)
+    A = random_matrix(rng, nmax=12)
+    k = rng.randint(1, 3 if A.n <= 6 else 2)
+    table = {w: rng.choice(_SPELLINGS) for w in ss.enumerate_words(A, k)}
+    if edit == "drop":
+        del table[rng.choice(list(table))]
+    elif edit == "replace":
+        other = tuple(rng.randint(1, A.n + 1) for _ in range(rng.choice([k, k, k + 1])))
+        if other not in table:
+            del table[rng.choice(list(table))]
+            table[other] = "12"
+    dotted = lambda w: ".".join(map(str, w)) + ("." if len(w) == 1 else "")
+    lines = [f"{rng.choice([ss.word_to_string(w)] * 3 + [dotted(w)])} {v}\n" for w, v in table.items()]
+    rng.shuffle(lines)
+    try:
+        expected = ss.CylinderFunction(A, k, table)
+    except MalformedInput as exc:
+        with pytest.raises(MalformedInput) as parsed:
+            ss.parse_function_file(A, f"depth {k}\n" + "".join(lines))
+        assert str(parsed.value) == str(exc)
+        return
+    f = ss.parse_function_file(A, f"depth {k}\n" + "".join(lines))
+    assert f.depth == k and f.nonzero == expected.nonzero
 
 
 _VALUES = st.sampled_from([0, 0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3)])

@@ -32,8 +32,25 @@ def test_word_string_round_trip():
     assert ss.word_from_string("10.2.1") == (10, 2, 1)
     assert ss.word_to_string((1, 2, 1)) == "121"
     assert ss.word_to_string((10, 2)) == "10.2"
-    with pytest.raises(MalformedInput):
-        ss.word_from_string("1a1")
+    assert ss.word_to_string((12,)) == "12." and ss.word_from_string("12.") == (12,)
+    assert ss.word_from_string("12") == (1, 2)  # a literal without dots: one digit per symbol
+    assert ss.word_to_string((1, 10)) == "1.10" and ss.word_to_string(()) == ""
+    assert ss.word_from_string("1.2") == (1, 2) and ss.word_from_string("1.") == (1,)  # respellings
+    for malformed in ["1a1", "1.2.", ".", "..", ".1", "1..2", "12..", "1.2..3"]:
+        with pytest.raises(MalformedInput, match="cannot parse word literal"):
+            ss.word_from_string(malformed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=8).map(tuple))
+@example((10,))
+@example((12,))
+@example((1, 2))
+def test_word_literals_round_trip_over_any_alphabet(w):
+    text = ss.word_to_string(w)
+    assert ss.word_from_string(text) == w
+    if all(s <= 9 for s in w):
+        assert text == "".join(map(str, w))  # alphabets up to 9 keep their bytes
 
 
 def test_is_admissible_examples(golden):
@@ -204,7 +221,7 @@ def test_literal_malformed(golden, bad):
 def test_one_sided_seq_reads_prefix_then_tail(golden):
     s = ss.one_sided_seq(golden, "211", "21")
     assert s.window(0, 7) == (2, 1, 1, 2, 1, 2, 1)
-    with pytest.raises(InadmissibleWord):
+    with pytest.raises(InadmissibleWord, match=r"point 22 \. \(1\)\^inf"):
         ss.one_sided_seq(golden, "22", "1")
     with pytest.raises(InadmissibleWord):  # the tail 2 wraps around through 2 -> 2
         ss.one_sided_seq(golden, "1", "2")

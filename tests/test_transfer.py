@@ -18,6 +18,7 @@ from subshift.errors import (
 from support import (
     brute_force_preimage_count,
     masked,
+    near_cycle,
     no_zero_row_matrices,
     random_function,
     random_fraction,
@@ -325,6 +326,12 @@ def test_weight_file_round_trip(golden):
     # The mask constructor rejects a domain word of the wrong length.
     with pytest.raises(MalformedInput, match=r"depth-2 words, got \['121'\]"):
         ss.parse_weight_file(golden, "depth 1\n1 1/2\n2 1\ndomain 2\n11\n121\n")
+    A = near_cycle(10)
+    U = ss.DomainMask.from_words(A, [(10,), (1,)])
+    rho = ss.Weight(ss.CylinderFunction(A, 1, {(s,): Fraction(1, s) for s in A.symbols}), U)
+    text = ss.format_weight_file(rho)
+    assert text.endswith("\n10. 1/10\ndomain 1\n1\n10.\n")
+    assert ss.parse_weight_file(A, text) == rho
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ from support import (
     brute_force_words,
     format1_as_format2,
     masked,
+    near_cycle,
     no_zero_row_matrices,
     random_function,
     random_matrix,
@@ -472,6 +473,21 @@ def test_analyze_formula_exhaustive_n2():
         v = ss.analyze(A)
         expected = ss.is_transitive(A) and not ss.is_cycle(A)
         assert (v.conclusion == ss.NOT_ISOMORPHIC) == expected
+        ss.verify_report(ss.render_report(v))
+
+
+def test_alphabets_past_nine_analyze_render_verify():
+    # Spot pairs, freeness tails and invariant periods name single symbols
+    # past 9, whose literals must read back as one symbol.
+    rng = random.Random(10)
+    matrices = [near_cycle(10)]
+    while len(matrices) < 4:
+        A = random_matrix(rng, nmax=12, nmin=10)
+        if ss.is_transitive(A) and not ss.is_cycle(A):
+            matrices.append(A)
+    for A in matrices:
+        v = ss.analyze(A, 2)
+        assert v.conclusion == ss.NOT_ISOMORPHIC
         ss.verify_report(ss.render_report(v))
 
 
