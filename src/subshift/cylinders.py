@@ -13,7 +13,8 @@ Tables from callers are checked by the constructor, the reference
 validator.  It reads only the words it was given: each key must be a
 word of the table's depth whose pairs lie in the matrix's stored edge
 set (``AdjacencyMatrix.edges``), and the number of keys must equal the
-admissible word count (``sequences.word_count``), so no word is listed.
+admissible word count, so no word is listed; counting stops once a
+length has more words than the table has keys (``_count_past``).
 ``DomainMask`` checks its member words the same way.  A function file is
 checked once, where it enters, by ``parse_function_file``: it makes the
 constructor's checks, with its messages, but reads each word literal of
@@ -22,8 +23,8 @@ no larger than the file) and converts each distinct value text once.
 Parsed files and the functions the engine derives are built by
 ``CylinderFunction.from_nonzero`` (or by ``tabulate`` from a rule on
 every word) and are not checked again.  Listing every word of a depth
-(a nonzero ``constant``, ``DomainMask.full``, iterating ``values``,
-writing a file) obeys ``require_work_limit``.
+(``tabulate``, a nonzero ``constant``, ``DomainMask.full``, iterating
+``values``, writing a file) is ``sequences.list_words``, under the work limit.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ from .sequences import (
     as_word,
     enumerate_words,
     extend_words,
+    list_words,
     require_admissible,
     require_work_limit,
     word_count,
+    word_counts,
     word_from_string,
     word_to_string,
 )
@@ -94,17 +97,29 @@ def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> lis
     return sorted(word_to_string(w) for w in words if not _is_word(A, depth, w))
 
 
+def _count_past(A: AdjacencyMatrix, k: int, size: int) -> tuple[int, int]:
+    """(l, N_l) for the first length l < k with N_l > size, else (k, N_k).
+    Counts never fall, so N_k > size once N_l is: counting stops there,
+    at a count of at most n * size, and a deep depth is not counted through."""
+    for length, count in zip(range(1, k + 1), word_counts(A)):
+        if count > size:
+            break
+    return length, count
+
+
 def _require_every_word(A: AdjacencyMatrix, k: int, unchecked: Iterable[Word], size: int) -> None:
     """MalformedInput unless a table with `size` distinct keys holds every
     admissible depth-k word and nothing else, given that its keys outside
     `unchecked` are such words.  The keys are checked before N_k is
-    counted, so a deep depth with a wrong word is refused at once."""
+    counted, so a deep depth with a wrong word is refused at once, and
+    counting stops once it passes `size` (``_count_past``)."""
     unknown = _unknown_words(A, k, unchecked)
     if unknown:
         raise MalformedInput(f"table words must be admissible depth-{k} words (unknown {unknown})")
     # Every key is an admissible depth-k word, so equal counts mean equal sets.
-    missing = word_count(A, k) - size if size else "all"
-    if missing:
+    length, count = _count_past(A, k, size)
+    if count > size:
+        missing = f"{'' if length == k else 'at least '}{count - size}" if size else "all"
         raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
 
 
@@ -132,8 +147,7 @@ class CylinderValues(Mapping):
         raise KeyError(w)
 
     def __iter__(self) -> Iterator[Word]:
-        require_work_limit(self.matrix, self.depth)
-        return iter(enumerate_words(self.matrix, self.depth))
+        return iter(list_words(self.matrix, self.depth))
 
     def __len__(self) -> int:
         return word_count(self.matrix, self.depth)
@@ -180,20 +194,16 @@ class CylinderFunction:
 
     @classmethod
     def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
-        """rule(w) on every admissible depth-`depth` word w; valid by construction, unchecked.
-        WorkLimitExceeded if listing the words is past the work limit (``require_work_limit``)."""
-        require_work_limit(A, depth)
-        table = {w: v for w in enumerate_words(A, depth) if (v := _as_fraction(rule(w)))}
+        """rule(w) on every admissible depth-`depth` word w (``list_words``); valid by construction."""
+        table = {w: v for w in list_words(A, depth) if (v := _as_fraction(rule(w)))}
         return cls.from_nonzero(A, depth, table)
 
     @classmethod
     def constant(cls, A: AdjacencyMatrix, value, depth: int = 1) -> "CylinderFunction":
         """The function `value` everywhere; a nonzero one stores, so lists, every
-        depth-`depth` word (``require_work_limit``)."""
+        depth-`depth` word (``list_words``)."""
         c = _as_fraction(value)
-        if c:
-            require_work_limit(A, depth)
-        return cls.from_nonzero(A, depth, dict.fromkeys(enumerate_words(A, depth), c) if c else {})
+        return cls.from_nonzero(A, depth, dict.fromkeys(list_words(A, depth), c) if c else {})
 
     @classmethod
     def zero(cls, A: AdjacencyMatrix, depth: int = 1) -> "CylinderFunction":
@@ -361,9 +371,8 @@ class DomainMask:
 
     @classmethod
     def full(cls, A: AdjacencyMatrix, depth: int = 1) -> "DomainMask":
-        """The whole space, as every depth-`depth` word (``require_work_limit``)."""
-        require_work_limit(A, depth)
-        return cls(A, depth, frozenset(enumerate_words(A, depth)))
+        """The whole space, as every depth-`depth` word (``list_words``)."""
+        return cls(A, depth, frozenset(list_words(A, depth)))
 
     @classmethod
     def empty(cls, A: AdjacencyMatrix, depth: int = 1) -> "DomainMask":
@@ -398,7 +407,7 @@ class DomainMask:
         return not self.members
 
     def is_full(self) -> bool:
-        return len(self.members) == word_count(self.matrix, self.depth)
+        return _count_past(self.matrix, self.depth, len(self.members)) == (self.depth, len(self.members))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DomainMask):
@@ -440,7 +449,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     k = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
     if k is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
-    count = None  # N_k, counted once a line names an admissible depth-k word
+    count = None  # _count_past up to the line count, once a line names an admissible depth-k word
     spelled: dict[str, Word] = {}  # every depth-k word by its literal, once the file may list them all
     unchecked: list[Word] = []
     table: dict[Word, str] = {}
@@ -453,8 +462,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
             word = word_from_string(parts[0])
             unchecked.append(word)
             if count is None and _is_word(A, k, word):
-                count = word_count(A, k)
-                if count == len(lines) - 1:
+                count = _count_past(A, k, len(lines) - 1)
+                if count == (k, len(lines) - 1):  # N_k lines: the listing is no larger than the file
                     spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
@@ -467,11 +476,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 
 def format_function_file(f: CylinderFunction) -> str:
-    """The function table format of f, every word listed (``require_work_limit``)."""
-    require_work_limit(f.matrix, f.depth)
+    """The function table format of f, every word listed (``list_words``)."""
     lines = [f"depth {f.depth}"]
     nonzero = f.nonzero
-    lines.extend(
-        f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in enumerate_words(f.matrix, f.depth)
-    )
+    lines.extend(f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in list_words(f.matrix, f.depth))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ For a transitive matrix whose graph is not a cycle this module builds:
 Every certificate re-verifies itself from its stored data alone via
 ``verify``; construction runs ``verify`` before returning.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
-A depth-j table is refused when listing its words is (``require_work_limit``).
+A depth-j table lists its words by ``list_words``, so the work limit refuses it.
 """
 
 from __future__ import annotations
@@ -47,24 +47,24 @@ from .sequences import (
     MAX_FREENESS_ENTRIES,  # the README documents subshift.freeness.MAX_FREENESS_ENTRIES
     EventuallyPeriodicSeq,
     OneSidedPoint,
-    as_word,
     contains_word,
     enumerate_words,
+    list_words,
     periodic_seq,
     require_admissible,
-    require_work_limit,
     word_count,
     word_from_string,
     word_to_string,
 )
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean"}
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
 
 
 def json_field(data: dict, kind: type, *path: str):
-    """The field at the key `path` of `data` as a JSON `kind`, int or bool,
-    never coerced: a float or a boolean is no integer, 0 or "x" no boolean."""
+    """The field at the key `path` of `data` as a JSON `kind`, int, bool or str,
+    never coerced: a float or a boolean is no integer, 0 or "x" no boolean,
+    and an array of symbols no word literal."""
     value = data
     for key in path:
         value = value[key]
@@ -121,9 +121,9 @@ class InvariantSetCertificate:
         exact_keys(data, _INVARIANT_KEYS)
         return cls(
             A,
-            as_word(data["word"]),
-            EventuallyPeriodicSeq.from_literal(A, data["member"]),
-            EventuallyPeriodicSeq.from_literal(A, data["non_member"]),
+            word_from_string(json_field(data, str, "word")),
+            EventuallyPeriodicSeq.from_literal(A, json_field(data, str, "member")),
+            EventuallyPeriodicSeq.from_literal(A, json_field(data, str, "non_member")),
         )
 
 
@@ -159,13 +159,8 @@ class MinimalityWitness:
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "MinimalityWitness":
         exact_keys(data, _MINIMALITY_KEYS)
-        return cls(
-            A,
-            as_word(data["from"]),
-            as_word(data["to"]),
-            as_word(data["prefix"]),
-            json_field(data, int, "shifts"),
-        )
+        start, target, prefix = (word_from_string(json_field(data, str, k)) for k in ("from", "to", "prefix"))
+        return cls(A, start, target, prefix, json_field(data, int, "shifts"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +182,9 @@ def _format1_entry(A: AdjacencyMatrix, i: int, w: Word, data: dict) -> dict:
     point w . (w[i:])^inf, null without the junction edge, must be exactly
     what the format-2 entry implies."""
     exact_keys(data, _FORMAT1_ENTRY_KEYS)
-    witness, forced = EventuallyPeriodicSeq.from_literal(A, data["witness"]), data["forced"]
-    if data["word"] != word_to_string(w) or (witness.origin, witness.core) != (0, w):
+    witness = EventuallyPeriodicSeq.from_literal(A, json_field(data, str, "witness"))
+    forced = None if data["forced"] is None else json_field(data, str, "forced")
+    if json_field(data, str, "word") != word_to_string(w) or (witness.origin, witness.core) != (0, w):
         raise CertificateInvalid("word or witness literal does not start with the entry's word")
     if forced is not None:
         forced = EventuallyPeriodicSeq.from_literal(A, forced)
@@ -241,7 +237,7 @@ class FreenessCertificate:
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         words = [e.word for e in self.entries]
-        if len(words) != word_count(A, j) or words != enumerate_words(A, j):
+        if len(words) != word_count(A, j) or words != enumerate_words(A, j):  # counted first: no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, e in enumerate(self.entries):
@@ -271,11 +267,11 @@ class FreenessCertificate:
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if len(rows) != word_count(A, j):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, entries = enumerate_words(A, j), []
+        words, entries = enumerate_words(A, j), []  # as many words as the rows just counted
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 row = _format1_entry(A, i, w, row) if report_format == 1 else exact_keys(row, _ENTRY_KEYS)
-                witness = OneSidedPoint(A, w, word_from_string(row["tail"]))
+                witness = OneSidedPoint(A, w, word_from_string(json_field(row, str, "tail")))
                 entries.append(FreenessEntry(witness, json_field(row, int, "differs_at")))
         return cls(A, i, j, tuple(entries))
 
@@ -366,11 +362,10 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    require_work_limit(A, j)
     # A shortest path depends only on its two ends: one search per pair, n^2 at most.
     path = cache(lambda start, end: find_path(A, start, end))
     entries = []
-    for w in enumerate_words(A, j):
+    for w in list_words(A, j):
         junction = (w[-1], w[i]) in A.edges
         tail = _diverting_tail(A, w[i:], path) if junction else path(w[-1], w[-1])[1:]
         witness = OneSidedPoint(A, w, tail)

@@ -30,8 +30,10 @@ class AdjacencyMatrix:
 
     Rows index the current symbol, columns the next one.  Every row must
     contain a 1 so the shift map is defined on every point; zero columns
-    are allowed (the shift is then not onto).  `edges` holds the pairs
-    (i, j) with entry 1; ``admits`` reads it for every admissibility test.
+    are allowed (the shift is then not onto).  Every entry must be the
+    int 0 or 1: a bool, a float or a string is refused, never converted.
+    `edges` holds the pairs (i, j) with entry 1; ``admits`` reads it for
+    every admissibility test.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -46,7 +48,7 @@ class AdjacencyMatrix:
         for r, row in enumerate(self.rows, start=1):
             if len(row) != n:
                 raise MalformedInput(f"row {r} has {len(row)} entries, expected {n}")
-            if any(b not in (0, 1) for b in row):
+            if any(type(b) is not int or b not in (0, 1) for b in row):
                 raise MalformedInput(f"row {r} contains a non-bit entry")
             if 1 not in row:
                 raise ZeroRow(f"symbol {r} has no successor")
@@ -59,7 +61,7 @@ class AdjacencyMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
-        return cls(tuple(tuple(int(b) for b in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:

@@ -10,6 +10,9 @@ Every proof witness needed here is eventually periodic, so these
 representations are complete for the certificates this package produces.
 Words are listed and refined by ``extend_words``; ``require_work_limit``
 counts, listing nothing, what a build would make and refuses it past the limit.
+Every full listing of a length's words is ``list_words``, which it guards;
+``enumerate_words`` lists unguarded, for callers whose input bounds the
+listing.  Every check reads the limit from this module's binding.
 """
 
 from __future__ import annotations
@@ -142,14 +145,20 @@ def require_work_limit(
         limit = f"over {MAX_FREENESS_ENTRIES} entries (subshift.freeness.MAX_FREENESS_ENTRIES)"
         raise WorkLimitExceeded(f"{work or f'listing the length-{depth} words would build'} {limit}")
 
+
+def list_words(A: AdjacencyMatrix, k: int) -> list[Word]:
+    """``enumerate_words(A, k)``, refused first if ``require_work_limit(A, k)`` refuses it."""
+    require_work_limit(A, k)
+    return enumerate_words(A, k)
+
+
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     """Words w of length p with every consecutive edge and the wrap edge
     A(w_p, w_1); each names the period-p point w repeated forever.  The
-    length-p words are listed, so ``require_work_limit`` applies."""
+    length-p words are listed (``list_words``)."""
     if p < 1:
         raise DepthZero("period must be at least 1")
-    require_work_limit(A, p)
-    return [w for w in enumerate_words(A, p) if (w[-1], w[0]) in A.edges]
+    return [w for w in list_words(A, p) if (w[-1], w[0]) in A.edges]
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,8 +33,9 @@ from .freeness import (
     located,
     minimality_witness,
 )
+from . import sequences
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
-from .sequences import MAX_FREENESS_ENTRIES, enumerate_words, require_work_limit, word_count
+from .sequences import enumerate_words, require_work_limit, word_count
 
 NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
@@ -93,7 +94,7 @@ def _freeness_pairs(depth_budget: int) -> list[tuple[int, int]]:
 
 def _minimality_spot_pairs(A: AdjacencyMatrix):
     words = []
-    for depth in _MINIMALITY_SPOT_DEPTHS:
+    for depth in _MINIMALITY_SPOT_DEPTHS:  # callers compare _minimality_spot_count first
         words.extend(enumerate_words(A, depth))
     return [(w, z) for w in words for z in words]
 
@@ -144,9 +145,9 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     if v.conclusion == INCONCLUSIVE:
         return v
     require_work_limit(A, depth_budget, work="freeness tables would hold")  # j tables of depth j
-    if _minimality_spot_count(A) > MAX_FREENESS_ENTRIES:
+    if _minimality_spot_count(A) > (limit := sequences.MAX_FREENESS_ENTRIES):
         raise WorkLimitExceeded(
-            f"minimality would need over {MAX_FREENESS_ENTRIES} spot witnesses"
+            f"minimality would need over {limit} spot witnesses"
             " (subshift.freeness.MAX_FREENESS_ENTRIES)"
         )
     return replace(

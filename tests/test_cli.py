@@ -197,6 +197,19 @@ def test_work_past_the_limit_exits_2_at_once(golden_file, tmp_path, capsys, argv
     assert err.startswith("error:") and "MAX_FREENESS_ENTRIES" in err and "Traceback" not in err
 
 
+def test_a_deep_admissible_weight_file_exits_2_at_once(golden_file, tmp_path, capsys):
+    # The literal has the header's length and golden admits it; N_200000 is
+    # never counted, so the missing words are bounded from below.
+    deep = write(tmp_path, "deep", "depth 200000\n" + "1" * 200_000 + " 1\n")
+    f = write(tmp_path, "f", ONES_FUNCTION)
+    started = time.perf_counter()
+    assert main(["transfer", "apply", golden_file, deep, f]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table must cover") and "missing at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_minimality_witnesses_are_counted_before_they_are_built(tmp_path, capsys):
     # The cycle 1 -> 2 -> ... -> 500 -> 1 plus a loop at 1: 500 + 501 words of
     # length 1 and 2 ask for 1,002,001 spot witnesses, while the freeness

@@ -322,6 +322,39 @@ def test_a_deep_header_is_refused_without_counting(golden, parse, text, unknown)
     assert time.perf_counter() - started < 1
 
 
+_ADMISSIBLE_DEEP = "1" * 200_000  # a literal of the header's length that golden admits
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda A: ss.parse_function_file(A, f"depth 200000\n{_ADMISSIBLE_DEEP} 1\n"),
+        lambda A: ss.parse_weight_file(A, f"depth 200000\n{_ADMISSIBLE_DEEP} 1\n"),
+        lambda A: ss.CylinderFunction(A, 200_000, {(1,) * 200_000: 1}),
+    ],
+    ids=["function", "weight", "constructor"],
+)
+def test_a_deep_table_of_admissible_words_is_not_counted_through(golden, build):
+    # N_200000 has over 40,000 digits; counting stops at N_1 = 2, past the one line.
+    started = time.perf_counter()
+    with pytest.raises(MalformedInput, match=r"missing at least 1\)"):
+        build(golden)
+    assert time.perf_counter() - started < 1
+
+
+def test_missing_counts_are_exact_at_the_depth_and_bounds_before_it(golden):
+    # Golden N_1..N_3 = 2, 3, 5: two depth-3 words pass N_2 = 3 before depth 3.
+    with pytest.raises(MalformedInput, match=r"missing at least 1\)"):
+        ss.parse_function_file(golden, "depth 3\n111 1\n112 1\n")
+    with pytest.raises(MalformedInput, match=r"missing 2\)"):
+        ss.parse_function_file(golden, "depth 3\n111 1\n112 1\n121 1\n")
+    started = time.perf_counter()
+    assert not ss.DomainMask(golden, 200_000, frozenset()).is_full()
+    assert ss.DomainMask.full(golden, 5).is_full()
+    assert not ss.DomainMask.from_words(golden, ["111", "112", "121", "211"]).is_full()
+    assert time.perf_counter() - started < 1
+
+
 def test_unknown_word_in_a_deep_function_file_is_named(golden):
     text = ss.format_function_file(ss.CylinderFunction.constant(golden, 1, 18))
     unknown = "2" * 18

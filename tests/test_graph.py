@@ -185,6 +185,15 @@ def test_matrix_rejects_bad_rows():
         ss.AdjacencyMatrix.from_rows([[1, 1], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "rows", [[[0.5, 1], [1, 0]], [[1.0, 1], [1, 0]], [[True, 1], [1, 0]], ["11", "10"], [[1, "1"], [1, 0]]]
+)
+def test_matrix_entries_are_the_integers_0_and_1(rows):
+    # int() would truncate 0.5 to 0 and read "1" as 1; nothing is converted.
+    with pytest.raises(MalformedInput, match="row 1 contains a non-bit entry"):
+        ss.AdjacencyMatrix.from_rows(rows)
+
+
 def test_shortest_cycle_avoiding_exhaustive_n3():
     for n in (1, 2, 3):
         for A in no_zero_row_matrices(n):

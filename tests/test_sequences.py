@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from itertools import islice
 
@@ -13,6 +15,7 @@ from subshift.errors import (
     SymbolOutOfRange,
     WorkLimitExceeded,
 )
+from subshift.cli import main
 from subshift.sequences import extend_words, require_work_limit, word_count, word_counts
 from support import (
     brute_force_admissible,
@@ -121,6 +124,54 @@ def test_work_limit_refuses_exactly_past_the_symbols_built(monkeypatch):
                 require_work_limit(A, depth, words)
         else:
             require_work_limit(A, depth, words)
+
+
+def _words_verb(A, k, tmp_path):
+    path = tmp_path / "A.mat"
+    path.write_text(f"{A.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in A.rows))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        if main(["words", str(path), str(k)]) == 2:
+            raise WorkLimitExceeded(err.getvalue())
+
+
+_FULL_LISTINGS = {
+    "words verb": _words_verb,
+    "values view": lambda A, k, _: list(ss.CylinderFunction.zero(A, k).values),
+    "tabulate": lambda A, k, _: ss.CylinderFunction.tabulate(A, k, lambda w: 1),
+    "constant": lambda A, k, _: ss.CylinderFunction.constant(A, 1, k),
+    "full mask": lambda A, k, _: ss.DomainMask.full(A, k),
+    "function file": lambda A, k, _: ss.format_function_file(ss.CylinderFunction.zero(A, k)),
+    "freeness table": lambda A, k, _: ss.freeness_certificate(A, 0, k),
+    "periodic points": lambda A, k, _: ss.periodic_points(A, k),
+    "zero set": lambda A, k, _: ss.zero_set(ss.Weight.full(ss.CylinderFunction.zero(A, k))),
+}
+
+
+@pytest.mark.parametrize("listing", _FULL_LISTINGS.values(), ids=_FULL_LISTINGS)
+@pytest.mark.parametrize("limit", [30, 100])
+def test_full_listings_read_the_one_limit(golden, full2, listing, limit, monkeypatch, tmp_path):
+    # Sums of j * N_j for lengths 1..6: golden 2, 8, 23, 55, 120, 246; full2 2, 10, 34, 98, 258, 642.
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", limit)
+    for A in (golden, full2):
+        for k in range(1, 7):
+            try:
+                require_work_limit(A, k)
+            except WorkLimitExceeded:
+                with pytest.raises(WorkLimitExceeded, match=f"over {limit} entries .*MAX_FREENESS_ENTRIES"):
+                    listing(A, k, tmp_path)
+            else:
+                listing(A, k, tmp_path)
+
+
+def test_analyze_counts_spot_witnesses_against_the_one_limit(golden, monkeypatch):
+    # Golden has 2 + 3 words of lengths 1 and 2, so 25 spot witnesses; its
+    # depth-2 freeness tables hold 2 + 2 * 3 = 8 entries, under either limit.
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 24)
+    with pytest.raises(WorkLimitExceeded, match="minimality would need over 24 spot witnesses"):
+        ss.analyze(golden, 2)
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 25)
+    assert len(ss.analyze(golden, 2).minimality) == 25
 
 
 def test_periodic_points_examples(golden, swap2):

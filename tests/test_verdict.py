@@ -444,6 +444,49 @@ def test_verify_report_rejects_keys_to_dict_never_writes(golden, path, key, valu
     assert str(failure.value) == message
 
 
+def test_report_matrix_entries_are_json_bits(golden):
+    # Truncating each entry read [[1.9, 1], [1, 0.2]] as golden.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    doc["matrix"]["rows"] = [[1.9, 1], [1, 0.2]]
+    for check in (ss.parse_report, ss.verify_report):
+        with pytest.raises(MalformedInput, match="non-bit entry"):
+            check(json.dumps(doc))
+
+
+# Each literal field with its place; entry 2 of table 4, (i, j) = (1, 3), is [121].
+_LITERAL_FIELDS = {
+    "word": (("invariant_set", "word"), "certificates.invariant_set: "),
+    "member": (("invariant_set", "member"), "certificates.invariant_set: "),
+    "non_member": (("invariant_set", "non_member"), "certificates.invariant_set: "),
+    "from": (("minimality", 1, "from"), "certificates.minimality[1]: "),
+    "to": (("minimality", 1, "to"), "certificates.minimality[1]: "),
+    "prefix": (("minimality", 1, "prefix"), "certificates.minimality[1]: "),
+    "tail": (("freeness", 4, "entries", 2, "tail"), "certificates.freeness[4] (i=1, j=3).entries[2] [121]: "),
+    "format1-word": (("freeness", 4, "entries", 2, "word"), "certificates.freeness[4] (i=1, j=3).entries[2] [121]: "),
+    "format1-witness": (("freeness", 4, "entries", 2, "witness"), "certificates.freeness[4] (i=1, j=3).entries[2] [121]: "),
+    "format1-forced": (("freeness", 4, "entries", 2, "forced"), "certificates.freeness[4] (i=1, j=3).entries[2] [121]: "),
+}
+_NON_STRINGS = {
+    # A word as its array of symbols, a sequence literal as a one-string array.
+    "array": lambda text: list(map(int, text)) if text.isdecimal() else [text],
+    "integer": lambda text: int(text) if text.isdecimal() else 1,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NON_STRINGS))
+@pytest.mark.parametrize("field", list(_LITERAL_FIELDS))
+def test_report_literals_must_be_json_strings(golden, field, kind):
+    (*path, key), place = _LITERAL_FIELDS[field]
+    doc = json.loads(format1_text("golden_d4") if field.startswith("format1") else ss.render_report(ss.analyze(golden, 3)))
+    node = doc["certificates"]
+    for step in path:
+        node = node[step]
+    node[key] = _NON_STRINGS[kind](node[key])
+    with pytest.raises(MalformedInput) as failure:
+        ss.verify_report(json.dumps(doc))
+    assert str(failure.value).startswith(f"{place}{key} must be a JSON string, got ")
+
+
 def test_format1_entries_hold_exactly_their_four_keys():
     doc = json.loads(format1_text("golden_d4"))
     entry = doc["certificates"]["freeness"][0]["entries"][0]
