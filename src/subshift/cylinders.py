@@ -14,7 +14,7 @@ validator.  It reads only the words it was given: each key must be a
 word of the table's depth whose pairs lie in the matrix's stored edge
 set (``AdjacencyMatrix.edges``), and the number of keys must equal the
 admissible word count, so no word is listed; counting stops once a
-length has more words than the table has keys (``_count_past``).
+length has more words than the table has keys (``sequences.count_past``).
 ``DomainMask`` checks its member words the same way.  A function file is
 checked once, where it enters, by ``parse_function_file``: it makes the
 constructor's checks, with its messages, but reads each word literal of
@@ -30,6 +30,7 @@ every word) and are not checked again.  Listing every word of a depth
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,19 +42,19 @@ from .errors import (
     ShallowerDepth,
     SymbolOutOfRange,
     TooShort,
+    WorkLimitExceeded,
 )
 from .graph import AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
     OneSidedPoint,
     as_word,
+    count_past,
     enumerate_words,
     extend_words,
     list_words,
     require_admissible,
     require_work_limit,
-    word_count,
-    word_counts,
     word_from_string,
     word_to_string,
 )
@@ -97,27 +98,17 @@ def _unknown_words(A: AdjacencyMatrix, depth: int, words: Iterable[Word]) -> lis
     return sorted(word_to_string(w) for w in words if not _is_word(A, depth, w))
 
 
-def _count_past(A: AdjacencyMatrix, k: int, size: int) -> tuple[int, int]:
-    """(l, N_l) for the first length l < k with N_l > size, else (k, N_k).
-    Counts never fall, so N_k > size once N_l is: counting stops there,
-    at a count of at most n * size, and a deep depth is not counted through."""
-    for length, count in zip(range(1, k + 1), word_counts(A)):
-        if count > size:
-            break
-    return length, count
-
-
 def _require_every_word(A: AdjacencyMatrix, k: int, unchecked: Iterable[Word], size: int) -> None:
     """MalformedInput unless a table with `size` distinct keys holds every
     admissible depth-k word and nothing else, given that its keys outside
     `unchecked` are such words.  The keys are checked before N_k is
     counted, so a deep depth with a wrong word is refused at once, and
-    counting stops once it passes `size` (``_count_past``)."""
+    counting stops once it passes `size` (``count_past``)."""
     unknown = _unknown_words(A, k, unchecked)
     if unknown:
         raise MalformedInput(f"table words must be admissible depth-{k} words (unknown {unknown})")
     # Every key is an admissible depth-k word, so equal counts mean equal sets.
-    length, count = _count_past(A, k, size)
+    length, count = count_past(A, k, size)
     if count > size:
         missing = f"{'' if length == k else 'at least '}{count - size}" if size else "all"
         raise MalformedInput(f"table must cover every admissible depth-{k} word (missing {missing})")
@@ -127,7 +118,8 @@ class CylinderValues(Mapping):
     """The total table of a depth-k function, read from its nonzero entries.
 
     Iteration lists every admissible depth-k word in lexicographic order
-    and ``len`` is their count; an admissible word that is not stored
+    and ``len`` is their count, WorkLimitExceeded past ``sys.maxsize``,
+    which len() cannot return; an admissible word that is not stored
     reads Fraction(0), and any other key raises KeyError.
     """
 
@@ -150,7 +142,10 @@ class CylinderValues(Mapping):
         return iter(list_words(self.matrix, self.depth))
 
     def __len__(self) -> int:
-        return word_count(self.matrix, self.depth)
+        count = count_past(self.matrix, self.depth, sys.maxsize)[1]
+        if count > sys.maxsize:
+            raise WorkLimitExceeded(f"the depth-{self.depth} words number over {sys.maxsize}")
+        return count
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -407,7 +402,7 @@ class DomainMask:
         return not self.members
 
     def is_full(self) -> bool:
-        return _count_past(self.matrix, self.depth, len(self.members)) == (self.depth, len(self.members))
+        return count_past(self.matrix, self.depth, len(self.members)) == (self.depth, len(self.members))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DomainMask):
@@ -449,7 +444,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     k = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
     if k is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
-    count = None  # _count_past up to the line count, once a line names an admissible depth-k word
+    count = None  # count_past up to the line count, once a line names an admissible depth-k word
     spelled: dict[str, Word] = {}  # every depth-k word by its literal, once the file may list them all
     unchecked: list[Word] = []
     table: dict[Word, str] = {}
@@ -462,7 +457,7 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
             word = word_from_string(parts[0])
             unchecked.append(word)
             if count is None and _is_word(A, k, word):
-                count = _count_past(A, k, len(lines) - 1)
+                count = count_past(A, k, len(lines) - 1)
                 if count == (k, len(lines) - 1):  # N_k lines: the listing is no larger than the file
                     spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
         if word in table:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import (
     BadExponents,
@@ -48,11 +47,11 @@ from .sequences import (
     EventuallyPeriodicSeq,
     OneSidedPoint,
     contains_word,
+    count_past,
     enumerate_words,
     list_words,
     periodic_seq,
     require_admissible,
-    word_count,
     word_from_string,
     word_to_string,
 )
@@ -237,7 +236,7 @@ class FreenessCertificate:
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         words = [e.word for e in self.entries]
-        if len(words) != word_count(A, j) or words != enumerate_words(A, j):  # counted first: no more than stored
+        if count_past(A, j, len(words)) != (j, len(words)) or words != enumerate_words(A, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, e in enumerate(self.entries):
@@ -265,7 +264,7 @@ class FreenessCertificate:
         to the k-th depth-j word, listed once the entry count matches."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
-        if len(rows) != word_count(A, j):
+        if count_past(A, j, len(rows)) != (j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         words, entries = enumerate_words(A, j), []  # as many words as the rows just counted
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
@@ -313,7 +312,8 @@ def _avoiding_point(A: AdjacencyMatrix, cycle_word: Word) -> EventuallyPeriodicS
     # cycle word's symbols.  Route through one such symbol and return:
     # the resulting period visits the start symbol exactly once, too far
     # apart for r = cycle_word + start to occur.
-    outside = [y for y in A.symbols if y not in set(cycle_word)]
+    used = set(cycle_word)
+    outside = [y for y in A.symbols if y not in used]
     if not outside:
         raise GraphIsCycle("no symbol can be avoided; the graph is a cycle")
     x1 = cycle_word[0]
@@ -362,12 +362,10 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    # A shortest path depends only on its two ends: one search per pair, n^2 at most.
-    path = cache(lambda start, end: find_path(A, start, end))
     entries = []
     for w in list_words(A, j):
         junction = (w[-1], w[i]) in A.edges
-        tail = _diverting_tail(A, w[i:], path) if junction else path(w[-1], w[-1])[1:]
+        tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
         witness = OneSidedPoint(A, w, tail)
         c = _tail_difference(witness, i, j)  # None fails verify: the witness equalizes
         entries.append(FreenessEntry(witness, 0 if c is None else c + 1))
@@ -376,17 +374,18 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     return cert
 
 
-def _diverting_tail(A: AdjacencyMatrix, r: Word, path: Callable[[int, int], Word]) -> Word:
+def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
     """A period word starting at r[0], ending next to it like r does, that
-    differs from the pure repetition of r; `path` is ``find_path`` over A.
+    differs from the pure repetition of r.
 
     Prefers a trip through a symbol absent from r; when r exhausts the
     alphabet it leaves r's cycle along some extra edge, which the
     non-cycle hypothesis provides.
     """
-    outside = [y for y in A.symbols if y not in set(r)]
+    used = set(r)
+    outside = [y for y in A.symbols if y not in used]
     if outside:
-        return path(r[0], outside[0]) + path(outside[0], r[-1])[1:]
+        return find_path(A, r[0], outside[0]) + find_path(A, outside[0], r[-1])[1:]
     k = len(r)
     for idx in range(k):
         follow = r[(idx + 1) % k]
@@ -395,5 +394,5 @@ def _diverting_tail(A: AdjacencyMatrix, r: Word, path: Callable[[int, int], Word
                 continue
             if b == r[-1]:
                 return r[: idx + 1] + (b,)
-            return r[: idx + 1] + (b,) + path(b, r[-1])[1:]
+            return r[: idx + 1] + (b,) + find_path(A, b, r[-1])[1:]
     raise GraphIsCycle("no diverting edge found; the graph is a cycle")

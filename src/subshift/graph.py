@@ -10,7 +10,11 @@ Each matrix stores its edge set, which decides admissibility
 (``AdjacencyMatrix.admits``), and its neighbour tuples once, at
 construction.  Every path question is answered by one breadth-first
 search (``_distances``) and one greedy reconstruction of the
-lexicographically smallest shortest walk (``_shortest_walk``).
+lexicographically smallest shortest walk (``_shortest_walk``).  Each
+matrix answers ``find_path`` for a pair of symbols, and ``is_transitive``,
+once: the answer is kept in the matrix's private table and read back on
+every later call, so one matrix runs at most n^2 ``find_path`` searches
+however many certificates ask.
 """
 
 from __future__ import annotations
@@ -33,13 +37,15 @@ class AdjacencyMatrix:
     are allowed (the shift is then not onto).  Every entry must be the
     int 0 or 1: a bool, a float or a string is refused, never converted.
     `edges` holds the pairs (i, j) with entry 1; ``admits`` reads it for
-    every admissibility test.
+    every admissibility test.  `_answers` keeps each ``find_path`` and
+    ``is_transitive`` answer, filled as they are first asked.
     """
 
     rows: tuple[tuple[int, ...], ...]
     edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _successors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
     _predecessors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    _answers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.rows)
@@ -58,6 +64,7 @@ class AdjacencyMatrix:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_successors", succ)
         object.__setattr__(self, "_predecessors", pred)
+        object.__setattr__(self, "_answers", {})
 
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
@@ -155,13 +162,17 @@ def is_transitive(A: AdjacencyMatrix) -> bool:
 
     With no zero rows this is strong connectivity: a closed walk at i
     leaves along any edge i -> u and comes back along a path u -> i.  So
-    one forward and one backward search from symbol 1 decide it.
+    one forward and one backward search from symbol 1 decide it, once
+    per matrix.
     """
-    everything = frozenset(A.symbols)
-    return all(
-        len(_distances(step, (1,), everything)) == A.n
-        for step in (A._successors, A._predecessors)
-    )
+    answer = A._answers.get("transitive")
+    if answer is None:
+        everything = frozenset(A.symbols)
+        answer = A._answers["transitive"] = all(
+            len(_distances(step, (1,), everything)) == A.n
+            for step in (A._successors, A._predecessors)
+        )
+    return answer
 
 
 def _distances(
@@ -207,11 +218,16 @@ def find_path(A: AdjacencyMatrix, i: int, j: int) -> Word:
 
     The result starts with i, ends with j, and among shortest candidates is
     the lexicographically smallest; a self-loop at i gives find_path(i, i)
-    = (i, i).  Raises NoPath when i cannot reach j.
+    = (i, i).  Raises NoPath when i cannot reach j, on every call.  The
+    search runs once per pair and matrix; later calls read its answer.
     """
     A.check_symbol(i)
     A.check_symbol(j)
-    walk = _shortest_walk(A, i, (j,), frozenset(A.symbols))
+    try:
+        walk = A._answers[i, j]
+    except KeyError:
+        # int(i): a bool that passes check_symbol must not start the stored walk.
+        walk = A._answers[i, j] = _shortest_walk(A, int(i), (j,), frozenset(A.symbols))
     if walk is None:
         raise NoPath(f"no path from {i} to {j}")
     return walk

@@ -9,7 +9,8 @@ with an origin marking coordinate 0; points of the one-sided space by
 Every proof witness needed here is eventually periodic, so these
 representations are complete for the certificates this package produces.
 Words are listed and refined by ``extend_words``; ``require_work_limit``
-counts, listing nothing, what a build would make and refuses it past the limit.
+counts, listing nothing, what a build would make and refuses it past the limit,
+and ``count_past`` counts no further than the size a count is compared with.
 Every full listing of a length's words is ``list_words``, which it guards;
 ``enumerate_words`` lists unguarded, for callers whose input bounds the
 listing.  Every check reads the limit from this module's binding.
@@ -127,6 +128,18 @@ def word_count(A: AdjacencyMatrix, k: int) -> int:
     if k < 1:
         raise DepthZero("word length must be at least 1")
     return next(islice(word_counts(A), k - 1, None))
+
+
+def count_past(A: AdjacencyMatrix, k: int, size: int) -> tuple[int, int]:
+    """(l, N_l) for the first length l < k with N_l > size, else (k, N_k).
+    Counts never fall, so N_k > size once N_l is: counting stops there,
+    at a count of at most n * size, and a deep depth is not counted through."""
+    if k < 1:
+        raise DepthZero("word length must be at least 1")
+    for length, count in zip(range(1, k + 1), word_counts(A)):
+        if count > size:
+            break
+    return length, count
 
 
 def require_work_limit(

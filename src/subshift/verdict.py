@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from .errors import CertificateInvalid, MalformedInput, WorkLimitExceeded
 from .freeness import (
@@ -164,8 +165,50 @@ def matrix_echo(A: AdjacencyMatrix) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    """The one JSON layout of every document: sorted keys, indent 2."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout of every document: indent 2, sorted keys, ASCII
+    escapes and one trailing newline, the bytes of ``json.dumps(doc,
+    indent=2, sort_keys=True) + "\\n"``.  The stdlib's C encoder serves only
+    ``indent=None``; with an indent every chunk climbs a generator per
+    nesting level, so this writer appends each to one list instead."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
+    level whose line break and indent is `newline`."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append(json.dumps(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _verdict_to_dict(v: AnalysisVerdict) -> dict:

@@ -355,6 +355,15 @@ def test_missing_counts_are_exact_at_the_depth_and_bounds_before_it(golden):
     assert time.perf_counter() - started < 1
 
 
+def test_values_length_stops_counting_past_what_len_can_hold(golden):
+    assert len(ss.CylinderFunction.zero(golden, 90).values) == 7_540_113_804_746_346_429
+    started = time.perf_counter()
+    for depth in (91, 100_000):  # N_91 > 2**63 - 1, which len() refuses to return
+        with pytest.raises(WorkLimitExceeded, match=f"depth-{depth} words number over"):
+            len(ss.CylinderFunction.zero(golden, depth).values)
+    assert time.perf_counter() - started < 1
+
+
 def test_unknown_word_in_a_deep_function_file_is_named(golden):
     text = ss.format_function_file(ss.CylinderFunction.constant(golden, 1, 18))
     unknown = "2" * 18

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -208,6 +209,21 @@ def test_freeness_tamper_detection(golden):
     # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()
+
+
+def test_table_sizes_are_compared_without_counting_through(golden):
+    # N_100000 has over 20,000 digits; counting stops at N_1 = 2, past the 0 rows.
+    started = time.perf_counter()
+    with pytest.raises(CertificateInvalid, match="do not cover the depth-j cylinders"):
+        ss.FreenessCertificate.from_dict(golden, {"i": 0, "j": 100_000, "entries": []})
+    with pytest.raises(CertificateInvalid, match="do not cover the depth-j cylinders"):
+        ss.FreenessCertificate(golden, 0, 100_000, ()).verify()
+    assert time.perf_counter() - started < 1
+    # Golden N_3 = 5: four rows and six rows are both refused at depth 3.
+    rows = ss.freeness_certificate(golden, 1, 3).to_dict()["entries"]
+    for wrong in (rows[:4], rows + rows[:1]):
+        with pytest.raises(CertificateInvalid, match="do not cover the depth-j cylinders"):
+            ss.FreenessCertificate.from_dict(golden, {"i": 1, "j": 3, "entries": wrong})
 
 
 def test_certificate_serialization_round_trip(golden):

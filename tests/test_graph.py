@@ -117,6 +117,32 @@ def test_find_path_examples(golden, split2):
         ss.find_path(split2, 1, 2)
 
 
+def test_find_path_checks_symbols_before_reading_its_answer(golden, split2):
+    assert ss.find_path(golden, 1, 2) == (1, 2)
+    for i in (1.0, 0, 3, "1"):
+        with pytest.raises(SymbolOutOfRange):
+            ss.find_path(golden, i, 2)
+    assert type(ss.find_path(golden, True, 2)[0]) is int
+    # A pair with no path raises NoPath on every call, not only the first.
+    for _ in range(3):
+        with pytest.raises(NoPath):
+            ss.find_path(split2, 1, 2)
+
+
+def test_each_matrix_answers_each_question_once(golden, split2, monkeypatch):
+    answers = [(A, ss.is_transitive(A), ss.find_path(A, 2, 2)) for A in (golden, split2)]
+
+    def search_again(*args):
+        raise AssertionError("a question this matrix answered was searched again")
+
+    monkeypatch.setattr(ss.graph, "_distances", search_again)
+    for A, transitive, path in answers:
+        assert ss.is_transitive(A) is transitive and ss.find_path(A, 2, 2) == path
+    # The answers belong to the matrix object: an equal matrix searches afresh.
+    with pytest.raises(AssertionError, match="searched again"):
+        ss.is_transitive(ss.AdjacencyMatrix(golden.rows))
+
+
 def test_find_path_lexicographic_tie_break():
     A = ss.AdjacencyMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     # both 121 and 131 are shortest returns; the smaller word wins

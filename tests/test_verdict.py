@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -541,6 +542,67 @@ def test_analyze_propagates_certificate_failures(golden, monkeypatch):
     monkeypatch.setattr("subshift.verdict.freeness_certificate", broken)
     with pytest.raises(CertificateInvalid, match="construction bug"):
         ss.analyze(golden)
+
+
+# Text that needs escapes: quotes, backslashes, control characters,
+# non-ASCII letters, a lone surrogate, an astral symbol and a line separator.
+_JSON_TEXT = st.text(
+    st.characters(blacklist_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\ud800\U0001f600\u2028'),
+    max_size=8,
+)
+_JSON_DOCS = st.dictionaries(
+    _JSON_TEXT,
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _JSON_TEXT,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+        max_leaves=24,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_DOCS)
+@example({"": [], "a": {}, "b": [[], {}, [[]]], "c": {"d": {}}, "e": [True, False, None, 0, -1, 2**64]})
+def test_dump_json_writes_the_stdlib_layout(doc):
+    assert ss.verdict.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_reports_are_written_in_the_stdlib_layout(golden):
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A, depth in ((full3, 5), (golden, 9), (near_cycle(12), 3)):
+        v = ss.analyze(A, depth)
+        doc = ss.verdict._verdict_to_dict(v)
+        assert ss.render_report(v) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_searches_each_connector_once_per_matrix(monkeypatch):
+    # n = 4 at depth 4: one search per minimality witness and per freeness
+    # table asked 251 path searches of 16 distinct ones.
+    A = ss.AdjacencyMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]])
+    searches, inside = Counter(), []
+    shortest_walk = ss.graph._shortest_walk
+
+    def counted(*args):
+        searches[inside[-1] if inside else "find_path"] += 1
+        return shortest_walk(*args)
+
+    def marked(f):
+        def call(*args):
+            inside.append(f.__name__)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    monkeypatch.setattr(ss.graph, "_shortest_walk", counted)
+    for name in ("first_return_word", "shortest_cycle_avoiding"):
+        monkeypatch.setattr(ss.freeness, name, marked(getattr(ss.graph, name)))
+    ss.analyze(A, 4)
+    assert searches["first_return_word"] and searches["shortest_cycle_avoiding"]
+    assert searches["find_path"] <= A.n**2
 
 
 def test_report_bytes_are_pinned():
