@@ -24,7 +24,7 @@ from .cylinders import CylinderFunction, format_function_file, parse_function_fi
 from .errors import SubshiftError
 from .freeness import find_nontrivial_invariant, freeness_certificate, minimality_witness
 from .graph import parse_matrix
-from .sequences import list_words, word_to_string
+from .sequences import enumerate_words, word_to_string
 from .transfer import (
     as_operator,
     format_weight_file,
@@ -147,7 +147,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # words
-    listing = "".join(word_to_string(w) + "\n" for w in list_words(A, args.k))
+    listing = "".join(word_to_string(w) + "\n" for w in enumerate_words(A, args.k))
     _emit(listing, None)
     return 0
 

@@ -14,17 +14,18 @@ validator.  It reads only the words it was given: each key must be a
 word of the table's depth whose pairs lie in the matrix's stored edge
 set (``AdjacencyMatrix.edges``), and the number of keys must equal the
 admissible word count, so no word is listed; counting stops once a
-length has more words than the table has keys (``sequences.count_past``).
+length has more words than the table has keys, or once the counts stop
+growing (``sequences.count_past``).
 ``DomainMask`` checks its member words the same way.  A function file is
 checked once, where it enters, by ``parse_function_file``: it makes the
 constructor's checks, with its messages, but reads each word literal of
-a complete file by one lookup among the listed depth-k words (a listing
-no larger than the file) and converts each distinct value text once.
+a complete file by one lookup among the listed depth-k words, when the
+work limit allows that listing, and converts each distinct value text once.
 Parsed files and the functions the engine derives are built by
 ``CylinderFunction.from_nonzero`` (or by ``tabulate`` from a rule on
 every word) and are not checked again.  Listing every word of a depth
 (``tabulate``, a nonzero ``constant``, ``DomainMask.full``, iterating
-``values``, writing a file) is ``sequences.list_words``, under the work limit.
+``values``, writing a file) is ``sequences.enumerate_words``, under the work limit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +54,6 @@ from .sequences import (
     count_past,
     enumerate_words,
     extend_words,
-    list_words,
     require_admissible,
     require_work_limit,
     word_from_string,
@@ -139,7 +140,7 @@ class CylinderValues(Mapping):
         raise KeyError(w)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(list_words(self.matrix, self.depth))
+        return iter(enumerate_words(self.matrix, self.depth))
 
     def __len__(self) -> int:
         count = count_past(self.matrix, self.depth, sys.maxsize)[1]
@@ -189,16 +190,16 @@ class CylinderFunction:
 
     @classmethod
     def tabulate(cls, A: AdjacencyMatrix, depth: int, rule: Callable) -> "CylinderFunction":
-        """rule(w) on every admissible depth-`depth` word w (``list_words``); valid by construction."""
-        table = {w: v for w in list_words(A, depth) if (v := _as_fraction(rule(w)))}
+        """rule(w) on every admissible depth-`depth` word w (``enumerate_words``); valid by construction."""
+        table = {w: v for w in enumerate_words(A, depth) if (v := _as_fraction(rule(w)))}
         return cls.from_nonzero(A, depth, table)
 
     @classmethod
     def constant(cls, A: AdjacencyMatrix, value, depth: int = 1) -> "CylinderFunction":
         """The function `value` everywhere; a nonzero one stores, so lists, every
-        depth-`depth` word (``list_words``)."""
+        depth-`depth` word (``enumerate_words``)."""
         c = _as_fraction(value)
-        return cls.from_nonzero(A, depth, dict.fromkeys(list_words(A, depth), c) if c else {})
+        return cls.from_nonzero(A, depth, dict.fromkeys(enumerate_words(A, depth), c) if c else {})
 
     @classmethod
     def zero(cls, A: AdjacencyMatrix, depth: int = 1) -> "CylinderFunction":
@@ -366,8 +367,8 @@ class DomainMask:
 
     @classmethod
     def full(cls, A: AdjacencyMatrix, depth: int = 1) -> "DomainMask":
-        """The whole space, as every depth-`depth` word (``list_words``)."""
-        return cls(A, depth, frozenset(list_words(A, depth)))
+        """The whole space, as every depth-`depth` word (``enumerate_words``)."""
+        return cls(A, depth, frozenset(enumerate_words(A, depth)))
 
     @classmethod
     def empty(cls, A: AdjacencyMatrix, depth: int = 1) -> "DomainMask":
@@ -433,8 +434,9 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     fails with the constructor's messages.  When a line names an
     admissible depth-k word and the file has one line per such word, those
     words are listed once, keyed by their literals, so that each literal
-    is read and checked by one lookup; a literal spelled otherwise is read
-    by ``word_from_string`` and checked on its own.  Each distinct value
+    is read and checked by one lookup.  A literal spelled otherwise, or
+    every literal when the work limit refuses the listing, is read by
+    ``word_from_string`` and checked on its own.  Each distinct value
     text is converted once.
     """
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
@@ -458,8 +460,9 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
             unchecked.append(word)
             if count is None and _is_word(A, k, word):
                 count = count_past(A, k, len(lines) - 1)
-                if count == (k, len(lines) - 1):  # N_k lines: the listing is no larger than the file
-                    spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
+                if count == (k, len(lines) - 1):  # N_k lines: list them, unless past the limit
+                    with suppress(WorkLimitExceeded):  # then each literal is read on its own
+                        spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
         table[word] = parts[1]
@@ -471,8 +474,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 
 def format_function_file(f: CylinderFunction) -> str:
-    """The function table format of f, every word listed (``list_words``)."""
+    """The function table format of f, every word listed (``enumerate_words``)."""
     lines = [f"depth {f.depth}"]
     nonzero = f.nonzero
-    lines.extend(f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in list_words(f.matrix, f.depth))
+    lines.extend(f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in enumerate_words(f.matrix, f.depth))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ For a transitive matrix whose graph is not a cycle this module builds:
 Every certificate re-verifies itself from its stored data alone via
 ``verify``; construction runs ``verify`` before returning.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
-A depth-j table lists its words by ``list_words``, so the work limit refuses it.
+A depth-j table lists its words by ``enumerate_words``, so the work limit
+refuses it, when it is built, read or verified alike.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .sequences import (
     contains_word,
     count_past,
     enumerate_words,
-    list_words,
     periodic_seq,
     require_admissible,
     word_from_string,
@@ -261,12 +261,13 @@ class FreenessCertificate:
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
-        to the k-th depth-j word, listed once the entry count matches."""
+        to the k-th depth-j word, listed once the entry count matches and
+        only if the work limit allows it (``enumerate_words``)."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if count_past(A, j, len(rows)) != (j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, entries = enumerate_words(A, j), []  # as many words as the rows just counted
+        words, entries = enumerate_words(A, j), []
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 row = _format1_entry(A, i, w, row) if report_format == 1 else exact_keys(row, _ENTRY_KEYS)
@@ -363,7 +364,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
     entries = []
-    for w in list_words(A, j):
+    for w in enumerate_words(A, j):
         junction = (w[-1], w[i]) in A.edges
         tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
         witness = OneSidedPoint(A, w, tail)

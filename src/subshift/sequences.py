@@ -11,17 +11,16 @@ representations are complete for the certificates this package produces.
 Words are listed and refined by ``extend_words``; ``require_work_limit``
 counts, listing nothing, what a build would make and refuses it past the limit,
 and ``count_past`` counts no further than the size a count is compared with.
-Every full listing of a length's words is ``list_words``, which it guards;
-``enumerate_words`` lists unguarded, for callers whose input bounds the
-listing.  Every check reads the limit from this module's binding.
+Every listing of a length's words is ``enumerate_words``, which runs that
+check first.  Every check reads the limit from this module's binding.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from math import lcm
+from itertools import accumulate
+from math import inf, lcm
 from operator import mul
 
 from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange, WorkLimitExceeded
@@ -103,13 +102,6 @@ def extend_words(A: AdjacencyMatrix, words: list[Word], levels: int) -> list[Wor
     return words
 
 
-def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
-    """All admissible words of length k, in lexicographic order."""
-    if k < 1:
-        raise DepthZero("word length must be at least 1")
-    return extend_words(A, [(s,) for s in A.symbols], k - 1)
-
-
 def word_counts(A: AdjacencyMatrix, words: Iterable[Word] | None = None) -> Iterator[int]:
     """N_1, N_2, ...: the number of admissible words of each length, or of
     the extensions of `words` by 0, 1, ... symbols, counted without listing
@@ -124,22 +116,28 @@ def word_counts(A: AdjacencyMatrix, words: Iterable[Word] | None = None) -> Iter
 
 
 def word_count(A: AdjacencyMatrix, k: int) -> int:
-    """The number of admissible words of length k (``word_counts``)."""
-    if k < 1:
-        raise DepthZero("word length must be at least 1")
-    return next(islice(word_counts(A), k - 1, None))
+    """The number of admissible words of length k (``count_past``, no size)."""
+    return count_past(A, k, inf)[1]
 
 
-def count_past(A: AdjacencyMatrix, k: int, size: int) -> tuple[int, int]:
+def count_past(A: AdjacencyMatrix, k: int, size: float) -> tuple[int, int]:
     """(l, N_l) for the first length l < k with N_l > size, else (k, N_k).
     Counts never fall, so N_k > size once N_l is: counting stops there,
-    at a count of at most n * size, and a deep depth is not counted through."""
+    at a count of at most n * size.  Nor do they grow once they stop:
+    N_(l+1) = N_l means every symbol that ends a length-l word has exactly
+    one successor (no row is zero), and the symbols that end longer words
+    are among those, so N_k = N_l and counting stops there too.  So a deep
+    depth is counted through only while its counts grow and stay in size."""
     if k < 1:
         raise DepthZero("word length must be at least 1")
+    previous = None
     for length, count in zip(range(1, k + 1), word_counts(A)):
         if count > size:
+            return length, count
+        if count == previous:
             break
-    return length, count
+        previous = count
+    return k, count
 
 
 def require_work_limit(
@@ -159,19 +157,22 @@ def require_work_limit(
         raise WorkLimitExceeded(f"{work or f'listing the length-{depth} words would build'} {limit}")
 
 
-def list_words(A: AdjacencyMatrix, k: int) -> list[Word]:
-    """``enumerate_words(A, k)``, refused first if ``require_work_limit(A, k)`` refuses it."""
+def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
+    """All admissible words of length k, in lexicographic order, refused
+    first if ``require_work_limit(A, k)`` refuses to build them."""
+    if k < 1:
+        raise DepthZero("word length must be at least 1")
     require_work_limit(A, k)
-    return enumerate_words(A, k)
+    return extend_words(A, [(s,) for s in A.symbols], k - 1)
 
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:
     """Words w of length p with every consecutive edge and the wrap edge
     A(w_p, w_1); each names the period-p point w repeated forever.  The
-    length-p words are listed (``list_words``)."""
+    length-p words are listed (``enumerate_words``)."""
     if p < 1:
         raise DepthZero("period must be at least 1")
-    return [w for w in list_words(A, p) if (w[-1], w[0]) in A.edges]
+    return [w for w in enumerate_words(A, p) if (w[-1], w[0]) in A.edges]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,19 +282,19 @@ def shift(s: EventuallyPeriodicSeq, t: int) -> EventuallyPeriodicSeq:
 def contains_word(s: EventuallyPeriodicSeq, r: str | Iterable[int]) -> bool:
     """True iff r occurs as a consecutive block somewhere in s.
 
-    Decided exactly by scanning the core extended on each side by
+    Decided exactly by one search of the core extended on each side by
     len(r) + the larger period length: an occurrence outside that window
-    can be translated into it by periodicity.
+    can be translated into it by periodicity.  The window and r are each
+    written once as comma-delimited numerals, and ``str`` search finds r
+    in linear time.
     """
     word = as_word(r)
     if not word:
         raise MalformedInput("occurrence test needs a nonempty word")
-    m = len(word)
-    pad = m + max(len(s.left_period), len(s.right_period))
-    for start in range(-pad, len(s.core) + pad + 1):
-        if all(s.at_abs(start + t) == word[t] for t in range(m)):
-            return True
-    return False
+    L, R, m = s.left_period, s.right_period, len(word)
+    pad = m + max(len(L), len(R))
+    window = (L * (pad // len(L) + 1))[-pad:] + s.core + (R * ((pad + m) // len(R) + 1))[: pad + m]
+    return ("," + "%d," * m) % word in ("," + "%d," * len(window)) % window
 
 
 def periodic_seq(A: AdjacencyMatrix, period: str | Iterable[int], origin: int = 0) -> EventuallyPeriodicSeq:

@@ -94,9 +94,8 @@ def _freeness_pairs(depth_budget: int) -> list[tuple[int, int]]:
 
 
 def _minimality_spot_pairs(A: AdjacencyMatrix):
-    words = []
-    for depth in _MINIMALITY_SPOT_DEPTHS:  # callers compare _minimality_spot_count first
-        words.extend(enumerate_words(A, depth))
+    # Callers compare _minimality_spot_count first: the work limit bounds each listing, not the pairs.
+    words = [w for depth in _MINIMALITY_SPOT_DEPTHS for w in enumerate_words(A, depth)]
     return [(w, z) for w in words for z in words]
 
 

@@ -406,6 +406,29 @@ def test_full_listings_obey_the_work_limit(golden, listing):
     assert time.perf_counter() - started < 1
 
 
+def test_a_file_past_the_listing_limit_reads_each_literal_alone(swap2):
+    # Two lines name both depth-100000 words of the 2-cycle; listing them would
+    # build 2 * (1 + ... + 100000) symbols, so the literal map is not built.
+    words = {(1, 2) * 50_000: Fraction(1, 2), (2, 1) * 50_000: Fraction(-3)}
+    text = "depth 100000\n" + "".join(f"{ss.word_to_string(w)} {v}\n" for w, v in words.items())
+    started = time.perf_counter()
+    f = ss.parse_function_file(swap2, text)
+    assert time.perf_counter() - started < 1
+    expected = ss.CylinderFunction(swap2, 100_000, words)
+    assert (f.depth, f.nonzero) == (expected.depth, expected.nonzero)
+
+
+def test_the_literal_map_is_skipped_not_refused(full2, monkeypatch):
+    # Full2's sum of j * N_j to depth 5 is 258, past a limit of 30.
+    table = {w: Fraction(len(w) - w.count(1), 3) for w in ss.enumerate_words(full2, 5)}
+    text = "depth 5\n" + "".join(f"{ss.word_to_string(w)} {v}\n" for w, v in table.items())
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 30)
+    with pytest.raises(WorkLimitExceeded):
+        ss.enumerate_words(full2, 5)
+    f = ss.parse_function_file(full2, text)
+    assert (f.depth, f.nonzero) == (5, ss.CylinderFunction(full2, 5, table).nonzero)
+
+
 _SPELLINGS = ["0", "-0", "+3", "6/4", "0.5", "-.25", "-7/3", "12"]
 
 

@@ -226,6 +226,20 @@ def test_table_sizes_are_compared_without_counting_through(golden):
             ss.FreenessCertificate.from_dict(golden, {"i": 1, "j": 3, "entries": wrong})
 
 
+def test_tables_past_the_work_limit_are_refused_before_listing(swap2):
+    # The 2-cycle has N_j = 2 at every depth, so two rows match the count, but
+    # listing both depth-100000 words would build 2 * (1 + ... + 100000) symbols.
+    entries = tuple(
+        ss.FreenessEntry(ss.one_sided_seq(swap2, w * 50_000, w), 1) for w in ((1, 2), (2, 1))
+    )
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitExceeded, match="listing the length-100000 words"):
+        ss.FreenessCertificate.from_dict(swap2, {"i": 0, "j": 100_000, "entries": [{}, {}]})
+    with pytest.raises(WorkLimitExceeded, match="listing the length-100000 words"):
+        ss.FreenessCertificate(swap2, 0, 100_000, entries).verify()
+    assert time.perf_counter() - started < 1
+
+
 def test_certificate_serialization_round_trip(golden):
     inv = ss.find_nontrivial_invariant(golden)
     assert ss.InvariantSetCertificate.from_dict(golden, inv.to_dict()).to_dict() == inv.to_dict()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -16,7 +17,7 @@ from subshift.errors import (
     WorkLimitExceeded,
 )
 from subshift.cli import main
-from subshift.sequences import extend_words, require_work_limit, word_count, word_counts
+from subshift.sequences import count_past, extend_words, require_work_limit, word_count, word_counts
 from support import (
     brute_force_admissible,
     brute_force_words,
@@ -76,7 +77,13 @@ def test_enumerate_words_examples(golden):
         ss.enumerate_words(golden, 0)
 
 
-def test_enumerate_words_long_words_do_not_recurse(swap2):
+def test_enumerate_words_long_words_do_not_recurse(swap2, monkeypatch):
+    # Listing both length-2000 words builds 2 * (1 + 2 + ... + 2000) = 4,002,000 symbols.
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitExceeded):
+        ss.enumerate_words(swap2, 2000)
+    assert time.perf_counter() - started < 1
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 4_002_000)
     assert ss.enumerate_words(swap2, 2000) == [(1, 2) * 1000, (2, 1) * 1000]
 
 
@@ -103,6 +110,28 @@ def test_enumerate_words_against_brute_force_and_matrix_power():
         assert word_count(A, 40) == matrix_power_word_count(A, 40)
 
 
+def test_counts_stop_once_they_stop_growing(swap2):
+    # N_l = 2 at every length: the count stops at length 2, not at 10**6.
+    for count, expected in (
+        (lambda: count_past(swap2, 10**6, 2), (10**6, 2)),
+        (lambda: word_count(swap2, 10**6), 2),
+        (lambda: len(ss.CylinderFunction.zero(swap2, 10**6).values), 2),
+    ):
+        started = time.perf_counter()
+        assert count() == expected
+        assert time.perf_counter() - started < 0.1
+
+
+def test_count_past_agrees_with_the_full_count():
+    rng = random.Random(17)
+    for _ in range(3000):
+        A = random_matrix(rng, nmax=4)
+        k, size = rng.randint(1, 12), rng.randint(0, 60)
+        counts = list(islice(word_counts(A), k))
+        length = next((l for l, c in enumerate(counts, 1) if c > size), k)
+        assert count_past(A, k, size) == (length, counts[length - 1])
+
+
 def test_work_limit_refuses_exactly_past_the_symbols_built(monkeypatch):
     # Small limits make both ways of deciding run: the bound that needs no
     # counting, and the count from `word_counts`.
@@ -110,9 +139,10 @@ def test_work_limit_refuses_exactly_past_the_symbols_built(monkeypatch):
     for _ in range(300):
         A = random_matrix(rng, nmax=3)
         k = rng.randint(1, 3)
-        level = ss.enumerate_words(A, k)
+        singles = [(s,) for s in A.symbols]  # extend_words lists under any limit the last pass patched
+        level = extend_words(A, singles, k - 1)
         words = None if rng.random() < 0.3 else rng.sample(level, min(len(level), rng.randint(0, 2)))
-        start, length = (ss.enumerate_words(A, 1), 1) if words is None else (words, k)
+        start, length = (singles, 1) if words is None else (words, k)
         depth = length + rng.randint(0, 5)
         built = [extend_words(A, start, j) for j in range(depth - length + 1)]
         assert [len(ws) for ws in built] == list(islice(word_counts(A, words), len(built)))
@@ -136,6 +166,7 @@ def _words_verb(A, k, tmp_path):
 
 
 _FULL_LISTINGS = {
+    "enumerate_words": lambda A, k, _: ss.enumerate_words(A, k),
     "words verb": _words_verb,
     "values view": lambda A, k, _: list(ss.CylinderFunction.zero(A, k).values),
     "tabulate": lambda A, k, _: ss.CylinderFunction.tabulate(A, k, lambda w: 1),
@@ -242,6 +273,45 @@ def test_contains_word_shift_invariant():
             base = ss.contains_word(s, r)
             for t in range(-5, 6):
                 assert ss.contains_word(ss.shift(s, t), r) == base
+
+
+def _scan_contains(s, word):
+    # Every start in the window contains_word reads, compared symbol by symbol.
+    m = len(word)
+    pad = m + max(len(s.left_period), len(s.right_period))
+    starts = range(-pad, len(s.core) + pad + 1)
+    return any(all(s.at_abs(p + t) == word[t] for t in range(m)) for p in starts)
+
+
+_FULL12 = ss.AdjacencyMatrix.from_rows([[1] * 12] * 12)
+# Symbols whose numerals run together without delimiters: 1 2 reads 12, 1 1 2 reads 11 2.
+_SYMBOLS = st.sampled_from([1, 2, 11, 12])
+_SYMBOL_WORDS = st.lists(_SYMBOLS, min_size=1, max_size=5).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SYMBOL_WORDS, st.lists(_SYMBOLS, max_size=6).map(tuple), _SYMBOL_WORDS, st.data())
+def test_contains_word_agrees_with_a_scan(left, core, right, data):
+    s = ss.EventuallyPeriodicSeq(_FULL12, left, core, right, data.draw(st.integers(-8, 8)))
+    symbols = st.sampled_from([1, 2, 11, 12, 13])  # 13 is outside the alphabet
+    if data.draw(st.booleans()):  # a block of the point, then perhaps one symbol changed
+        start, m = data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 12))
+        r = list(s.window(start, m))
+        if data.draw(st.booleans()):
+            r[data.draw(st.integers(0, m - 1))] = data.draw(symbols)
+    else:
+        r = data.draw(st.lists(symbols, min_size=1, max_size=12))
+    assert ss.contains_word(s, r) == _scan_contains(s, tuple(r))
+
+
+@pytest.mark.parametrize("repeats, seconds", [(2000, 0.1), (100_000, 1)])
+def test_contains_word_reads_a_long_near_match_once(golden, repeats, seconds):
+    # The word follows the point ...1212... for all but its last symbol.
+    word = (1, 2) * repeats + (1, 1)
+    started = time.perf_counter()
+    assert not ss.contains_word(ss.periodic_seq(golden, "12"), word)
+    assert ss.contains_word(ss.periodic_seq(golden, "12"), word[:-1])
+    assert time.perf_counter() - started < seconds
 
 
 @settings(max_examples=50, deadline=None)

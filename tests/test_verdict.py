@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subshift as ss
-from subshift.errors import CertificateInvalid, MalformedInput
+from subshift.errors import CertificateInvalid, MalformedInput, WorkLimitExceeded
 from support import (
     brute_force_words,
     format1_as_format2,
@@ -106,6 +107,26 @@ def test_report_round_trip(golden, swap2, split2):
 def test_verify_report_accepts_fresh(golden, swap2):
     for A in (golden, swap2):
         ss.verify_report(ss.render_report(ss.analyze(A)))
+
+
+def test_every_report_analyze_writes_fits_the_verifier_listings(golden, monkeypatch):
+    # Golden's sum of j * N_j to depth 5 is 120: at that limit analyze writes
+    # the budget-5 report, and each table the verifier lists fits it too.
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 119)
+    with pytest.raises(WorkLimitExceeded, match="freeness tables would hold"):
+        ss.analyze(golden, 5)
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 120)
+    ss.verify_report(ss.render_report(ss.analyze(golden, 5)))
+
+
+def test_a_long_near_match_invariant_word_is_refused_at_once(golden):
+    # The word follows the member point ...1212... for 4,001 symbols, then leaves it.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 2)))
+    doc["certificates"]["invariant_set"]["word"] = "12" * 2000 + "11"
+    started = time.perf_counter()
+    with pytest.raises(CertificateInvalid, match="member does not contain the certificate word"):
+        ss.verify_report(json.dumps(doc))
+    assert time.perf_counter() - started < 1
 
 
 def test_verify_report_rejects_tampering(golden, swap2):
