@@ -21,6 +21,8 @@ checked once, where it enters, by ``parse_function_file``: it makes the
 constructor's checks, with its messages, but reads each word literal of
 a complete file by one lookup among the listed depth-k words, when the
 work limit allows that listing, and converts each distinct value text once.
+The literals of that listing, and of a written file, are
+``sequences.enumerate_literals``, not one ``word_to_string`` per word.
 Parsed files and the functions the engine derives are built by
 ``CylinderFunction.from_nonzero`` (or by ``tabulate`` from a rule on
 every word) and are not checked again.  Listing every word of a depth
@@ -52,6 +54,7 @@ from .sequences import (
     OneSidedPoint,
     as_word,
     count_past,
+    enumerate_literals,
     enumerate_words,
     extend_words,
     require_admissible,
@@ -433,11 +436,11 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     The file is checked here, once, as the constructor checks a table, and
     fails with the constructor's messages.  When a line names an
     admissible depth-k word and the file has one line per such word, those
-    words are listed once, keyed by their literals, so that each literal
-    is read and checked by one lookup.  A literal spelled otherwise, or
-    every literal when the work limit refuses the listing, is read by
-    ``word_from_string`` and checked on its own.  Each distinct value
-    text is converted once.
+    words are listed once, keyed by their literals (``enumerate_literals``),
+    so that each literal is read and checked by one lookup.  A literal
+    spelled otherwise, or every literal when the work limit refuses the
+    listing, is read by ``word_from_string`` and checked on its own.  Each
+    distinct value text is converted once.
     """
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
@@ -462,20 +465,22 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
                 count = count_past(A, k, len(lines) - 1)
                 if count == (k, len(lines) - 1):  # N_k lines: list them, unless past the limit
                     with suppress(WorkLimitExceeded):  # then each literal is read on its own
-                        spelled = {word_to_string(w): w for w in enumerate_words(A, k)}
+                        spelled = dict(zip(enumerate_literals(A, k), enumerate_words(A, k)))
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
         table[word] = parts[1]
     if k < 1:
         raise DepthZero("cylinder functions need depth at least 1")
-    values = {v: _as_fraction(v) for v in dict.fromkeys(table.values())}
+    values = {s: v for s in dict.fromkeys(table.values()) if (v := _as_fraction(s))}
     _require_every_word(A, k, unchecked, len(table))
-    return CylinderFunction.from_nonzero(A, k, {w: v for w, s in table.items() if (v := values[s])})
+    return CylinderFunction.from_nonzero(A, k, {w: values[s] for w, s in table.items() if s in values})
 
 
 def format_function_file(f: CylinderFunction) -> str:
-    """The function table format of f, every word listed (``enumerate_words``)."""
-    lines = [f"depth {f.depth}"]
-    nonzero = f.nonzero
-    lines.extend(f"{word_to_string(w)} {nonzero.get(w, _ZERO)}" for w in enumerate_words(f.matrix, f.depth))
-    return "\n".join(lines) + "\n"
+    """The function table format of f, every word listed (``enumerate_words``)
+    and written by its literal (``enumerate_literals``)."""
+    A, k, nonzero = f.matrix, f.depth, f.nonzero
+    lines = enumerate_literals(A, k)  # each literal is replaced by its line, not held beside it
+    for i, w in enumerate(enumerate_words(A, k)):
+        lines[i] += f" {nonzero.get(w, _ZERO)}\n"
+    return f"depth {k}\n" + "".join(lines)

@@ -8,6 +8,10 @@ function
             and a.x inside U,
 
 which is zero off the image of U automatically (the sum is empty there).
+Each output value is summed in integers, as one unreduced numerator and
+denominator, and reduced once: an output has at most n terms, so its
+denominator stays the product of theirs, however many distinct
+denominators the whole table holds.
 Besides applying such operators this module inverts the construction:
 given any abstract linear positive operator satisfying the transfer
 identity, it rebuilds the unique weight inducing it, using the cylinder
@@ -109,7 +113,10 @@ def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     words y of f at depth d: each adds rho(y[:e]) * f(y), rho read at its
     own depth e, to the depth-(d - 1) word y[1:], or to every successor
     of y[0] when d = 1.  rho's carrier is zero off its domain, so only
-    preimages inside the domain contribute.
+    preimages inside the domain contribute.  Each sum is kept as an
+    unreduced integer pair, adding numerators over an equal denominator
+    and cross-multiplying otherwise, and becomes one Fraction, or is
+    dropped when it is 0.
     """
     A = rho.matrix
     if f.matrix != A:
@@ -124,13 +131,21 @@ def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
         )
     rv = rho.carrier.nonzero
     images = (lambda y: (y[1:],)) if d > 1 else (lambda y: [(s,) for s in A.successors(y[0])])
-    sums: dict[Word, Fraction] = {}
+    sums: dict[Word, tuple[int, int]] = {}  # unreduced numerator, denominator
     for y, v in fv.items():
         r = rv.get(y[:e])
         if r is not None:
+            p, q = r.numerator * v.numerator, r.denominator * v.denominator
             for x in images(y):
-                sums[x] = sums.get(x, 0) + r * v
-    return CylinderFunction.from_nonzero(A, max(d - 1, 1), {x: v for x, v in sums.items() if v})
+                s = sums.get(x)
+                if s is None:
+                    sums[x] = p, q
+                elif s[1] == q:
+                    sums[x] = s[0] + p, q
+                else:
+                    sums[x] = s[0] * q + p * s[1], s[1] * q
+    table = {x: Fraction(p, q) for x, (p, q) in sums.items() if p}
+    return CylinderFunction.from_nonzero(A, max(d - 1, 1), table)
 
 
 def as_operator(rho: Weight) -> AbstractTransferOp:

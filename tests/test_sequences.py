@@ -17,7 +17,14 @@ from subshift.errors import (
     WorkLimitExceeded,
 )
 from subshift.cli import main
-from subshift.sequences import count_past, extend_words, require_work_limit, word_count, word_counts
+from subshift.sequences import (
+    count_past,
+    enumerate_literals,
+    extend_words,
+    require_work_limit,
+    word_count,
+    word_counts,
+)
 from support import (
     brute_force_admissible,
     brute_force_words,
@@ -75,6 +82,31 @@ def test_enumerate_words_examples(golden):
     assert words_equal(ss.enumerate_words(one, 4), ["1111"])
     with pytest.raises(DepthZero):
         ss.enumerate_words(golden, 0)
+
+
+def test_enumerate_literals_spell_the_listed_words(monkeypatch):
+    # Alphabets on both sides of 9: digits built by prefix, and word_to_string past 9.
+    rng = random.Random(31)
+    sides = set()
+    for _ in range(200):
+        A = random_matrix(rng, nmax=12)
+        k = rng.randint(1, 6)
+        while k > 1 and word_count(A, k) > 2_000:
+            k -= 1
+        monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", rng.randint(1, 4_000))
+        try:
+            words = ss.enumerate_words(A, k)
+        except WorkLimitExceeded:
+            with pytest.raises(WorkLimitExceeded):
+                enumerate_literals(A, k)
+            continue
+        assert enumerate_literals(A, k) == [ss.word_to_string(w) for w in words]
+        sides.add(A.n > 9)
+    assert sides == {False, True}
+    for A in (random_matrix(rng, nmax=3), random_matrix(rng, nmin=10, nmax=12)):
+        for k in (0, -1):
+            with pytest.raises(DepthZero):
+                enumerate_literals(A, k)
 
 
 def test_enumerate_words_long_words_do_not_recurse(swap2, monkeypatch):
@@ -167,6 +199,7 @@ def _words_verb(A, k, tmp_path):
 
 _FULL_LISTINGS = {
     "enumerate_words": lambda A, k, _: ss.enumerate_words(A, k),
+    "enumerate_literals": lambda A, k, _: enumerate_literals(A, k),
     "words verb": _words_verb,
     "values view": lambda A, k, _: list(ss.CylinderFunction.zero(A, k).values),
     "tabulate": lambda A, k, _: ss.CylinderFunction.tabulate(A, k, lambda w: 1),

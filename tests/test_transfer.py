@@ -17,6 +17,8 @@ from subshift.errors import (
 )
 from support import (
     brute_force_preimage_count,
+    brute_force_transfer,
+    brute_force_words,
     masked,
     near_cycle,
     no_zero_row_matrices,
@@ -87,6 +89,73 @@ def test_support_violation(golden):
     rho = ss.Weight(ss.CylinderFunction.constant(golden, 1), U)
     with pytest.raises(SupportViolation):
         ss.transfer_apply(rho, ss.CylinderFunction.constant(golden, 1))
+
+
+def _wide(rng, lo):
+    return Fraction(rng.randint(lo, 10**6), rng.randint(1, 10**6))
+
+
+def test_transfer_apply_matches_the_preimage_sum_with_wide_values():
+    # Partial domains, zero weights, signed values over denominators up to
+    # 10^6, and outputs whose preimage terms are made to cancel to 0.
+    rng = random.Random(37)
+    cancelled = {"d = 1": 0, "d > 1": 0}
+    for _ in range(300):
+        A = random_matrix(rng, nmax=4)
+        e, kh = (1, 1) if rng.random() < 0.3 else (rng.randint(1, 3), rng.randint(1, 3))
+        ku, d = rng.randint(1, e), max(e, kh)
+        domain = brute_force_words(A, ku)
+        members = set(rng.sample(domain, rng.randint(1, len(domain))))
+        et = {w: Fraction(0) if rng.random() < 0.25 else _wide(rng, 0) for w in brute_force_words(A, e)}
+        rho_at = lambda y: et[y[:e]] if y[:ku] in members else 0
+        ht = {w: _wide(rng, -10**6) if w[:ku] in members else Fraction(0) for w in brute_force_words(A, kh)}
+        forced = []
+        if kh == d:  # f's words are the working depth: one term per preimage
+            outputs = brute_force_words(A, max(d - 1, 1))
+            for x in rng.sample(outputs, min(len(outputs), 1 if d == 1 else 3)):
+                pre = [(a,) + x for a in A.symbols if A.rows[a - 1][x[0] - 1]]
+                pre = [y[:kh] for y in pre if rho_at(y)]
+                if len(pre) > 1:
+                    for y in pre[1:]:
+                        ht[y] = ht[y] or Fraction(1, 999_983)
+                    ht[pre[0]] = -sum(rho_at(y) * ht[y] for y in pre[1:]) / rho_at(pre[0])
+                    forced.append(x)
+        rho = ss.Weight(ss.CylinderFunction(A, e, et), ss.DomainMask(A, ku, members))
+        out = ss.transfer_apply(rho, ss.CylinderFunction(A, kh, ht))
+        expected = brute_force_transfer(A, rho_at, lambda y: ht[y[:kh]], max(d - 1, 1))
+        assert out.depth == max(d - 1, 1)
+        assert out.nonzero == {x: v for x, v in expected.items() if v}
+        assert all(type(v) is Fraction for v in out.nonzero.values())
+        for x in forced:
+            assert expected[x] == 0 and x not in out.nonzero
+            cancelled["d = 1" if d == 1 else "d > 1"] += 1
+    assert min(cancelled.values()) >= 10, cancelled
+
+
+def _primes(count):
+    sieve, found = bytearray([1]) * 100_000, []
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            found.append(p)
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    return found[:count]
+
+
+def test_transfer_apply_reduces_each_output_alone():
+    # Every value has its own prime denominator: 3 primes for the weight and
+    # 3^8 = 6,561 for the function.  A denominator shared by the whole table
+    # would be their product, 94,379 bits; each output sums 3 terms.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    primes = _primes(3 + 3**8)
+    weights = {(s,): Fraction(1, p) for s, p in zip(full3.symbols, primes)}
+    values = dict(zip(ss.enumerate_words(full3, 8), (Fraction(1, q) for q in primes[3:])))
+    rho = ss.Weight.full(ss.CylinderFunction(full3, 1, weights))
+    f = ss.CylinderFunction(full3, 8, values)
+    start = time.perf_counter()
+    out = ss.transfer_apply(rho, f)
+    assert time.perf_counter() - start < 1.0
+    expected = brute_force_transfer(full3, lambda y: weights[y[:1]], lambda y: values[y], 7)
+    assert out.nonzero == expected
 
 
 def test_transfer_identity_trivial_cases(golden):
