@@ -14,8 +14,11 @@ For a transitive matrix whose graph is not a cycle this module builds:
   as t alone, since the entries follow the order of the words.
 
 Every certificate re-verifies itself from its stored data alone via
-``verify``; construction runs ``verify`` before returning.  Invariant-set
-points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
+``verify``.  The invariant-set and minimality builders run ``verify``
+before returning; a freeness table is not re-verified as a whole, but
+checks each answer when it first works it out, once per matrix for each
+exponent difference and word suffix.  Invariant-set points are
+two-sided, freeness witnesses one-sided (``OneSidedPoint``).
 A depth-j table lists its words by ``enumerate_words``, so the work limit
 refuses it, when it is built, read or verified alike.
 """
@@ -359,20 +362,32 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     or diverts off r's cycle when r uses the whole alphabet; without the
     junction edge any cycle back to w's last symbol will do.  Either way
     the two shifted tails cannot agree.
+
+    The entry of w depends only on m = j - i and the suffix u = w[i:]:
+    the junction edge (w[-1], w[i]) is (u[-1], u[0]), the tail is chosen
+    from u alone, and shift^i(w . t^inf) = u . t^inf, so shift^i and
+    shift^j first differ on w . t^inf where shift^0 and shift^m do on
+    u . t^inf.  The matrix keeps that (tail, differs_at) answer under
+    (m, u), so each is worked out and checked once, however many words
+    and tables share it; a tail that equalizes the shifts raises
+    CertificateInvalid naming the pair and the word.
     """
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    entries = []
+    answers, m, entries = A._answers, j - i, []
     for w in enumerate_words(A, j):
-        junction = (w[-1], w[i]) in A.edges
-        tail = _diverting_tail(A, w[i:]) if junction else find_path(A, w[-1], w[-1])[1:]
-        witness = OneSidedPoint(A, w, tail)
-        c = _tail_difference(witness, i, j)  # None fails verify: the witness equalizes
-        entries.append(FreenessEntry(witness, 0 if c is None else c + 1))
-    cert = FreenessCertificate(A, i, j, tuple(entries))
-    cert.verify()
-    return cert
+        u = w[i:]
+        answer = answers.get((m, u))
+        if answer is None:
+            tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else find_path(A, u[-1], u[-1])[1:]
+            c = _tail_difference(OneSidedPoint(A, u, tail), 0, m)
+            if c is None:
+                where = f"(i={i}, j={j}).entries[{len(entries)}] [{word_to_string(w)}]"
+                raise CertificateInvalid(f"{where}: witness equalizes the shifts")
+            answer = answers[m, u] = tail, c + 1
+        entries.append(FreenessEntry(OneSidedPoint(A, w, answer[0]), answer[1]))
+    return FreenessCertificate(A, i, j, tuple(entries))
 
 
 def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
 
 Word = tuple[int, ...]
+_INT_ONLY = frozenset({int})  # the symbol types the edge set vouches for (bool is not int)
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,19 @@ class AdjacencyMatrix:
     are allowed (the shift is then not onto).  Every entry must be the
     int 0 or 1: a bool, a float or a string is refused, never converted.
     `edges` holds the pairs (i, j) with entry 1; ``admits`` reads it for
-    every admissibility test.  `_answers` keeps each ``find_path`` and
-    ``is_transitive`` answer, filled as they are first asked.
+    every admissibility test; `_extensions` maps each symbol to its
+    successors as one-symbol words, which ``extend_words`` appends.
+    `_answers` keeps each answer as it is first asked: ``find_path`` under
+    its pair of symbols, ``is_transitive`` under "transitive", and each
+    freeness answer (tail, differs_at) under (j - i, w[i:]), a number and
+    a word (``freeness_certificate``).
     """
 
     rows: tuple[tuple[int, ...], ...]
     edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _successors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
     _predecessors: tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    _extensions: dict[int, tuple[Word, ...]] = field(init=False, repr=False, compare=False)
     _answers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -61,9 +67,11 @@ class AdjacencyMatrix:
         succ = tuple(tuple(j for j, b in enumerate(row, 1) if b) for row in self.rows)
         pred = tuple(tuple(i for i, row in enumerate(self.rows, 1) if row[j]) for j in range(n))
         edges = frozenset((i, j) for i, js in enumerate(succ, 1) for j in js)
+        extensions = {i: tuple((j,) for j in js) for i, js in enumerate(succ, 1)}
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_successors", succ)
         object.__setattr__(self, "_predecessors", pred)
+        object.__setattr__(self, "_extensions", extensions)
         object.__setattr__(self, "_answers", {})
 
     @classmethod
@@ -87,7 +95,7 @@ class AdjacencyMatrix:
         Symbols are checked (SymbolOutOfRange) only when the set cannot vouch
         for them: under two symbols, a missing pair, or a non-int like 1.0."""
         pairs_ok = self.edges.issuperset(zip(word, word[1:]))
-        if len(word) > 1 and pairs_ok and all(type(s) is int for s in word):
+        if len(word) > 1 and pairs_ok and _INT_ONLY.issuperset(map(type, word)):
             return True
         for s in word:
             self.check_symbol(s)

@@ -98,9 +98,9 @@ def require_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> Word:
 def extend_words(A: AdjacencyMatrix, words: list[Word], levels: int) -> list[Word]:
     """Each word followed by each admissible continuation of `levels` more
     symbols, in order; unbounded, so callers check ``require_work_limit``."""
-    succ = {s: A.successors(s) for s in A.symbols}
+    extensions = A._extensions
     for _ in range(levels if words else 0):  # no words: nothing to build, at any depth
-        words = [w + (s,) for w in words for s in succ[w[-1]]]
+        words = [w + t for w in words for t in extensions[w[-1]]]
     return words
 
 

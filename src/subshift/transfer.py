@@ -112,38 +112,42 @@ def transfer_apply(rho: Weight, f: CylinderFunction) -> CylinderFunction:
     the predecessors a of x_1, computed as a scatter over the nonzero
     words y of f at depth d: each adds rho(y[:e]) * f(y), rho read at its
     own depth e, to the depth-(d - 1) word y[1:], or to every successor
-    of y[0] when d = 1.  rho's carrier is zero off its domain, so only
-    preimages inside the domain contribute.  Each sum is kept as an
-    unreduced integer pair, adding numerators over an equal denominator
-    and cross-multiplying otherwise, and becomes one Fraction, or is
-    dropped when it is 0.
+    of y[0] when d = 1.  rho's carrier is zero off its domain and at
+    least as deep, so only preimages inside the domain contribute, and
+    only a word y with rho(y[:e]) = 0 can lie outside it: those alone are
+    tested against the domain.  Each sum is kept as an unreduced integer
+    pair, adding numerators over an equal denominator and
+    cross-multiplying otherwise, and becomes one Fraction, or is dropped
+    when it is 0.
     """
     A = rho.matrix
     if f.matrix != A:
         raise MatrixMismatch("function built over a different matrix")
     d, e = max(rho.depth, f.depth), rho.depth
-    fv = refine(f, d).nonzero
-    outside = [y for y in fv if not rho.domain.covers(y)]
+    fv, rv = refine(f, d).nonzero, rho.carrier.nonzero
+    images = (lambda y: (y[1:],)) if d > 1 else (lambda y: [(s,) for s in A.successors(y[0])])
+    sums: dict[Word, tuple[int, int]] = {}  # unreduced numerator, denominator
+    outside = []
+    for y, v in fv.items():
+        r = rv.get(y[:e])
+        if r is None:
+            if not rho.domain.covers(y):
+                outside.append(y)
+            continue
+        p, q = r.numerator * v.numerator, r.denominator * v.denominator
+        for x in images(y):
+            s = sums.get(x)
+            if s is None:
+                sums[x] = p, q
+            elif s[1] == q:
+                sums[x] = s[0] + p, q
+            else:
+                sums[x] = s[0] * q + p * s[1], s[1] * q
     if outside:
         y = min(outside)
         raise SupportViolation(
             f"function is {fv[y]} on cylinder {word_to_string(y)} outside the domain"
         )
-    rv = rho.carrier.nonzero
-    images = (lambda y: (y[1:],)) if d > 1 else (lambda y: [(s,) for s in A.successors(y[0])])
-    sums: dict[Word, tuple[int, int]] = {}  # unreduced numerator, denominator
-    for y, v in fv.items():
-        r = rv.get(y[:e])
-        if r is not None:
-            p, q = r.numerator * v.numerator, r.denominator * v.denominator
-            for x in images(y):
-                s = sums.get(x)
-                if s is None:
-                    sums[x] = p, q
-                elif s[1] == q:
-                    sums[x] = s[0] + p, q
-                else:
-                    sums[x] = s[0] * q + p * s[1], s[1] * q
     table = {x: Fraction(p, q) for x, (p, q) in sums.items() if p}
     return CylinderFunction.from_nonzero(A, max(d - 1, 1), table)
 

@@ -166,3 +166,24 @@ def test_criterion_7_minimality_coverage():
             assert ss.is_admissible(GOLDEN, wit.prefix)
             assert wit.prefix[wit.shifts :] == z
     _report(7, "minimality coverage, golden mean depth <= 4", 2.0, t0)
+
+
+def test_criterion_8_every_builder_passes_its_own_check():
+    # Freeness tables are not re-verified by their builder, so every table,
+    # witness and invariant set built over the corpus is verified here.
+    t0 = time.perf_counter()
+    built = 0
+    for A in [GOLDEN, FULL2] + list(no_zero_row_matrices(3)):
+        if not ss.is_transitive(A) or ss.is_cycle(A):
+            continue
+        ss.find_nontrivial_invariant(A).verify()
+        words = ss.enumerate_words(A, 1) + ss.enumerate_words(A, 2)
+        for w in words:
+            for z in words:
+                ss.minimality_witness(A, w, z).verify()
+        for j in range(1, 5):
+            for i in range(j):
+                ss.freeness_certificate(A, i, j).verify()
+        built += 1
+    assert built == 2 + 142  # golden, full2 and the transitive non-cycle 3x3 matrices
+    _report(8, "every builder's result verifies, transitive non-cycle n <= 3", 30.0, t0)

@@ -3,6 +3,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import (
@@ -189,6 +191,46 @@ def test_freeness_certificates_random_larger():
             for i in range(j):
                 ss.freeness_certificate(A, i, j).verify()
         checked += 1
+
+
+@st.composite
+def _freeness_cases(draw):
+    """A transitive non-cycle matrix with n <= 5 and exponents 0 < i < j <= 5."""
+    n = draw(st.integers(2, 5))
+    rows = [[(m >> c) & 1 for c in range(n)] for m in (draw(st.integers(1, 2**n - 1)) for _ in range(n))]
+    A = ss.AdjacencyMatrix.from_rows(rows)
+    assume(ss.is_transitive(A) and not ss.is_cycle(A))
+    j = draw(st.integers(2, 5))
+    return rows, draw(st.integers(1, j - 1)), j
+
+
+def _answers(cert):
+    return [(e.word, e.witness.tail, e.differs_at) for e in cert.entries]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_freeness_cases())
+def test_a_table_asked_first_matches_one_built_from_kept_answers(case):
+    # Each entry is kept per (j - i, w[i:]), so a table with i > 0 asked of a
+    # fresh matrix, whose suffixes nothing has answered yet, must read the same
+    # as one whose answers analyze filled in from every pair up to depth j.
+    rows, i, j = case
+    cold = ss.freeness_certificate(ss.AdjacencyMatrix.from_rows(rows), i, j)
+    A = ss.AdjacencyMatrix.from_rows(rows)
+    ss.analyze(A, j)
+    warm = ss.freeness_certificate(A, i, j)
+    assert _answers(cold) == _answers(warm)
+    cold.verify()
+    warm.verify()
+
+
+def test_a_tail_that_equalizes_the_shifts_is_refused_where_it_is_found(monkeypatch):
+    # With r itself as the tail, w . (w[i:])^inf is the one point of [w] where
+    # the shifts agree: the builder names the pair and the word, not a later check.
+    monkeypatch.setattr(ss.freeness, "_diverting_tail", lambda A, r: r)
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])  # fresh: no answer is kept yet
+    with pytest.raises(CertificateInvalid, match=r"^\(i=1, j=2\)\.entries\[0\] \[11\]: witness equalizes"):
+        ss.freeness_certificate(A, 1, 2)
 
 
 def test_freeness_tamper_detection(golden):

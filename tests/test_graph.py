@@ -81,6 +81,7 @@ def test_neighbour_tuples_match_the_rows(A):
     for s in A.symbols:
         assert A.successors(s) == tuple(t for t in A.symbols if A.entry(s, t))
         assert A.predecessors(s) == tuple(t for t in A.symbols if A.entry(t, s))
+        assert A._extensions[s] == tuple((t,) for t in A.successors(s))  # what extend_words appends
     for bad in (0, A.n + 1):
         with pytest.raises(SymbolOutOfRange):
             A.successors(bad)
@@ -200,6 +201,19 @@ def test_symbol_range_checks(golden):
         ss.preimage_symbols(golden, 3)
     with pytest.raises(SymbolOutOfRange):
         ss.find_path(golden, 1, 5)
+
+
+def test_admits_checks_symbols_only_when_the_edges_cannot_vouch(golden, monkeypatch):
+    checked = []
+    original = ss.AdjacencyMatrix.check_symbol
+    monkeypatch.setattr(ss.AdjacencyMatrix, "check_symbol", lambda A, s: checked.append(s) or original(A, s))
+    assert golden.admits((1, 2, 1)) and checked == []
+    # True and 1.0 hash as the symbol 1, so the edge set holds their pairs;
+    # only the symbol check tells a bool or a float from an int.
+    assert golden.admits((1, True)) and checked == [1, True]
+    with pytest.raises(SymbolOutOfRange):
+        golden.admits((1.0, 2))
+    assert checked == [1, True, 1.0]
 
 
 def test_matrix_rejects_bad_rows():

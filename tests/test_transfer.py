@@ -91,6 +91,37 @@ def test_support_violation(golden):
         ss.transfer_apply(rho, ss.CylinderFunction.constant(golden, 1))
 
 
+def _support_violation_of_every_word(rho, f):
+    """The message of the former support check, which tested every nonzero
+    word of f against the domain, or None where it passed."""
+    fv = ss.refine(f, max(rho.depth, f.depth)).nonzero
+    outside = [y for y in fv if not rho.domain.covers(y)]
+    return None if not outside else (
+        f"function is {fv[min(outside)]} on cylinder {ss.word_to_string(min(outside))} outside the domain"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_support_is_checked_only_where_the_weight_vanishes(seed):
+    # The carrier is zero off the domain and at least as deep, so testing the
+    # words where it vanishes refuses exactly what testing every word did.
+    rng = random.Random(seed)
+    A = random_matrix(rng, nmax=3, nmin=2)
+    U = random_mask(rng, A, rng.randint(1, 3), full_prob=0.2)
+    rho = random_weight(rng, A, depth_max=3, zero_prob=0.3, domain=U)
+    f = random_function(rng, A, rng.randint(1, 3), zero_prob=rng.choice((0, 0.5, 0.9)))
+    if rng.random() < 0.5:  # inside the domain, but for at most one cylinder
+        w = rng.choice(ss.enumerate_words(A, rng.randint(1, 3)))
+        f = masked(f, rho.domain) + rng.randint(0, 1) * ss.CylinderFunction.indicator(A, w)
+    try:
+        ss.transfer_apply(rho, f)
+        refused = None
+    except SupportViolation as exc:
+        refused = str(exc)
+    assert refused == _support_violation_of_every_word(rho, f)
+
+
 def _wide(rng, lo):
     return Fraction(rng.randint(lo, 10**6), rng.randint(1, 10**6))
 
