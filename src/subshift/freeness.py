@@ -14,10 +14,10 @@ For a transitive matrix whose graph is not a cycle this module builds:
   as t alone, since the entries follow the order of the words.
 
 Every certificate re-verifies itself from its stored data alone via
-``verify``.  The invariant-set and minimality builders run ``verify``
-before returning; a freeness table is not re-verified as a whole, but
-checks each answer when it first works it out, once per matrix for each
-exponent difference and word suffix.  Invariant-set points are
+``verify``, which ``verify_report`` runs where a report is read.  The
+builders return what they construct without running it; a freeness
+table checks each answer when it first works it out, once per matrix for
+each exponent difference and word suffix.  Invariant-set points are
 two-sided, freeness witnesses one-sided (``OneSidedPoint``).
 A depth-j table lists its words by ``enumerate_words``, so the work limit
 refuses it, when it is built, read or verified alike.
@@ -147,7 +147,7 @@ class MinimalityWitness:
             raise CertificateInvalid("witness word does not start in the source cylinder")
         if self.shifts != len(self.prefix) - len(self.target):
             raise CertificateInvalid("shift count does not match the word lengths")
-        if self.shifts < 0 or self.prefix[self.shifts :] != self.target:
+        if self.prefix[self.shifts :] != self.target:
             raise CertificateInvalid("dropping the shifts does not leave the target word")
 
     def to_dict(self) -> dict:
@@ -301,9 +301,7 @@ def find_nontrivial_invariant(A: AdjacencyMatrix) -> InvariantSetCertificate:
     r = cycle_word + (cycle_word[0],)
     member = periodic_seq(A, cycle_word)
     non_member = _avoiding_point(A, cycle_word)
-    cert = InvariantSetCertificate(A, r, member, non_member)
-    cert.verify()
-    return cert
+    return InvariantSetCertificate(A, r, member, non_member)
 
 
 def _avoiding_point(A: AdjacencyMatrix, cycle_word: Word) -> EventuallyPeriodicSeq:
@@ -332,7 +330,10 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
 
     When the last symbol of w and the first of z coincide the connector
     still travels a real cycle, so the witness stays admissible without
-    assuming a self-loop.
+    assuming a self-loop.  It holds by construction (w, the connector's
+    edges and z are admissible; dropping len(prefix) - len(z) symbols
+    leaves z), so it is returned unchecked;
+    test_minimality_witnesses_verify_for_any_admissible_words verifies it.
     """
     start = require_admissible(A, w)
     target = require_admissible(A, z)
@@ -341,13 +342,10 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
     if not is_transitive(A):
         raise NotTransitive("the graph is not transitive")
     if start == target:
-        wit = MinimalityWitness(A, start, target, start, 0)
-    else:
-        connector = find_path(A, start[-1], target[0])
-        prefix = start + connector[1:-1] + target
-        wit = MinimalityWitness(A, start, target, prefix, len(prefix) - len(target))
-    wit.verify()
-    return wit
+        return MinimalityWitness(A, start, target, start, 0)
+    connector = find_path(A, start[-1], target[0])
+    prefix = start + connector[1:-1] + target
+    return MinimalityWitness(A, start, target, prefix, len(prefix) - len(target))
 
 
 def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertificate:

@@ -130,7 +130,7 @@ def _skeleton(A: AdjacencyMatrix, depth_budget: int) -> AnalysisVerdict:
 def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     """Run the full decision pipeline on a matrix.
 
-    With both hypotheses satisfied the verdict carries a verified
+    With both hypotheses satisfied the verdict carries an
     invariant-set certificate, minimality spot witnesses over shallow
     cylinder pairs, and freeness tables for every exponent pair
     0 <= i < j <= depth_budget; otherwise it is inconclusive and names
@@ -331,10 +331,10 @@ def verify_report(text: str) -> AnalysisVerdict:
         raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
     with located("certificates.invariant_set: "):
         v.invariant_set.verify()
-    for k, wit in enumerate(v.minimality):
-        with located(f"certificates.minimality[{k}]: "):
+    with located(lambda: f"certificates.minimality[{k}]: "):
+        for k, wit in enumerate(v.minimality):
             wit.verify()
-    for k, cert in enumerate(v.freeness):
-        with located(f"certificates.freeness[{k}] "):
+    with located(lambda: f"certificates.freeness[{k}] "):
+        for k, cert in enumerate(v.freeness):
             cert.verify()
     return v

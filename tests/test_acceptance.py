@@ -169,8 +169,8 @@ def test_criterion_7_minimality_coverage():
 
 
 def test_criterion_8_every_builder_passes_its_own_check():
-    # Freeness tables are not re-verified by their builder, so every table,
-    # witness and invariant set built over the corpus is verified here.
+    # No builder re-verifies what it returns, so every table, witness and
+    # invariant set built over the corpus is verified here.
     t0 = time.perf_counter()
     built = 0
     for A in [GOLDEN, FULL2] + list(no_zero_row_matrices(3)):

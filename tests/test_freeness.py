@@ -73,14 +73,56 @@ def test_invariant_certificates_exhaustive_small():
     assert seen > 100
 
 
-def test_invariant_certificate_tamper_detection(golden):
+@st.composite
+def _transitive_noncycle(draw):
+    """A seeded random transitive non-cycle matrix with n = 4-6."""
+    A = random_matrix(random.Random(draw(st.integers(0, 2**32 - 1))), nmax=6, nmin=4)
+    assume(ss.is_transitive(A) and not ss.is_cycle(A))
+    return A
+
+
+def _admissible_literal(draw, A):
+    """An admissible word of length 1-5 over A, written as a user writes it."""
+    word = [draw(st.sampled_from(A.symbols))]
+    for _ in range(draw(st.integers(0, 4))):
+        word.append(draw(st.sampled_from(A.successors(word[-1]))))
+    return ss.word_to_string(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transitive_noncycle())
+def test_invariant_certificates_verify_on_larger_matrices(A):
+    # The builder returns its certificate unchecked; verify is the check.
+    ss.find_nontrivial_invariant(A).verify()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimality_witnesses_verify_for_any_admissible_words(data):
+    # The words `witness minimal` takes from users, not only analyze's spot pairs.
+    A = data.draw(_transitive_noncycle())
+    w, z = _admissible_literal(data.draw, A), _admissible_literal(data.draw, A)
+    wit = ss.minimality_witness(A, w, z)
+    wit.verify()
+    assert (wit.start, wit.target) == (ss.word_from_string(w), ss.word_from_string(z))
+
+
+def test_invariant_certificate_tamper_detection(golden, full2):
     cert = ss.find_nontrivial_invariant(golden)
     swapped = ss.InvariantSetCertificate(golden, cert.word, cert.non_member, cert.member)
-    with pytest.raises(CertificateInvalid):
+    with pytest.raises(CertificateInvalid, match="member does not contain"):
         swapped.verify()
     bad_word = ss.InvariantSetCertificate(golden, (1, 1), cert.member, cert.non_member)
     with pytest.raises(CertificateInvalid):
         bad_word.verify()
+    both_members = ss.InvariantSetCertificate(golden, cert.word, cert.member, cert.member)
+    with pytest.raises(CertificateInvalid, match="non-member contains the certificate word"):
+        both_members.verify()
+    # The same literals read over full2: equal words, but points of another space.
+    for points in ((ss.periodic_seq(full2, "12"), cert.non_member), (cert.member, ss.periodic_seq(full2, "1"))):
+        elsewhere = ss.InvariantSetCertificate(golden, cert.word, *points)
+        with pytest.raises(CertificateInvalid, match="built over a different matrix"):
+            elsewhere.verify()
 
 
 def test_minimality_witness_examples(golden, split2):
@@ -126,10 +168,14 @@ def test_minimality_witness_coverage_small():
 
 def test_minimality_tamper_detection(golden):
     wit = ss.minimality_witness(golden, "21", "12")
-    with pytest.raises(CertificateInvalid):
+    with pytest.raises(CertificateInvalid, match="shift count"):
         replace(wit, shifts=1).verify()
     with pytest.raises(CertificateInvalid):
         replace(wit, prefix=(2, 1, 1, 1)).verify()
+    # A negative count that matches the lengths is refused by the suffix check.
+    short = replace(wit, prefix=(2, 1), target=(1, 2, 1), shifts=-1)
+    with pytest.raises(CertificateInvalid, match="does not leave the target word"):
+        short.verify()
 
 
 def equalizes(point, i, j):
@@ -233,7 +279,7 @@ def test_a_tail_that_equalizes_the_shifts_is_refused_where_it_is_found(monkeypat
         ss.freeness_certificate(A, 1, 2)
 
 
-def test_freeness_tamper_detection(golden):
+def test_freeness_tamper_detection(golden, full2):
     cert = ss.freeness_certificate(golden, 1, 2)
     entries = list(cert.entries)
     entries[0] = replace(entries[0], differs_at=entries[0].differs_at + 1)
@@ -248,6 +294,12 @@ def test_freeness_tamper_detection(golden):
     elsewhere = replace(cert.entries[0], witness=ss.one_sided_seq(golden, "12", "1"))
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 1, 2, (elsewhere,) + cert.entries[1:]).verify()
+    other = replace(cert.entries[0], witness=ss.one_sided_seq(full2, "11", "2"))
+    with pytest.raises(CertificateInvalid, match=r"entries\[0\] \[11\]: witness built over a different matrix"):
+        ss.FreenessCertificate(golden, 1, 2, (other,) + cert.entries[1:]).verify()
+    for i, j in ((2, 2), (3, 2), (-1, 2)):
+        with pytest.raises(CertificateInvalid, match=rf"^\(i={i}, j={j}\): exponents must satisfy 0 <= i < j"):
+            ss.FreenessCertificate(golden, i, j, cert.entries).verify()
     # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()

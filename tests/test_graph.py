@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import subshift as ss
 from subshift.errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
-from subshift.graph import shortest_cycle_avoiding
+from subshift.graph import first_return_word, shortest_cycle_avoiding
 from support import (
     brute_force_shortest_cycle_avoiding,
     brute_force_transitive,
@@ -118,6 +118,16 @@ def test_find_path_examples(golden, split2):
         ss.find_path(split2, 1, 2)
 
 
+def test_first_return_word_examples(golden, split2):
+    # The smallest cycle that leaves the symbol: golden's self-loop at 1 does not count.
+    assert first_return_word(golden, 1) == (1, 2)
+    assert first_return_word(golden, 2) == (2, 1)
+    staircase = ss.AdjacencyMatrix.from_rows([[1, 1], [0, 1]])
+    for A in (staircase, split2):
+        with pytest.raises(NoPath, match="no return cycle through 1 that leaves it"):
+            first_return_word(A, 1)
+
+
 def test_find_path_checks_symbols_before_reading_its_answer(golden, split2):
     assert ss.find_path(golden, 1, 2) == (1, 2)
     for i in (1.0, 0, 3, "1"):
@@ -223,6 +233,8 @@ def test_matrix_rejects_bad_rows():
         ss.AdjacencyMatrix.from_rows([[1, 2], [1, 0]])
     with pytest.raises(ZeroRow):
         ss.AdjacencyMatrix.from_rows([[1, 1], [0, 0]])
+    with pytest.raises(MalformedInput, match="size at least 1"):
+        ss.AdjacencyMatrix.from_rows([])
 
 
 @pytest.mark.parametrize(

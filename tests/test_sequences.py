@@ -242,6 +242,8 @@ def test_periodic_points_examples(golden, swap2):
     assert words_equal(ss.periodic_points(golden, 1), ["1"])
     assert words_equal(ss.periodic_points(golden, 2), ["11", "12", "21"])
     assert ss.periodic_points(swap2, 1) == []
+    with pytest.raises(DepthZero, match="period must be at least 1"):
+        ss.periodic_points(golden, 0)
 
 
 def test_periodic_points_make_valid_sequences(golden, full2):

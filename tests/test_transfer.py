@@ -66,6 +66,13 @@ def test_transfer_apply_examples(golden, full2):
     assert zero.is_zero()
 
 
+def test_a_part_over_another_matrix_is_refused(golden, full2):
+    with pytest.raises(MatrixMismatch, match="carrier and domain built over different matrices"):
+        ss.Weight(ss.CylinderFunction.constant(golden, 1), ss.DomainMask.full(full2))
+    with pytest.raises(MatrixMismatch, match="function built over a different matrix"):
+        ss.transfer_apply(const_weight(golden), ss.CylinderFunction.constant(full2, 1))
+
+
 def test_transfer_apply_output_depth(golden):
     rho = ss.Weight.full(random_function(random.Random(0), golden, 3, positive=True))
     f = random_function(random.Random(1), golden, 2)
