@@ -24,7 +24,7 @@ from .cylinders import CylinderFunction, format_function_file, parse_function_fi
 from .errors import SubshiftError
 from .freeness import find_nontrivial_invariant, freeness_certificate, minimality_witness
 from .graph import parse_matrix
-from .sequences import enumerate_words, word_to_string
+from .sequences import spelled_words, word_to_string
 from .transfer import (
     as_operator,
     format_weight_file,
@@ -53,7 +53,7 @@ def _emit(text: str, out: str | None) -> None:
 def _function_table(f: CylinderFunction) -> dict:
     return {
         "depth": f.depth,
-        "values": {word_to_string(w): str(v) for w, v in sorted(f.values.items())},
+        "values": {s: str(f.values[w]) for s, w in spelled_words(f.matrix, f.depth).items()},
     }
 
 
@@ -147,8 +147,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # words
-    listing = "".join(word_to_string(w) + "\n" for w in enumerate_words(A, args.k))
-    _emit(listing, None)
+    _emit("".join(s + "\n" for s in spelled_words(A, args.k)), None)
     return 0
 
 

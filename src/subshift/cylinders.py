@@ -21,8 +21,8 @@ checked once, where it enters, by ``parse_function_file``: it makes the
 constructor's checks, with its messages, but reads each word literal of
 a complete file by one lookup among the listed depth-k words, when the
 work limit allows that listing, and converts each distinct value text once.
-The literals of that listing, and of a written file, are
-``sequences.enumerate_literals``, not one ``word_to_string`` per word.
+A file is read and written with one listing of a depth's words keyed by
+their literals (``sequences.spelled_words``), not one ``word_to_string`` per word.
 Parsed files and the functions the engine derives are built by
 ``CylinderFunction.from_nonzero`` (or by ``tabulate`` from a rule on
 every word) and are not checked again.  Listing every word of a depth
@@ -54,11 +54,11 @@ from .sequences import (
     OneSidedPoint,
     as_word,
     count_past,
-    enumerate_literals,
     enumerate_words,
     extend_words,
     require_admissible,
     require_work_limit,
+    spelled_words,
     word_from_string,
     word_to_string,
 )
@@ -434,13 +434,14 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     "<word> <value>" line per admissible depth-k word (all required).
 
     The file is checked here, once, as the constructor checks a table, and
-    fails with the constructor's messages.  When a line names an
-    admissible depth-k word and the file has one line per such word, those
-    words are listed once, keyed by their literals (``enumerate_literals``),
-    so that each literal is read and checked by one lookup.  A literal
-    spelled otherwise, or every literal when the work limit refuses the
-    listing, is read by ``word_from_string`` and checked on its own.  Each
-    distinct value text is converted once.
+    fails with the constructor's messages.  Before any line is read, the
+    depth-k words are counted against the line count, no further than one
+    length past it (``count_past``); when the file has one line per word,
+    they are listed once, keyed by their literals (``spelled_words``), so
+    that each literal is read and checked by one lookup.  A literal spelled
+    otherwise, or every literal when the work limit refuses the listing, is
+    read by ``word_from_string`` and checked on its own.  Each distinct
+    value text is converted once.
     """
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
@@ -449,11 +450,14 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     k = parse_natural(head[1]) if len(head) == 2 and head[0] == "depth" else None
     if k is None:
         raise MalformedInput(f"bad header {lines[0]!r}, expected 'depth <k>'")
-    count = None  # count_past up to the line count, once a line names an admissible depth-k word
-    spelled: dict[str, Word] = {}  # every depth-k word by its literal, once the file may list them all
+    rows = lines[1:]
+    spelled: dict[str, Word] = {}  # every depth-k word by its literal, when the file may list them all
+    if k >= 1 and count_past(A, k, len(rows)) == (k, len(rows)):
+        with suppress(WorkLimitExceeded):  # past the limit each literal is read on its own
+            spelled = spelled_words(A, k)
     unchecked: list[Word] = []
     table: dict[Word, str] = {}
-    for ln in lines[1:]:
+    for ln in rows:
         parts = ln.split()
         if len(parts) != 2:
             raise MalformedInput(f"bad table line {ln!r}")
@@ -461,11 +465,6 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
         if word is None:
             word = word_from_string(parts[0])
             unchecked.append(word)
-            if count is None and _is_word(A, k, word):
-                count = count_past(A, k, len(lines) - 1)
-                if count == (k, len(lines) - 1):  # N_k lines: list them, unless past the limit
-                    with suppress(WorkLimitExceeded):  # then each literal is read on its own
-                        spelled = dict(zip(enumerate_literals(A, k), enumerate_words(A, k)))
         if word in table:
             raise MalformedInput(f"duplicate word {parts[0]}")
         table[word] = parts[1]
@@ -477,10 +476,8 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
 
 
 def format_function_file(f: CylinderFunction) -> str:
-    """The function table format of f, every word listed (``enumerate_words``)
-    and written by its literal (``enumerate_literals``)."""
-    A, k, nonzero = f.matrix, f.depth, f.nonzero
-    lines = enumerate_literals(A, k)  # each literal is replaced by its line, not held beside it
-    for i, w in enumerate(enumerate_words(A, k)):
-        lines[i] += f" {nonzero.get(w, _ZERO)}\n"
-    return f"depth {k}\n" + "".join(lines)
+    """The function table format of f: every word, listed once with its
+    literal (``spelled_words``), and its value."""
+    nonzero = f.nonzero
+    rows = (f"{s} {nonzero.get(w, _ZERO)}\n" for s, w in spelled_words(f.matrix, f.depth).items())
+    return f"depth {f.depth}\n" + "".join(rows)

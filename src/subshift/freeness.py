@@ -268,6 +268,8 @@ class FreenessCertificate:
         only if the work limit allows it (``enumerate_words``)."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
+        if not 0 <= i < j:
+            raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         if count_past(A, j, len(rows)) != (j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         words, entries = enumerate_words(A, j), []

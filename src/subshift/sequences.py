@@ -12,9 +12,9 @@ Words are listed and refined by ``extend_words``; ``require_work_limit``
 counts, listing nothing, what a build would make and refuses it past the limit,
 and ``count_past`` counts no further than the size a count is compared with.
 Every listing of a length's words is ``enumerate_words``, which runs that
-check first; ``enumerate_literals`` spells the same listing, over at most
-9 symbols by extending each prefix's literal by one digit.  Every check
-reads the limit from this module's binding.
+check first; ``spelled_words`` keys that one listing by the words'
+literals, over at most 9 symbols built by extending each prefix's literal
+by one digit.  Every check reads the limit from this module's binding.
 """
 
 from __future__ import annotations
@@ -168,21 +168,19 @@ def enumerate_words(A: AdjacencyMatrix, k: int) -> list[Word]:
     return extend_words(A, [(s,) for s in A.symbols], k - 1)
 
 
-def enumerate_literals(A: AdjacencyMatrix, k: int) -> list[str]:
-    """The literals of ``enumerate_words(A, k)``, in its order, refused exactly
-    when it is.  Over at most 9 symbols each literal is its prefix's literal
-    plus one digit, extended as ``extend_words`` extends words, so no word
-    is listed; past 9 symbols they are ``word_to_string`` of the listed words."""
+def spelled_words(A: AdjacencyMatrix, k: int) -> dict[str, Word]:
+    """``enumerate_words(A, k)``, in its order, keyed by each word's literal,
+    and refused exactly when it is.  Over at most 9 symbols each literal is
+    its prefix's literal plus one digit, extended as ``extend_words``
+    extends words; past 9 symbols it is ``word_to_string`` of the word."""
+    words = enumerate_words(A, k)
     if A.n > 9:
-        return list(map(word_to_string, enumerate_words(A, k)))
-    if k < 1:
-        raise DepthZero("word length must be at least 1")
-    require_work_limit(A, k)
+        return {word_to_string(w): w for w in words}
     succ = {str(s): [str(t) for t in A.successors(s)] for s in A.symbols}
     literals = list(succ)
     for _ in range(k - 1):
         literals = [w + t for w in literals for t in succ[w[-1]]]
-    return literals
+    return dict(zip(literals, words))
 
 
 def periodic_points(A: AdjacencyMatrix, p: int) -> list[Word]:

@@ -166,9 +166,12 @@ def matrix_echo(A: AdjacencyMatrix) -> dict:
 def dump_json(doc: dict) -> str:
     """The one JSON layout of every document: indent 2, sorted keys, ASCII
     escapes and one trailing newline, the bytes of ``json.dumps(doc,
-    indent=2, sort_keys=True) + "\\n"``.  The stdlib's C encoder serves only
-    ``indent=None``; with an indent every chunk climbs a generator per
-    nesting level, so this writer appends each to one list instead."""
+    indent=2, sort_keys=True) + "\\n"``.  It writes str, int, bool, None,
+    dict and list or tuple values, and refuses any other with the stdlib's
+    TypeError, a float too, which ``json.dumps`` would write; no document
+    holds a float.  The stdlib's C encoder serves only ``indent=None``; with
+    an indent every chunk climbs a generator per nesting level, so this
+    writer appends each to one list instead."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     out.append("\n")

@@ -319,7 +319,8 @@ _DEEP = "2" * 200_000  # a literal of the header's length that is not admissible
     ids=["function", "weight", "function-inadmissible", "weight-inadmissible"],
 )
 def test_a_deep_header_is_refused_without_counting(golden, parse, text, unknown):
-    # N_k takes k steps to count; every word is checked before it is counted.
+    # N_k takes k steps to count in full; counting against the one line stops at
+    # N_1 = 2, and every word is checked before N_k is counted.
     # The clock stops at the parse: compiling a 200,000-symbol match= pattern
     # would cost several times the parse itself.
     started = time.perf_counter()
@@ -434,6 +435,21 @@ def test_the_literal_map_is_skipped_not_refused(full2, monkeypatch):
         ss.enumerate_words(full2, 5)
     f = ss.parse_function_file(full2, text)
     assert (f.depth, f.nonzero) == (5, ss.CylinderFunction(full2, 5, table).nonzero)
+
+
+def test_a_ten_symbol_file_lists_its_words_once(monkeypatch):
+    # Past 9 symbols the literals are spelled from the listed words, not listed
+    # again; both bindings are counted, so a second listing through either shows.
+    full10 = ss.AdjacencyMatrix.from_rows([[1] * 10] * 10)
+    f = ss.CylinderFunction.tabulate(full10, 2, lambda w: Fraction(w[0], w[-1]))
+    listed, enumerate_words = [], ss.sequences.enumerate_words
+    counted = lambda A, k: listed.append(k) or enumerate_words(A, k)
+    for module in (ss.sequences, ss.cylinders):
+        monkeypatch.setattr(module, "enumerate_words", counted)
+    text = ss.format_function_file(f)
+    assert listed == [2] and "\n1.10 1/10\n21 2\n" in text and text.endswith("\n10.10 1\n")
+    assert ss.parse_function_file(full10, text) == f
+    assert listed == [2, 2]
 
 
 _SPELLINGS = ["0", "-0", "+3", "6/4", "0.5", "-.25", "-7/3", "12"]

@@ -57,6 +57,13 @@ def test_avoiding_point_on_a_cycle_raises(swap2):
         ss.freeness._avoiding_point(swap2, (1, 2))
 
 
+def test_diverting_tail_on_a_cycle_raises():
+    # Every symbol of the 3-cycle has one successor, so r = 123 has no edge to leave by.
+    cycle3 = ss.AdjacencyMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(GraphIsCycle, match="no diverting edge found"):
+        ss.freeness._diverting_tail(cycle3, (1, 2, 3))
+
+
 def test_invariant_certificate_hypothesis_gates(swap2, split2):
     with pytest.raises(GraphIsCycle):
         ss.find_nontrivial_invariant(swap2)
@@ -300,6 +307,12 @@ def test_freeness_tamper_detection(golden, full2):
     for i, j in ((2, 2), (3, 2), (-1, 2)):
         with pytest.raises(CertificateInvalid, match=rf"^\(i={i}, j={j}\): exponents must satisfy 0 <= i < j"):
             ss.FreenessCertificate(golden, i, j, cert.entries).verify()
+    # from_dict refuses them before it counts: j = 0 has no words to count, and
+    # golden's two depth-1 rows match N_1 = 2 whatever i is.
+    depth1 = ss.freeness_certificate(golden, 0, 1).to_dict()["entries"]
+    for i, j, rows in ((0, 0, []), (3, 1, depth1), (-1, 1, depth1)):
+        with pytest.raises(CertificateInvalid, match=rf"^\(i={i}, j={j}\): exponents must satisfy 0 <= i < j$"):
+            ss.FreenessCertificate.from_dict(golden, {"i": i, "j": j, "entries": rows})
     # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()

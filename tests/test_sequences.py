@@ -19,9 +19,9 @@ from subshift.errors import (
 from subshift.cli import main
 from subshift.sequences import (
     count_past,
-    enumerate_literals,
     extend_words,
     require_work_limit,
+    spelled_words,
     word_count,
     word_counts,
 )
@@ -84,7 +84,7 @@ def test_enumerate_words_examples(golden):
         ss.enumerate_words(golden, 0)
 
 
-def test_enumerate_literals_spell_the_listed_words(monkeypatch):
+def test_spelled_words_key_the_listed_words(monkeypatch):
     # Alphabets on both sides of 9: digits built by prefix, and word_to_string past 9.
     rng = random.Random(31)
     sides = set()
@@ -98,15 +98,15 @@ def test_enumerate_literals_spell_the_listed_words(monkeypatch):
             words = ss.enumerate_words(A, k)
         except WorkLimitExceeded:
             with pytest.raises(WorkLimitExceeded):
-                enumerate_literals(A, k)
+                spelled_words(A, k)
             continue
-        assert enumerate_literals(A, k) == [ss.word_to_string(w) for w in words]
+        assert list(spelled_words(A, k).items()) == [(ss.word_to_string(w), w) for w in words]
         sides.add(A.n > 9)
     assert sides == {False, True}
     for A in (random_matrix(rng, nmax=3), random_matrix(rng, nmin=10, nmax=12)):
         for k in (0, -1):
             with pytest.raises(DepthZero):
-                enumerate_literals(A, k)
+                spelled_words(A, k)
 
 
 def test_enumerate_words_long_words_do_not_recurse(swap2, monkeypatch):
@@ -162,6 +162,8 @@ def test_count_past_agrees_with_the_full_count():
         counts = list(islice(word_counts(A), k))
         length = next((l for l, c in enumerate(counts, 1) if c > size), k)
         assert count_past(A, k, size) == (length, counts[length - 1])
+    with pytest.raises(DepthZero, match="word length must be at least 1"):
+        count_past(A, 0, 1)
 
 
 def test_work_limit_refuses_exactly_past_the_symbols_built(monkeypatch):
@@ -199,7 +201,7 @@ def _words_verb(A, k, tmp_path):
 
 _FULL_LISTINGS = {
     "enumerate_words": lambda A, k, _: ss.enumerate_words(A, k),
-    "enumerate_literals": lambda A, k, _: enumerate_literals(A, k),
+    "spelled_words": lambda A, k, _: spelled_words(A, k),
     "words verb": _words_verb,
     "values view": lambda A, k, _: list(ss.CylinderFunction.zero(A, k).values),
     "tabulate": lambda A, k, _: ss.CylinderFunction.tabulate(A, k, lambda w: 1),

@@ -589,6 +589,16 @@ def test_dump_json_writes_the_stdlib_layout(doc):
     assert ss.verdict.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_dump_json_refuses_what_no_document_holds():
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps({"x": {1}})
+    with pytest.raises(TypeError) as ours:
+        ss.verdict.dump_json({"x": {1}})
+    assert str(ours.value) == str(stdlib.value) == "Object of type set is not JSON serializable"
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        ss.verdict.dump_json({"x": [0.5]})
+
+
 def test_reports_are_written_in_the_stdlib_layout(golden):
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
     for A, depth in ((full3, 5), (golden, 9), (near_cycle(12), 3)):
