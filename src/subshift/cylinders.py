@@ -173,7 +173,12 @@ class CylinderFunction:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise DepthZero("cylinder functions need depth at least 1")
-        table = {_as_key(w): _as_fraction(v) for w, v in self.values.items()}
+        table: dict[Word, Fraction] = {}
+        for w, v in self.values.items():
+            key = _as_key(w)
+            if key in table:  # two spellings of one word, as a function file may not list it twice
+                raise MalformedInput(f"duplicate word {w if isinstance(w, str) else word_to_string(key)}")
+            table[key] = _as_fraction(v)
         _require_every_word(self.matrix, self.depth, table, len(table))
         nonzero = {w: v for w, v in table.items() if v}
         object.__setattr__(self, "values", CylinderValues(self.matrix, self.depth, nonzero))

@@ -19,6 +19,7 @@ by one digit.  Every check reads the limit from this module's binding.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,6 +30,7 @@ from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRang
 from .graph import AdjacencyMatrix, Word
 
 MAX_FREENESS_ENTRIES = 1_000_000  # the work limit; the golden-mean words pass it at length 21
+_LITERAL = re.compile(r"L:(\S*) C:(\S*) R:(\S*) O:(-?[0-9]+)")  # what to_literal writes
 
 
 def as_word(w: str | Iterable[int]) -> Word:
@@ -206,7 +208,13 @@ class EventuallyPeriodicSeq:
     Periods are stored as given (no primitive-root reduction) and the
     core may be empty, so purely periodic points have a small canonical
     form.  Equality is coordinatewise, not representational: two values
-    are equal when they agree at every coordinate.
+    are equal when they agree at every coordinate.  It is decided from one
+    window at each core end and one before the first, so comparing costs
+    time bounded by the words' lengths, not by the origins.
+    The literal is ``L:<word> C:<word> R:<word> O:<int>``: the fields in
+    that order, single-spaced, each word a ``word_from_string`` literal
+    and the origin an optional ``-`` then ASCII digits; ``from_literal``
+    refuses any other spelling (MalformedInput).
     """
 
     matrix: AdjacencyMatrix
@@ -248,13 +256,14 @@ class EventuallyPeriodicSeq:
             return NotImplemented
         if self.matrix != other.matrix:
             return False
-        lo = min(-self.origin, -other.origin)
-        hi = max(len(self.core) - self.origin, len(other.core) - other.origin)
-        lper = lcm(len(self.left_period), len(other.left_period))
-        rper = lcm(len(self.right_period), len(other.right_period))
-        return all(
-            self[i] == other[i] for i in range(lo - lper, hi + rper)
+        # Between two consecutive core ends each side stays in its core or repeats one
+        # period, so a window from each end, and one before the first, decides all.
+        ends = sorted(e for s in (self, other) for e in (-s.origin, len(s.core) - s.origin))
+        periods = (other.left_period, other.right_period)
+        size = max(len(self.core), len(other.core)) + max(
+            lcm(len(p), len(q)) for p in (self.left_period, self.right_period) for q in periods
         )
+        return all(self.window(e, size) == other.window(e, size) for e in (ends[0] - size, *ends))
 
     def to_literal(self) -> str:
         return "L:{} C:{} R:{} O:{}".format(
@@ -266,26 +275,16 @@ class EventuallyPeriodicSeq:
 
     @classmethod
     def from_literal(cls, A: AdjacencyMatrix, text: str) -> "EventuallyPeriodicSeq":
-        fields = {}
-        for token in text.split():
-            if ":" not in token:
-                raise MalformedInput(f"bad sequence token {token!r}")
-            key, _, value = token.partition(":")
-            fields[key] = value
-        missing = {"L", "C", "R", "O"} - set(fields)
-        if missing:
-            raise MalformedInput(f"sequence literal missing {sorted(missing)}")
+        """The point ``to_literal`` writes as `text`; any other spelling is MalformedInput."""
+        match = _LITERAL.fullmatch(text)
+        if match is None:
+            raise MalformedInput(f"sequence literal {text!r} is not 'L:<word> C:<word> R:<word> O:<int>'")
+        *words, origin = match.groups()
         try:
-            origin = int(fields["O"])
-        except ValueError:
-            raise MalformedInput(f"bad origin {fields['O']!r}") from None
-        return cls(
-            A,
-            word_from_string(fields["L"]),
-            word_from_string(fields["C"]),
-            word_from_string(fields["R"]),
-            origin,
-        )
+            origin = int(origin)
+        except ValueError:  # past int()'s digit limit
+            raise MalformedInput(f"sequence literal origin {origin[:20]}... is too long to read") from None
+        return cls(A, *map(word_from_string, words), origin)
 
     def __repr__(self) -> str:
         return f"EventuallyPeriodicSeq({self.to_literal()!r})"

@@ -305,6 +305,63 @@ def test_function_file_fails_as_the_constructor_does(golden, depth, words):
     assert (type(parsed.value), str(parsed.value)) == (type(expected.value), str(expected.value))
 
 
+def _dotted(literal):
+    """A second spelling of a digit literal's word: its symbols as dotted numerals."""
+    return ".".join(literal) + ("." if len(literal) == 1 else "")
+
+
+def _single_defects(k, rows):
+    """(name, depth, rows) for the table `rows` of (literal, value) and each
+    mutation of it with one defect, at every row it can touch."""
+    unknown = ["4" * k, "0" * k, "1" * (k + 1)]  # out of range, both ways, and too long
+    yield "as written", k, rows
+    yield "depth 0", 0, rows
+    for at, (word, value) in enumerate(rows):
+        keep = rows[:at] + rows[at + 1:]
+        yield "respelled", k, rows[:at] + [(_dotted(word), value)] + rows[at + 1:]
+        yield "duplicate", k, rows[: at + 1] + [(_dotted(word), "7")] + rows[at + 1:]
+        yield "missing", k, keep
+        for bad in unknown:
+            yield "unknown instead", k, rows[:at] + [(bad, value)] + rows[at + 1:]
+        for bad in ("x", "1/0", "1e3", "0x1"):
+            yield "bad value", k, rows[:at] + [(word, bad)] + rows[at + 1:]
+        for bad in ("1x", "1..2", ".", "1.2."):
+            yield "bad literal", k, rows[:at] + [(bad, value)] + rows[at + 1:]
+    for bad in unknown:
+        yield "unknown added", k, rows + [(bad, "1")]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ss.SubshiftError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[1, 1, 1]] * 3], ids=["golden", "full3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_table_checkers_agree_on_every_single_defect(rows, k):
+    # A table as a dict for the constructor and the same rows as a function
+    # file: both refuse with one exception and message, or both accept one function.
+    A = ss.AdjacencyMatrix.from_rows(rows)
+    values = ["1", "0", "1/2", "-3"]
+    table = [(ss.word_to_string(w), values[i % 4]) for i, w in enumerate(ss.enumerate_words(A, k))]
+    for name, depth, mutated in _single_defects(k, table):
+        assert len(dict(mutated)) == len(mutated)  # each literal once, so the dict keeps every row
+        built = _outcome(lambda: ss.CylinderFunction(A, depth, dict(mutated)))
+        text = f"depth {depth}\n" + "".join(f"{w} {v}\n" for w, v in mutated)
+        parsed = _outcome(lambda: ss.parse_function_file(A, text))
+        assert parsed == built, (name, mutated)
+        assert isinstance(built, tuple) != (name in ("as written", "respelled")), (name, mutated)
+
+
+def test_constructor_refuses_two_keys_for_one_word(golden):
+    with pytest.raises(MalformedInput, match=r"^duplicate word 1\.$"):
+        ss.CylinderFunction(golden, 1, {"1": 1, "1.": 5, "2": 3})
+    with pytest.raises(MalformedInput, match=r"^duplicate word 1$"):
+        ss.CylinderFunction(golden, 1, {"1": 1, (1,): 2, "2": 3})
+
+
 _DEEP = "2" * 200_000  # a literal of the header's length that is not admissible on golden
 
 

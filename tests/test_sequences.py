@@ -3,6 +3,7 @@ import io
 import random
 import time
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -368,12 +369,107 @@ def test_literal_round_trip(golden):
     pure = ss.periodic_seq(golden, "12")
     assert pure.to_literal() == "L:12 C: R:12 O:0"
     assert ss.EventuallyPeriodicSeq.from_literal(golden, "L:12 C: R:12 O:0") == pure
+    assert ss.EventuallyPeriodicSeq.from_literal(golden, "L:1.2 C:1. R:2.1 O:-0") == pure
 
 
-@pytest.mark.parametrize("bad", ["L:12 C: R:12", "L:12 C: R:12 O:x", "nonsense"])
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_literals_read_back_what_they_write(n, data):
+    # Past 9 symbols the words are dotted numerals; every field is read back as written.
+    A = ss.AdjacencyMatrix.from_rows([[1] * n] * n)
+    words = st.lists(st.integers(1, n), max_size=5).map(tuple)
+    left, core, right = data.draw(words.filter(bool)), data.draw(words), data.draw(words.filter(bool))
+    s = ss.EventuallyPeriodicSeq(A, left, core, right, data.draw(st.integers(-(10**30), 10**30)))
+    read = ss.EventuallyPeriodicSeq.from_literal(A, s.to_literal())
+    assert (read.left_period, read.core, read.right_period, read.origin) == (left, core, right, s.origin)
+
+
+_MALFORMED_LITERALS = [
+    "nonsense",
+    "L:12 C: R:12",
+    "L:12 C: R:12 O:x",
+    "L:1x C: R:12 O:0",
+    "L:12 X:junk C: R:12 O:0",  # an unknown field
+    "C: R:12 O:0 L:12",  # the fields out of order
+    "L:99 L:12 C: R:12 O:7 O:0",  # a field twice
+    "L:12 C: R:12 O:1_0",  # int() reads digit separators
+    "L:12\tC: R:12\nO:0",  # other whitespace
+    "L:12 C: R:12 O:\u0663",  # int() reads non-ASCII digits
+    " L:12 C: R:12 O:0",
+    "L:12 C: R:12  O:0",
+    "L:12 C: R:12 O:+0",
+    pytest.param("L:12 C: R:12 O:" + "1" * 5000, id="origin past int()'s digit limit"),
+]
+
+
+@pytest.mark.parametrize("bad", _MALFORMED_LITERALS)
 def test_literal_malformed(golden, bad):
     with pytest.raises(MalformedInput):
         ss.EventuallyPeriodicSeq.from_literal(golden, bad)
+
+
+def _scan_equal(s, t):
+    """The reference equality: a scan of every coordinate from before the
+    leftmost core start to past the rightmost core end."""
+    if s.matrix != t.matrix:
+        return False
+    lo = min(-s.origin, -t.origin)
+    hi = max(len(s.core) - s.origin, len(t.core) - t.origin)
+    lper = lcm(len(s.left_period), len(t.left_period))
+    rper = lcm(len(s.right_period), len(t.right_period))
+    return all(s[i] == t[i] for i in range(lo - lper, hi + rper))
+
+
+def _respelled(rng, s):
+    """The same point spelled otherwise: periods repeated or rotated into the core."""
+    L, C, R, origin = s.left_period, s.core, s.right_period, s.origin
+    for _ in range(rng.randint(0, 3)):
+        step = rng.randrange(4)
+        if step == 0:
+            C, R = C + R[:1], R[1:] + R[:1]
+        elif step == 1:
+            L, C, origin = L[-1:] + L[:-1], L[-1:] + C, origin + 1
+        elif step == 2:
+            L = L * 2
+        else:
+            R = R * 2
+    return ss.EventuallyPeriodicSeq(s.matrix, L, C, R, origin)
+
+
+def test_equality_agrees_with_a_scan():
+    rng = random.Random(19)
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 1]])
+
+    def word(lo, hi):
+        return tuple(rng.choice((1, 2)) for _ in range(rng.randint(lo, hi)))
+
+    def point():
+        return ss.EventuallyPeriodicSeq(A, word(1, 3), word(0, 5), word(1, 3), rng.randint(-50, 50))
+
+    verdicts = []
+    for _ in range(12_000):
+        s = point()
+        kind = rng.randrange(4)
+        if kind == 0:
+            t = point()
+        elif kind == 1:
+            t = s.shift(rng.randint(-50, 50))
+        else:
+            t = _respelled(rng, s).shift(rng.choice((0, 0, 1, -1)))
+            if kind == 3 and t.core:  # one symbol of the core changed
+                core = list(t.core)
+                core[rng.randrange(len(core))] = rng.choice((1, 2))
+                t = ss.EventuallyPeriodicSeq(A, t.left_period, tuple(core), t.right_period, t.origin)
+        verdicts.append(s == t)
+        assert verdicts[-1] == _scan_equal(s, t) == (t == s), (s, t)
+    assert min(verdicts.count(True), verdicts.count(False)) > 2000
+
+
+@pytest.mark.parametrize("origin, equal", [(10**12, True), (10**12 + 1, False)])
+def test_equality_costs_nothing_per_origin(golden, origin, equal):
+    started = time.perf_counter()
+    assert (ss.periodic_seq(golden, "12", origin=origin) == ss.periodic_seq(golden, "12")) == equal
+    assert time.perf_counter() - started < 0.01
 
 
 def test_one_sided_seq_reads_prefix_then_tail(golden):

@@ -509,6 +509,36 @@ def test_report_literals_must_be_json_strings(golden, field, kind):
     assert str(failure.value).startswith(f"{place}{key} must be a JSON string, got ")
 
 
+# Spellings of the golden member point L:12 C: R:12 O:0 that to_literal never writes.
+_MEMBER_RESPELLINGS = [
+    "L:12 X:junk C: R:12 O:0",
+    "C: R:12 O:0 L:12",
+    "L:99 L:12 C: R:12 O:7 O:0",
+    "L:12 C: R:12 O:1_0",
+    "L:12\tC: R:12 O:0",
+    "L:12 C: R:12\nO:0",
+    "L:12 C: R:12 O:\u0663",
+    "L:12 C: R:12 O:0 X:1",
+]
+
+
+@pytest.mark.parametrize("member", _MEMBER_RESPELLINGS)
+def test_report_sequence_literals_have_one_spelling(member):
+    doc = copy.deepcopy(_GOLDEN_DOC)
+    doc["certificates"]["invariant_set"]["member"] = member
+    with pytest.raises(MalformedInput, match=r"^certificates\.invariant_set: sequence literal "):
+        ss.verify_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["witness", "forced"])
+def test_format1_sequence_literals_have_one_spelling(field):
+    doc = json.loads(format1_text("golden_d4"))
+    doc["certificates"]["freeness"][4]["entries"][2][field] += " X:1"
+    place = r"^certificates\.freeness\[4\] \(i=1, j=3\)\.entries\[2\] \[121\]: sequence literal "
+    with pytest.raises(MalformedInput, match=place):
+        ss.verify_report(json.dumps(doc))
+
+
 def test_format1_entries_hold_exactly_their_four_keys():
     doc = json.loads(format1_text("golden_d4"))
     entry = doc["certificates"]["freeness"][0]["entries"][0]
