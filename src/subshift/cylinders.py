@@ -33,6 +33,7 @@ every word) and are not checked again.  Listing every word of a depth
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import suppress
@@ -48,7 +49,7 @@ from .errors import (
     TooShort,
     WorkLimitExceeded,
 )
-from .graph import AdjacencyMatrix, Word, parse_natural
+from .graph import NUMERAL, AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
     OneSidedPoint,
@@ -66,6 +67,8 @@ from .sequences import (
 _UNARY_OPS = {"neg": operator.neg, "abs": abs}
 _BINARY_OPS = ("add", "mul")
 _ZERO = Fraction(0)
+# A sign, then an integer, a ratio with a nonzero denominator or a decimal: "-3", "6/4", "-.25", "1.".
+_RATIONAL = re.compile(rf"[+-]?(?:{NUMERAL}(?:/(?=0*[1-9]){NUMERAL}|\.(?:{NUMERAL})?)?|\.{NUMERAL})")
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -74,13 +77,9 @@ def _as_fraction(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            # Fraction would expand an exponent such as 1e1000000000 into an exact integer.
-            if "e" not in value.lower():
-                return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise MalformedInput(f"cannot parse rational {value!r}")
+        if _RATIONAL.fullmatch(value) is None:
+            raise MalformedInput(f"cannot parse rational {value!r}")
+        return Fraction(value)
     raise MalformedInput(f"values must be exact rationals, got {type(value).__name__}")
 
 

@@ -47,7 +47,6 @@ from .graph import (
     shortest_cycle_avoiding,
 )
 from .sequences import (
-    MAX_FREENESS_ENTRIES,  # the README documents subshift.freeness.MAX_FREENESS_ENTRIES
     EventuallyPeriodicSeq,
     OneSidedPoint,
     contains_word,

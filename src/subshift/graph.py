@@ -19,6 +19,7 @@ however many certificates ask.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -26,6 +27,8 @@ from dataclasses import dataclass, field
 from .errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
 
 Word = tuple[int, ...]
+NUMERAL = "[0-9]{1,4300}"  # ASCII digits that int() reads on every supported Python (its digit limit)
+_NATURAL = re.compile(NUMERAL)
 _INT_ONLY = frozenset({int})  # the symbol types the edge set vouches for (bool is not int)
 
 
@@ -116,12 +119,10 @@ class AdjacencyMatrix:
 
 
 def parse_natural(token: str) -> int | None:
-    """`token` as a natural number, or None unless it is plain decimal
-    digits that int() accepts (it refuses more than 4300 digits)."""
-    try:
-        return int(token) if token.isdecimal() else None
-    except ValueError:
-        return None
+    """`token` as a natural number, or None unless it is a ``NUMERAL``:
+    1 to 4300 ASCII digits.  It reads every header: the matrix size, and
+    the ``depth`` and ``domain`` of function and weight files."""
+    return int(token) if _NATURAL.fullmatch(token) else None
 
 
 def parse_matrix(text: str) -> AdjacencyMatrix:

@@ -27,10 +27,11 @@ from math import inf, lcm
 from operator import mul
 
 from .errors import DepthZero, InadmissibleWord, MalformedInput, SymbolOutOfRange, WorkLimitExceeded
-from .graph import AdjacencyMatrix, Word
+from .graph import NUMERAL, AdjacencyMatrix, Word
 
 MAX_FREENESS_ENTRIES = 1_000_000  # the work limit; the golden-mean words pass it at length 21
-_LITERAL = re.compile(r"L:(\S*) C:(\S*) R:(\S*) O:(-?[0-9]+)")  # what to_literal writes
+_LITERAL = re.compile(rf"L:(\S*) C:(\S*) R:(\S*) O:(-?{NUMERAL})")  # what to_literal writes
+_DOTTED = re.compile(rf"(?:{NUMERAL}(?:\.|(?:\.{NUMERAL})+))?")  # the word literals not all digits
 
 
 def as_word(w: str | Iterable[int]) -> Word:
@@ -56,20 +57,19 @@ def as_word(w: str | Iterable[int]) -> Word:
 def word_from_string(text: str) -> Word:
     """Parse a word literal, the grammar ``word_to_string`` writes.
 
-    A literal without a dot has one decimal digit per symbol ("121"), so
-    "12" is always the word 1 2.  A dotted literal has one numeral per
-    symbol, read by int() ("10.2.1"); a single symbol takes one trailing
-    dot ("12.").  An empty numeral ("1..2", ".") or a trailing dot after
-    two or more numerals ("1.2.") is MalformedInput.
+    A literal is "", or ASCII digits, one per symbol ("121"), so "12" is
+    always the word 1 2; or one ASCII numeral (``graph.NUMERAL``) and a
+    trailing dot ("12."); or two or more numerals joined by dots
+    ("10.2.1").  Anything else, such as an empty numeral ("1..2", "."), a
+    trailing dot after two or more numerals ("1.2."), a sign or a
+    non-ASCII digit, is MalformedInput.
     """
     text = text.strip()
-    parts = text.split(".") if "." in text else text
-    if len(parts) == 2 and not parts[1]:  # "12.": the one symbol 12
-        parts = parts[:1]
-    try:
-        return tuple(map(int, parts))
-    except ValueError:
-        raise MalformedInput(f"cannot parse word literal {text!r}") from None
+    if text.isdigit() and text.isascii():  # the digit literals, as every alphabet up to 9 writes them
+        return tuple(map(int, text))
+    if _DOTTED.fullmatch(text) is None:
+        raise MalformedInput(f"cannot parse word literal {text!r}")
+    return tuple(map(int, filter(None, text.split("."))))  # "" after "12." or in the empty literal
 
 
 def word_to_string(w: Word) -> str:
@@ -78,7 +78,7 @@ def word_to_string(w: Word) -> str:
     text = "".join(map(str, w))
     if len(text) == len(w):
         return text
-    return ".".join(map(str, w)) + ("." if len(w) == 1 else "")
+    return ".".join(map(int.__repr__, w)) + ("." if len(w) == 1 else "")  # a bool as its integer
 
 
 def is_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> bool:
@@ -157,7 +157,7 @@ def require_work_limit(
         return
     built = accumulate(map(mul, range(start, depth + 1), word_counts(A, words)))
     if any(total > MAX_FREENESS_ENTRIES for total in built):
-        limit = f"over {MAX_FREENESS_ENTRIES} entries (subshift.freeness.MAX_FREENESS_ENTRIES)"
+        limit = f"over {MAX_FREENESS_ENTRIES} entries (subshift.sequences.MAX_FREENESS_ENTRIES)"
         raise WorkLimitExceeded(f"{work or f'listing the length-{depth} words would build'} {limit}")
 
 
@@ -213,7 +213,7 @@ class EventuallyPeriodicSeq:
     time bounded by the words' lengths, not by the origins.
     The literal is ``L:<word> C:<word> R:<word> O:<int>``: the fields in
     that order, single-spaced, each word a ``word_from_string`` literal
-    and the origin an optional ``-`` then ASCII digits; ``from_literal``
+    and the origin an optional ``-`` then a ``graph.NUMERAL``; ``from_literal``
     refuses any other spelling (MalformedInput).
     """
 
@@ -280,11 +280,7 @@ class EventuallyPeriodicSeq:
         if match is None:
             raise MalformedInput(f"sequence literal {text!r} is not 'L:<word> C:<word> R:<word> O:<int>'")
         *words, origin = match.groups()
-        try:
-            origin = int(origin)
-        except ValueError:  # past int()'s digit limit
-            raise MalformedInput(f"sequence literal origin {origin[:20]}... is too long to read") from None
-        return cls(A, *map(word_from_string, words), origin)
+        return cls(A, *map(word_from_string, words), int(origin))
 
     def __repr__(self) -> str:
         return f"EventuallyPeriodicSeq({self.to_literal()!r})"

@@ -149,7 +149,7 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     if _minimality_spot_count(A) > (limit := sequences.MAX_FREENESS_ENTRIES):
         raise WorkLimitExceeded(
             f"minimality would need over {limit} spot witnesses"
-            " (subshift.freeness.MAX_FREENESS_ENTRIES)"
+            " (subshift.sequences.MAX_FREENESS_ENTRIES)"
         )
     return replace(
         v,

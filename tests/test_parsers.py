@@ -1,5 +1,11 @@
 """Every text input either parses or raises SubshiftError.
 
+Each kind of number read from text has one grammar: word literals
+(``word_from_string``), naturals (the headers, ``graph.parse_natural``) and
+rationals (values, ``cylinders._as_fraction``).  Anything outside it is
+MalformedInput through every entry point, whatever int() or Fraction()
+of the running Python would accept.
+
 Inputs are free text, or valid files with a few edits: a token replaced
 by one that once leaked another exception (superscript digits, which
 str.isdigit() accepts and int() rejects, or a zero denominator), a line
@@ -9,12 +15,18 @@ at most 8 and every example runs in milliseconds; that cap bounds the
 runtime of this test, it does not mean deeper headers are cheap.
 """
 
+import io
+import json
+from contextlib import redirect_stderr
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subshift as ss
+from subshift.cli import main
+from subshift.errors import MalformedInput
 
 GOLDEN = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
 FULL3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
@@ -123,3 +135,99 @@ def test_sequence_literals_are_total(case):
 def test_decimal_values_parse():
     f = ss.parse_function_file(GOLDEN, "depth 1\n1 0.5\n2 -3\n")
     assert f.values == {(1,): Fraction(1, 2), (2,): Fraction(-3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions().map(str), st.sampled_from(["-3", "+3", "6/4", "-7/3", "0.5", "-.25", "1."])))
+def test_written_and_documented_values_read_back(text):
+    # str(Fraction), as every file this package writes holds, and README's examples.
+    f = ss.parse_function_file(GOLDEN, f"depth 1\n1 {text}\n2 0\n")
+    assert f.values[(1,)] == Fraction(text)
+
+
+GOLDEN_REPORT = ss.render_report(ss.analyze(GOLDEN, 3))
+LONG = "1" * 4301  # one digit past int()'s default limit
+
+
+def _refused(call, *args) -> str:
+    with pytest.raises(MalformedInput) as refusal:
+        call(*args)
+    return str(refusal.value)
+
+
+def _report_with(text, *path) -> str:
+    """The refusal of analyze(golden, 3)'s report with the certificate field at `path` set to `text`."""
+    doc = json.loads(GOLDEN_REPORT)
+    *keys, last = path
+    field = doc["certificates"]
+    for key in keys:
+        field = field[key]
+    field[last] = text
+    return _refused(ss.verify_report, json.dumps(doc))
+
+
+def _witness_minimal(text, tmp_path) -> str:
+    matrix = tmp_path / "golden.mat"
+    matrix.write_text(ss.format_matrix(GOLDEN))
+    with redirect_stderr(io.StringIO()) as err:
+        assert main(["witness", "minimal", str(matrix), text, "1"]) == 2
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    return err.getvalue()[len("error: ") :].rstrip("\n")
+
+
+_ENTRIES = {
+    "word_from_string": lambda text, _: _refused(ss.word_from_string, text),
+    "function literal": lambda text, _: _refused(ss.parse_function_file, GOLDEN, f"depth 1\n{text} 1\n2 1\n"),
+    "domain word": lambda text, _: _refused(ss.parse_weight_file, GOLDEN, f"depth 1\n1 1\n2 1\ndomain 1\n{text}\n"),
+    "witness minimal": _witness_minimal,
+    "report member": lambda text, _: _report_with(text, "invariant_set", "member"),
+    "report prefix": lambda text, _: _report_with(text, "minimality", 3, "prefix"),
+    "report tail": lambda text, _: _report_with(text, "freeness", 2, "entries", 0, "tail"),
+    "matrix size": lambda text, _: _refused(ss.parse_matrix, f"{text}\n1 1\n1 0\n"),
+    "function depth": lambda text, _: _refused(ss.parse_function_file, GOLDEN, f"depth {text}\n1 1\n2 1\n"),
+    "weight domain": lambda text, _: _refused(ss.parse_weight_file, GOLDEN, f"depth 1\n1 1\n2 1\ndomain {text}\n1\n"),
+    "function value": lambda text, _: _refused(ss.parse_function_file, GOLDEN, f"depth 1\n1 {text}\n2 1\n"),
+    "constructor value": lambda text, _: _refused(ss.CylinderFunction, GOLDEN, 1, {"1": text, "2": "1"}),
+}
+
+
+_REFUSALS = [
+    ("word_from_string", "١٢", "cannot parse word literal '١٢'"),
+    ("word_from_string", "+1.", "cannot parse word literal '+1.'"),
+    ("word_from_string", "1_0.", "cannot parse word literal '1_0.'"),
+    ("word_from_string", "0_1.+2", "cannot parse word literal '0_1.+2'"),
+    ("word_from_string", f"1.{LONG}", f"cannot parse word literal '1.{LONG}'"),
+    ("function literal", "١", "cannot parse word literal '١'"),
+    ("function literal", "+1.", "cannot parse word literal '+1.'"),
+    ("domain word", "+2.", "cannot parse word literal '+2.'"),
+    ("witness minimal", "+2.", "cannot parse word literal '+2.'"),
+    ("report member", "L:١٢ C:+1.+2 R:1.2 O:0", "certificates.invariant_set: cannot parse word literal '١٢'"),
+    ("report prefix", "+1.+1.+2", "certificates.minimality[3]: cannot parse word literal '+1.+1.+2'"),
+    (
+        "report tail",
+        " 01. 02. 01",
+        "certificates.freeness[2] (i=1, j=2).entries[0] [11]: cannot parse word literal '01. 02. 01'",
+    ),
+    (
+        "report member",
+        f"L:12 C: R:12 O:{LONG}",
+        f"certificates.invariant_set: sequence literal 'L:12 C: R:12 O:{LONG}' is not 'L:<word> C:<word> R:<word> O:<int>'",
+    ),
+    ("matrix size", "٢", "first line must be the matrix size, got '٢'"),
+    ("matrix size", LONG, f"first line must be the matrix size, got '{LONG}'"),
+    ("function depth", "١", "bad header 'depth ١', expected 'depth <k>'"),
+    ("function depth", LONG, f"bad header 'depth {LONG}', expected 'depth <k>'"),
+    ("weight domain", "١", "bad domain header 'domain ١'"),
+    ("function value", "1_000", "cannot parse rational '1_000'"),
+    ("function value", "١/٢", "cannot parse rational '١/٢'"),
+    ("function value", "1e3", "cannot parse rational '1e3'"),
+    ("function value", LONG, f"cannot parse rational '{LONG}'"),
+    ("constructor value", " 1", "cannot parse rational ' 1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, text, message", _REFUSALS, ids=[f"{e}-{t if len(t) < 30 else 'long'}" for e, t, _ in _REFUSALS]
+)
+def test_numbers_outside_their_grammar_are_refused(entry, text, message, tmp_path):
+    assert _ENTRIES[entry](text, tmp_path) == message

@@ -63,6 +63,18 @@ def test_word_literals_round_trip_over_any_alphabet(w):
     assert ss.word_from_string(text) == w
     if all(s <= 9 for s in w):
         assert text == "".join(map(str, w))  # alphabets up to 9 keep their bytes
+    # The documented respellings: dotted numerals (1.2 for 12, 1. for 1), leading zeros, surrounding space.
+    for numerals in (map(str, w), (f"0{s}" for s in w)):
+        dotted = ".".join(numerals) + ("." if len(w) == 1 else "")
+        assert ss.word_from_string(dotted) == w
+    assert ss.word_from_string(f" {text}\t\n") == w
+
+
+def test_a_bool_symbol_is_written_as_its_integer(golden):
+    assert ss.word_from_string(ss.word_to_string((True, 2))) == (1, 2)
+    data = ss.minimality_witness(golden, (True,), (2,)).to_dict()
+    assert data["from"] == "1." and data["prefix"] == "1.2"
+    ss.MinimalityWitness.from_dict(golden, data).verify()
 
 
 def test_is_admissible_examples(golden):
