@@ -20,10 +20,10 @@ import argparse
 import functools
 import sys
 
-from .cylinders import CylinderFunction, format_function_file, parse_function_file
+from .cylinders import CylinderFunction, format_function_file, parse_function_file, spelled_values
 from .errors import SubshiftError
 from .freeness import find_nontrivial_invariant, freeness_certificate, minimality_witness
-from .graph import parse_matrix
+from .graph import NUMERAL_DIGITS, parse_matrix
 from .sequences import spelled_words, word_to_string
 from .transfer import (
     as_operator,
@@ -51,10 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _function_table(f: CylinderFunction) -> dict:
-    return {
-        "depth": f.depth,
-        "values": {s: str(f.values[w]) for s, w in spelled_words(f.matrix, f.depth).items()},
-    }
+    return {"depth": f.depth, "values": spelled_values(f)}
 
 
 @functools.cache
@@ -154,7 +151,15 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one verb on `argv` (default ``sys.argv[1:]``) and return its exit
     status.  The parser is built once per process (``build_parser``), so
-    repeated in-process calls pay only for their own verb."""
+    repeated in-process calls pay only for their own verb.  It refuses to
+    run (exit 2) under an int() digit limit below NUMERAL_DIGITS, the
+    numerals every reader and writer must handle: set by
+    ``-X int_max_str_digits`` or ``PYTHONINTMAXSTRDIGITS`` (0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no such limit before Python 3.10.7
+    if 0 < limit < NUMERAL_DIGITS:
+        need = f"subshift needs at least {NUMERAL_DIGITS} or 0"
+        print(f"error: int_max_str_digits is {limit}; {need}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

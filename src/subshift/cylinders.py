@@ -49,7 +49,7 @@ from .errors import (
     TooShort,
     WorkLimitExceeded,
 )
-from .graph import NUMERAL, AdjacencyMatrix, Word, parse_natural
+from .graph import NUMERAL, NUMERAL_DIGITS, AdjacencyMatrix, Word, parse_natural
 from .sequences import (
     EventuallyPeriodicSeq,
     OneSidedPoint,
@@ -67,6 +67,7 @@ from .sequences import (
 _UNARY_OPS = {"neg": operator.neg, "abs": abs}
 _BINARY_OPS = ("add", "mul")
 _ZERO = Fraction(0)
+_NUMERAL_BOUND = 10**NUMERAL_DIGITS  # the least natural no NUMERAL spells
 # A sign, then an integer, a ratio with a nonzero denominator or a decimal: "-3", "6/4", "-.25", "1.".
 _RATIONAL = re.compile(rf"[+-]?(?:{NUMERAL}(?:/(?=0*[1-9]){NUMERAL}|\.(?:{NUMERAL})?)?|\.{NUMERAL})")
 
@@ -479,9 +480,25 @@ def parse_function_file(A: AdjacencyMatrix, text: str) -> CylinderFunction:
     return CylinderFunction.from_nonzero(A, k, {w: values[s] for w, s in table.items() if s in values})
 
 
+def spelled_values(f: CylinderFunction) -> dict[str, str]:
+    """Each depth-k literal of f, in word order (``spelled_words``), with
+    its value's text, as function files and ``transfer equiv`` write them.
+    MalformedInput, naming the word, if a numerator or denominator is
+    10**NUMERAL_DIGITS or more: no ``graph.NUMERAL`` spells it, so no
+    reader would take it back, and ``str`` would raise past int()'s limit."""
+    nonzero, texts = f.nonzero, {}
+    for s, w in spelled_words(f.matrix, f.depth).items():
+        n, d = nonzero.get(w, _ZERO).as_integer_ratio()
+        if abs(n) >= _NUMERAL_BOUND or d >= _NUMERAL_BOUND:
+            raise MalformedInput(
+                f"the value at word {s} has a numerator or denominator"
+                f" of over {NUMERAL_DIGITS} digits, which no file may hold"
+            )
+        texts[s] = f"{n}/{d}" if d != 1 else str(n)  # as str(Fraction) writes it
+    return texts
+
+
 def format_function_file(f: CylinderFunction) -> str:
     """The function table format of f: every word, listed once with its
-    literal (``spelled_words``), and its value."""
-    nonzero = f.nonzero
-    rows = (f"{s} {nonzero.get(w, _ZERO)}\n" for s, w in spelled_words(f.matrix, f.depth).items())
-    return f"depth {f.depth}\n" + "".join(rows)
+    literal, and its value (``spelled_values``)."""
+    return f"depth {f.depth}\n" + "".join(f"{s} {t}\n" for s, t in spelled_values(f).items())

@@ -15,12 +15,20 @@ For a transitive matrix whose graph is not a cycle this module builds:
 
 Every certificate re-verifies itself from its stored data alone via
 ``verify``, which ``verify_report`` runs where a report is read.  The
-builders return what they construct without running it; a freeness
-table checks each answer when it first works it out, once per matrix for
-each exponent difference and word suffix.  Invariant-set points are
-two-sided, freeness witnesses one-sided (``OneSidedPoint``).
+builders return what they construct without running it.  Invariant-set
+points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
 A depth-j table lists its words by ``enumerate_words``, so the work limit
 refuses it, when it is built, read or verified alike.
+
+A freeness entry of the word w depends only on j - i and w[i:], so a
+table's many entries hold few distinct answers, and each step pays once
+per answer, not once per entry.  The builder works out and checks each
+answer once per matrix for each exponent difference and word suffix.
+``to_dict`` gives the entries written alike one row object, which
+``verdict.dump_json`` writes once.  ``from_dict`` reads and checks each
+tail literal once per last symbol of the words it follows.  ``verify``
+scans each (w[i:], tail) once, and still compares every entry's own
+differs_at with the scan's answer.
 """
 
 from __future__ import annotations
@@ -240,31 +248,50 @@ class FreenessCertificate:
         words = [e.word for e in self.entries]
         if count_past(A, j, len(words)) != (j, len(words)) or words != enumerate_words(A, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
+        differences: dict[tuple[Word, Word], int | None] = {}  # by (w[i:], tail), on which they depend
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, e in enumerate(self.entries):
                 if e.witness.matrix != A:
                     raise CertificateInvalid("witness built over a different matrix")
-                c = _tail_difference(e.witness, i, j)
+                key = e.word[i:], e.witness.tail
+                c = differences.get(key)
+                if c is None:
+                    c = differences[key] = _tail_difference(e.witness, i, j)
                 if c is None:
                     raise CertificateInvalid("witness equalizes the shifts")
                 if c != e.differs_at - 1:
                     raise CertificateInvalid(f"differs_at {e.differs_at}, but they first differ at {c + 1}")
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "entries": [
-                {"differs_at": e.differs_at, "tail": word_to_string(e.witness.tail)}
-                for e in self.entries
-            ],
-        }
+        """The table as a report stores it.  Entries written alike share one
+        row object, so ``dump_json`` writes it once; copy a row to edit it."""
+        literals: dict[int, str] = {}  # by the tail's identity: a tail object is written one way
+        rows: dict[tuple, dict] = {}  # one row object per written row: its literal and typed differs_at
+        entries = []
+        for e in self.entries:
+            tail, differs_at = e.witness.tail, e.differs_at
+            literal = literals.get(id(tail))
+            if literal is None:
+                literal = literals[id(tail)] = word_to_string(tail)
+            key = literal, type(differs_at), differs_at  # True == 1, but it is written true
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {"differs_at": differs_at, "tail": literal}
+            entries.append(row)
+        return {"i": self.i, "j": self.j, "entries": entries}
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
         to the k-th depth-j word, listed once the entry count matches and
-        only if the work limit allows it (``enumerate_words``)."""
+        only if the work limit allows it (``enumerate_words``).
+
+        Every row's keys and field types are checked.  Whether the tail t
+        may follow w, w . t^inf being admissible, depends only on w[-1] and
+        t, since w is a listed word.  So the first entry of each (w[-1],
+        tail literal) pair parses t and builds its point checked, and a bad
+        tail fails at its first such entry with that entry's message; later
+        entries of the pair reuse the parsed tail unchecked."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if not 0 <= i < j:
@@ -272,10 +299,17 @@ class FreenessCertificate:
         if count_past(A, j, len(rows)) != (j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         words, entries = enumerate_words(A, j), []
+        tails: dict[tuple[int, str], Word] = {}  # each (w[-1], tail literal) read and checked once
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 row = _format1_entry(A, i, w, row) if report_format == 1 else exact_keys(row, _ENTRY_KEYS)
-                witness = OneSidedPoint(A, w, word_from_string(json_field(row, str, "tail")))
+                literal = json_field(row, str, "tail")
+                tail = tails.get((w[-1], literal))
+                if tail is None:
+                    witness = OneSidedPoint(A, w, word_from_string(literal))
+                    tails[w[-1], literal] = witness.tail
+                else:
+                    witness = OneSidedPoint._unchecked(A, w, tail)
                 entries.append(FreenessEntry(witness, json_field(row, int, "differs_at")))
         return cls(A, i, j, tuple(entries))
 
@@ -370,6 +404,11 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     (m, u), so each is worked out and checked once, however many words
     and tables share it; a tail that equalizes the shifts raises
     CertificateInvalid naming the pair and the word.
+
+    Each witness w . t^inf is built unchecked: w is an enumerated, so
+    admissible, word, and u . t^inf was checked when its answer was first
+    built.  Since w[-1] = u[-1], the junction from w into t and t's own
+    wrap are those of u . t^inf, so w . t^inf is admissible too.
     """
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
@@ -385,7 +424,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
                 where = f"(i={i}, j={j}).entries[{len(entries)}] [{word_to_string(w)}]"
                 raise CertificateInvalid(f"{where}: witness equalizes the shifts")
             answer = answers[m, u] = tail, c + 1
-        entries.append(FreenessEntry(OneSidedPoint(A, w, answer[0]), answer[1]))
+        entries.append(FreenessEntry(OneSidedPoint._unchecked(A, w, answer[0]), answer[1]))
     return FreenessCertificate(A, i, j, tuple(entries))
 
 

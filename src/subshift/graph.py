@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from .errors import MalformedInput, NoPath, SymbolOutOfRange, ZeroRow
 
 Word = tuple[int, ...]
-NUMERAL = "[0-9]{1,4300}"  # ASCII digits that int() reads on every supported Python (its digit limit)
+NUMERAL_DIGITS = 4300  # int()'s default digit limit: the longest numeral it reads and str() writes
+NUMERAL = f"[0-9]{{1,{NUMERAL_DIGITS}}}"  # ASCII digits that int() reads on every supported Python
 _NATURAL = re.compile(NUMERAL)
 _INT_ONLY = frozenset({int})  # the symbol types the edge set vouches for (bool is not int)
 

@@ -334,6 +334,14 @@ class OneSidedPoint:
             word = f"{word_to_string(self.prefix)} . ({word_to_string(self.tail)})"
             raise InadmissibleWord(f"point {word}^inf is not admissible")
 
+    @classmethod
+    def _unchecked(cls, A: AdjacencyMatrix, prefix: Word, tail: Word) -> "OneSidedPoint":
+        """The point prefix . tail^infinity, which the caller knows to be
+        admissible, built without the check (as ``__init__`` sets the fields)."""
+        point = object.__new__(cls)
+        point.__dict__.update(matrix=A, prefix=prefix, tail=tail)
+        return point
+
     def __getitem__(self, k: int) -> int:
         if k < 0:
             raise IndexError(f"a one-sided point has no coordinate {k}")

@@ -172,16 +172,22 @@ def dump_json(doc: dict) -> str:
     TypeError, a float too, which ``json.dumps`` would write; no document
     holds a float.  The stdlib's C encoder serves only ``indent=None``; with
     an indent every chunk climbs a generator per nesting level, so this
-    writer appends each to one list instead."""
+    writer appends each to one list instead.  A dict object that the
+    document holds more than once at one nesting level, as the rows of a
+    freeness table that share an answer, is written once there and its
+    chunks are copied after that.  The copies are keyed by the object's
+    identity, which the document keeps alive for the call, never by its
+    content: ``{"x": True} == {"x": 1}``, but the two are written apart."""
     out: list[str] = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
+def _write_json(value, newline: str, out: list[str], written: dict) -> None:
     """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
-    level whose line break and indent is `newline`."""
+    level whose line break and indent is `newline`.  `written` maps
+    (id(d), newline) of each dict d already written to its span of `out`."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -192,13 +198,20 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("{}")
             return
+        place = id(value), newline
+        span = written.get(place)
+        if span is not None:
+            out.extend(out[span[0] : span[1]])
+            return
+        start = len(out)
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
             out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, written)
             separator = "," + inner
         out.append(newline + "}")
+        written[place] = start, len(out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -207,7 +220,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, written)
             separator = "," + inner
         out.append(newline + "]")
     else:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -283,6 +286,51 @@ def test_unparsable_numbers_exit_2_without_traceback(tmp_path, capsys, matrix, w
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
+
+
+_NINES = "9" * 4300  # the largest numeral: its products and ratios are not numerals
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["transfer", "apply", "m.mat", "w.weight", "f.func"], "1"),
+        (["transfer", "equiv", "m.mat", "w.weight", "v.weight"], "2"),
+    ],
+)
+def test_a_value_past_the_numerals_exits_2_before_writing(tmp_path, capsys, argv, word):
+    write(tmp_path, "m.mat", GOLDEN)
+    write(tmp_path, "w.weight", f"depth 1\n1 {_NINES}\n2 {_NINES}\n")
+    write(tmp_path, "v.weight", f"depth 1\n1 1\n2 1/{_NINES}\n")
+    write(tmp_path, "f.func", f"depth 2\n11 {_NINES}\n12 {_NINES}\n21 {_NINES}\n")
+    out = tmp_path / "out.txt"
+    argv = [str(tmp_path / a) if "." in a else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the value at word {word} has a numerator or denominator of over 4300 digits")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python without int()'s digit limit")
+@pytest.mark.parametrize("limit, refused", [("640", True), ("4299", True), ("4300", False), ("0", False)])
+def test_a_lowered_digit_limit_is_refused_before_anything_runs(tmp_path, limit, refused):
+    # A 1001-digit depth header is a numeral, which int() reads under the default limit but not under 640.
+    m = write(tmp_path, "m.mat", GOLDEN)
+    w = write(tmp_path, "w.weight", WEIGHT_HALF_THIRD)
+    depth = "1" + "0" * 1000
+    f = write(tmp_path, "f.func", f"depth {depth}\n1 1\n2 1\n")
+    run = subprocess.run(
+        [sys.executable, "-X", f"int_max_str_digits={limit}", "-m", "subshift.cli", "transfer", "apply", m, w, f],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ss.__file__).parent.parent)},
+        timeout=60,
+    )
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    if refused:
+        assert run.stderr == f"error: int_max_str_digits is {limit}; subshift needs at least 4300 or 0\n"
+    else:  # the header is read, and its depth-1 literals refused
+        assert run.stderr.startswith(f"error: table words must be admissible depth-{depth} words")
 
 
 def test_one_parser_serves_every_call_without_leaking_state(golden_file, tmp_path, capsys):

@@ -509,6 +509,21 @@ def test_a_ten_symbol_file_lists_its_words_once(monkeypatch):
     assert listed == [2, 2]
 
 
+def test_a_value_no_numeral_spells_is_refused_by_the_one_value_writer(golden):
+    big = 10**4300  # a numeral has at most 4300 digits
+    for value in (big - 1, -(big - 1), Fraction(1, big - 1), Fraction(-(big - 1), big - 2)):
+        f = table(golden, 1, {"1": value, "2": 1})
+        text = ss.format_function_file(f)
+        assert ss.parse_function_file(golden, text) == f
+        assert ss.cylinders.spelled_values(f)["1"] == text.split("\n")[1].split()[1]
+    for value in (big, -big, Fraction(1, big), Fraction(big + 1, big - 1)):
+        f = table(golden, 2, {"11": 0, "12": 1, "21": value})
+        with pytest.raises(MalformedInput, match="^the value at word 21 has a numerator or denominator of over 4300"):
+            ss.format_function_file(f)
+        with pytest.raises(MalformedInput, match="at word 21 "):
+            ss.cylinders.spelled_values(f)
+
+
 _SPELLINGS = ["0", "-0", "+3", "6/4", "0.5", "-.25", "-7/3", "12"]
 
 

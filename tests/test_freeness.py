@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from dataclasses import replace
@@ -345,6 +346,24 @@ def test_tables_past_the_work_limit_are_refused_before_listing(swap2):
     with pytest.raises(WorkLimitExceeded, match="listing the length-100000 words"):
         ss.FreenessCertificate(swap2, 0, 100_000, entries).verify()
     assert time.perf_counter() - started < 1
+
+
+def test_table_rows_are_shared_only_when_written_alike(golden):
+    # Rows are shared by their literal and typed differs_at: True == 1 and
+    # (True,) == (1,), but each is written as at every other place.
+    point = lambda w, t: ss.sequences.OneSidedPoint(golden, w, t)
+    entries = (
+        ss.FreenessEntry(point((1, 1), (1,)), 1),
+        ss.FreenessEntry(point((1, 2), (1,)), True),
+        ss.FreenessEntry(point((2, 1), (True,)), 1),
+    )
+    rows = ss.FreenessCertificate(golden, 0, 2, entries).to_dict()["entries"]
+    each = [{"differs_at": e.differs_at, "tail": ss.word_to_string(e.witness.tail)} for e in entries]
+    assert json.dumps(rows) == json.dumps(each) == (
+        '[{"differs_at": 1, "tail": "1"}, {"differs_at": true, "tail": "1"}, {"differs_at": 1, "tail": "1."}]'
+    )
+    shared = ss.freeness_certificate(golden, 1, 3).to_dict()["entries"]
+    assert shared[0] is shared[3]  # 111 and 211 share w[1:] = 11, so their answer
 
 
 def test_certificate_serialization_round_trip(golden):

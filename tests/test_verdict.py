@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 import time
 from collections import Counter
 from pathlib import Path
@@ -612,9 +613,17 @@ _JSON_DOCS = st.dictionaries(
 )
 
 
+# One dict object at three nesting levels and twice in one list, and dicts
+# equal in content ({"x": True} == {"x": 1}) that must be written apart.
+_SHARED = {"b": [1, {"c": None}], "a": "x"}
+_TRUE, _ONE = {"x": True}, {"x": 1}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_JSON_DOCS)
 @example({"": [], "a": {}, "b": [[], {}, [[]]], "c": {"d": {}}, "e": [True, False, None, 0, -1, 2**64]})
+@example({"x": _SHARED, "y": [_SHARED, 0, _SHARED], "z": {"x": _SHARED, "w": [[_SHARED]]}, "v": [_SHARED]})
+@example({"p": [_TRUE, _ONE, _TRUE, _ONE], "q": _ONE, "r": {"s": _TRUE}, "t": [[_ONE, _TRUE]]})
 def test_dump_json_writes_the_stdlib_layout(doc):
     assert ss.verdict.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -634,7 +643,55 @@ def test_reports_are_written_in_the_stdlib_layout(golden):
     for A, depth in ((full3, 5), (golden, 9), (near_cycle(12), 3)):
         v = ss.analyze(A, depth)
         doc = ss.verdict._verdict_to_dict(v)
-        assert ss.render_report(v) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = ss.render_report(v)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # A parsed table shares its rows by what they read, not by how they were built.
+        assert ss.render_report(ss.parse_report(text)) == text
+
+
+def test_an_entry_sharing_its_answer_is_still_checked_at_its_place():
+    # Each (w[i:], tail) is scanned once per table, but every entry's own
+    # differs_at is compared: tamper one whose answer an earlier entry shares.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    doc = json.loads(ss.render_report(ss.analyze(full3, 3)))
+    for t, table in enumerate(doc["certificates"]["freeness"]):
+        i, j = table["i"], table["j"]
+        seen = set()
+        for k, (w, row) in enumerate(zip(ss.enumerate_words(full3, j), table["entries"])):
+            if i > 0 and (w[i:], row["tail"]) in seen:
+                break
+            seen.add((w[i:], row["tail"]))
+        else:
+            continue
+        break
+    assert k > 0 and i > 0
+    row["differs_at"] += 1
+    where = f"certificates.freeness[{t}] (i={i}, j={j}).entries[{k}] [{ss.word_to_string(w)}]: "
+    with pytest.raises(CertificateInvalid, match=re.escape(where) + "differs_at"):
+        ss.verify_report(json.dumps(doc))
+
+
+def test_a_tail_is_refused_at_the_first_word_it_cannot_follow(golden):
+    # On golden the tail 21 follows a word ending in 1 (edge 1 -> 2) but not one
+    # ending in 2 (no loop at 2).  Every word ending in 1 gets it, and so does the
+    # last word ending in 2: the literal is read once and reused for the words
+    # ending in 1, and that last word still raises where it always did.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 4)))
+    t = len(doc["certificates"]["freeness"]) - 1
+    table = doc["certificates"]["freeness"][t]
+    words = ss.enumerate_words(golden, table["j"])
+    k = max(k for k, w in enumerate(words) if w[-1] == 2)
+    for row, w in zip(table["entries"], words):
+        if w[-1] == 1 or w == words[k]:
+            row["tail"] = "21"
+    assert sum(w[-1] == 1 for w in words[:k]) > 1  # reused before it fails
+    w = ss.word_to_string(words[k])
+    message = (
+        f"certificates.freeness[{t}] (i={table['i']}, j={table['j']}).entries[{k}] [{w}]: "
+        f"point {w} . (21)^inf is not admissible"
+    )
+    with pytest.raises(ss.errors.InadmissibleWord, match=f"^{re.escape(message)}$"):
+        ss.verify_report(json.dumps(doc))
 
 
 def test_analyze_searches_each_connector_once_per_matrix(monkeypatch):
