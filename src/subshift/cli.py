@@ -21,7 +21,7 @@ import functools
 import sys
 
 from .cylinders import CylinderFunction, format_function_file, parse_function_file, spelled_values
-from .errors import SubshiftError
+from .errors import MalformedInput, SubshiftError
 from .freeness import find_nontrivial_invariant, freeness_certificate, minimality_witness
 from .graph import NUMERAL_DIGITS, parse_matrix
 from .sequences import spelled_words, word_to_string
@@ -39,7 +39,10 @@ from .verdict import analyze, dump_json, matrix_echo, render_report
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise MalformedInput(f"{path} is not UTF-8 text") from None
 
 
 def _emit(text: str, out: str | None) -> None:

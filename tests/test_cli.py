@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -311,28 +312,6 @@ def test_a_value_past_the_numerals_exits_2_before_writing(tmp_path, capsys, argv
     assert not out.exists()
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python without int()'s digit limit")
-@pytest.mark.parametrize("limit, refused", [("640", True), ("4299", True), ("4300", False), ("0", False)])
-def test_a_lowered_digit_limit_is_refused_before_anything_runs(tmp_path, limit, refused):
-    # A 1001-digit depth header is a numeral, which int() reads under the default limit but not under 640.
-    m = write(tmp_path, "m.mat", GOLDEN)
-    w = write(tmp_path, "w.weight", WEIGHT_HALF_THIRD)
-    depth = "1" + "0" * 1000
-    f = write(tmp_path, "f.func", f"depth {depth}\n1 1\n2 1\n")
-    run = subprocess.run(
-        [sys.executable, "-X", f"int_max_str_digits={limit}", "-m", "subshift.cli", "transfer", "apply", m, w, f],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(ss.__file__).parent.parent)},
-        timeout=60,
-    )
-    assert run.returncode == 2 and "Traceback" not in run.stderr
-    if refused:
-        assert run.stderr == f"error: int_max_str_digits is {limit}; subshift needs at least 4300 or 0\n"
-    else:  # the header is read, and its depth-1 literals refused
-        assert run.stderr.startswith(f"error: table words must be admissible depth-{depth} words")
-
-
 def test_one_parser_serves_every_call_without_leaking_state(golden_file, tmp_path, capsys):
     assert build_parser() is build_parser()
     w = write(tmp_path, "w.weight", WEIGHT_HALF_THIRD)
@@ -366,3 +345,103 @@ def test_one_parser_serves_every_call_without_leaking_state(golden_file, tmp_pat
     assert [status for status, *_ in in_turn] == [0, 2, 0, 0, 0, 0]
     assert json.loads(in_turn[2][1])["depth_budget"] == 4
     assert in_turn[3][3].decode() == in_turn[4][1]
+
+
+# Fresh-process rows: each runs `python [options] -m subshift.cli argv` in a new directory holding the _FILES argv names.
+
+
+class Row(NamedTuple):
+    argv: str
+    status: int
+    stream: str  # "stdout", "stderr" or "out" (the --out file)
+    expect: str | Callable[[str, dict], None]  # the exact text, or a check of it and the row's files
+    options: tuple = ()
+    timeout: int = 60
+
+
+def _report(text: str, files: dict) -> None:
+    ss.verify_report(text)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"  # the stdlib layout
+
+
+def _certified(cls, key: str) -> Callable[[str, dict], None]:
+    def check(text: str, files: dict) -> None:
+        doc = json.loads(text)
+        cls.from_dict(ss.AdjacencyMatrix.from_rows(doc["matrix"]["rows"]), doc[key]).verify()
+    return check
+
+
+def _same_weight(text: str, files: dict) -> None:  # reads back as the row's weight file
+    matrix, weight = files.values()
+    assert ss.parse_weight_file(A := ss.parse_matrix(matrix), text) == ss.parse_weight_file(A, weight)
+
+
+_DEPTH_1001 = "1" + "0" * 1000  # a numeral that int() reads under the default digit limit but not under 640
+_FILES = {
+    "g.mat": GOLDEN,
+    "s.mat": SWAP,
+    "w.txt": "depth 1\n1 1/2\n2 3\n",
+    "f.txt": "depth 2\n11 1\n12 -2/3\n21 0.5\n",
+    "ten.mat": "10\n" + "1 1 1 1 1 1 1 1 1 1\n" * 10,
+    "tenw.txt": "depth 1\n1 1\n" + "".join(f"{a} 1/{a}\n" for a in range(2, 10)) + "10. 1/10\n",
+    "deep.txt": "depth 200000\n" + "1" * 200_000 + " 1\n",  # golden admits it; N_200000 is never counted
+    # Both depth-100000 words of the 2-cycle: read literal by literal, then the depth-99999 output is refused.
+    "deep2.txt": f"depth 100000\n{'12' * 50_000} 1\n{'21' * 50_000} 1\n",
+    "arabic.mat": "٢\n1 1\n1 0\n",
+    "w1000.txt": "depth 1\n1 1_000\n2 3\n",
+    "bad.mat": b"\xff\xfe\n",
+    "badw.txt": b"depth 1\n1 \xe9\n",
+    "badf.txt": b"depth 1\n1 0.5\x80\n",
+    "f1001.txt": f"depth {_DEPTH_1001}\n1 1\n2 1\n",
+}
+# Past 9 symbols literals are dotted numerals, spelled from the one listing of the words.
+_TEN_2 = "".join(f"{a}{b}\n" if max(a, b) < 10 else f"{a}.{b}\n" for a in range(1, 11) for b in range(1, 11))
+_DEEP = "error: table must cover every admissible depth-200000 word (missing at least 1)\n"
+_LISTING = "error: listing the length-{} words would build over 1000000 entries (subshift.sequences.MAX_FREENESS_ENTRIES)\n"
+_ROWS = {
+    "analyze": Row("analyze g.mat --depth 3 --out out", 0, "out", _report),
+    # A fresh process keeps no freeness answer yet, and this table has i > 0.
+    "freeness": Row("witness freeness g.mat 2 5 --out out", 0, "out", _certified(ss.FreenessCertificate, "freeness")),
+    "invariant": Row("witness invariant g.mat --out out", 0, "out", _certified(ss.InvariantSetCertificate, "invariant_set")),
+    "minimal": Row("witness minimal g.mat 21 12 --out out", 0, "out", _certified(ss.MinimalityWitness, "minimality")),
+    "apply": Row("transfer apply g.mat w.txt f.txt --out out", 0, "out", "depth 1\n1 2\n2 -1/3\n"),
+    "recover": Row("transfer recover g.mat w.txt --out out", 0, "out", "depth 2\n11 1/2\n12 1/2\n21 3\ndomain 1\n1\n2\n"),
+    "ten-1": Row("words ten.mat 1", 0, "stdout", "".join(f"{a}\n" for a in range(1, 10)) + "10.\n"),
+    "ten-2": Row("words ten.mat 2", 0, "stdout", _TEN_2),
+    "ten-recover": Row("transfer recover ten.mat tenw.txt --out out", 0, "out", _same_weight),
+    "words-40": Row("words g.mat 40", 2, "stderr", _LISTING.format(40)),
+    "deep": Row("transfer apply g.mat deep.txt f.txt", 2, "stderr", _DEEP, timeout=10),
+    "deep-swap": Row("transfer apply s.mat w.txt deep2.txt", 2, "stderr", _LISTING.format(99999), timeout=10),
+    "arabic": Row("words arabic.mat 2", 2, "stderr", "error: first line must be the matrix size, got '٢'\n"),
+    "1_000": Row("transfer apply g.mat w1000.txt f.txt", 2, "stderr", "error: cannot parse rational '1_000'\n"),
+    # Input files are UTF-8 text.
+    "utf8-matrix": Row("words bad.mat 2", 2, "stderr", "error: bad.mat is not UTF-8 text\n"),
+    "utf8-weight": Row("transfer apply g.mat badw.txt f.txt", 2, "stderr", "error: badw.txt is not UTF-8 text\n"),
+    "utf8-function": Row("transfer apply g.mat w.txt badf.txt", 2, "stderr", "error: badf.txt is not UTF-8 text\n"),
+}
+_REFUSED = "error: int_max_str_digits is {}; subshift needs at least 4300 or 0\n"
+_READ = f"error: table words must be admissible depth-{_DEPTH_1001} words (unknown ['1', '2'])\n"  # the header is read
+_UNDER_LIMITS = [
+    pytest.param(
+        Row("transfer apply g.mat w.txt f1001.txt", 2, "stderr", stderr, ("-X", f"int_max_str_digits={limit}")),
+        id=f"digit-limit-{limit}",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python without int()'s digit limit"),
+    )
+    for limit, stderr in {"640": _REFUSED.format(640), "4299": _REFUSED.format(4299), "4300": _READ, "0": _READ}.items()
+]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=id_) for id_, row in _ROWS.items()] + _UNDER_LIMITS)
+def test_console_row(tmp_path, row):
+    files = {name: _FILES[name] for name in row.argv.split() if name in _FILES}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    argv = [sys.executable, *row.options, "-m", "subshift.cli", *row.argv.split()]
+    env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parent.parent)}  # the installed one under -o pythonpath=
+    run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=row.timeout)
+    assert run.returncode == row.status and b"Traceback" not in run.stderr, run.stderr
+    text = ((tmp_path / "out").read_bytes() if row.stream == "out" else getattr(run, row.stream)).decode()
+    if callable(row.expect):
+        row.expect(text, files)
+    else:
+        assert text == row.expect

@@ -13,12 +13,17 @@ dropped or a line repeated.  The files that leaked are pinned as explicit
 examples.  Numbers an edit can write are at most 8, so header depths stay
 at most 8 and every example runs in milliseconds; that cap bounds the
 runtime of this test, it does not mean deeper headers are cheap.
+
+On the command line every verb, given such files or files holding a byte
+that is not UTF-8, exits 0 or 2 with no traceback.
 """
 
 import io
 import json
-from contextlib import redirect_stderr
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -231,3 +236,52 @@ _REFUSALS = [
 )
 def test_numbers_outside_their_grammar_are_refused(entry, text, message, tmp_path):
     assert _ENTRIES[entry](text, tmp_path) == message
+
+
+_CLI_VERBS = [
+    ["words", "{m}", "{k}"],
+    ["analyze", "{m}", "--depth", "{k}"],
+    ["witness", "invariant", "{m}"],
+    ["witness", "minimal", "{m}", "{x}", "{y}"],
+    ["witness", "freeness", "{m}", "{i}", "{k}"],
+    ["transfer", "apply", "{m}", "{w}", "{f}"],
+    ["transfer", "recover", "{m}", "{w}"],
+    ["transfer", "equiv", "{m}", "{w}", "{v}"],
+]
+
+
+@st.composite
+def _cli_runs(draw):
+    """A verb's argv and the files it names, drawn as above over one matrix.
+
+    One random edit more may put a byte that is not UTF-8 into one of the files.
+    """
+    argv = draw(st.sampled_from(_CLI_VERBS))
+    A, weight = draw(_weight_files())
+    texts = {
+        "m": draw(st.one_of(st.just(ss.format_matrix(A)), _matrix_files())),
+        "w": weight,
+        "v": draw(_weight_files().filter(lambda case: case[0] is A))[1],
+        "f": draw(_function_files().filter(lambda case: case[0] is A))[1],
+    }
+    files = {name: text.encode() for name, text in texts.items() if f"{{{name}}}" in argv}
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(files)))
+        at = draw(st.integers(0, len(files[name])))
+        byte = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
+        files[name] = files[name][:at] + byte + files[name][at:]
+    args = {"x": draw(_EDITS), "y": draw(_EDITS), "i": draw(st.integers(0, 3)), "k": draw(st.integers(0, 4))}
+    return [a.format(**{name: name for name in files}, **args) for a in argv], files
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_runs())
+@example((["words", "m", "2"], {"m": b"\xff\xfe\n"}))
+def test_every_verb_exits_0_or_2(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            status = main([str(Path(tmp, a)) if a in files else a for a in argv])
+    assert status in (0, 2) and "Traceback" not in err.getvalue()
