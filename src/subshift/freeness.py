@@ -17,18 +17,21 @@ Every certificate re-verifies itself from its stored data alone via
 ``verify``, which ``verify_report`` runs where a report is read.  The
 builders return what they construct without running it.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
-A depth-j table lists its words by ``enumerate_words``, so the work limit
-refuses it, when it is built, read or verified alike.
+A depth-j table reads its words from ``_depth_words``: the work limit is
+checked on every call, so it refuses a table when it is built, read or
+verified alike, and ``enumerate_words`` lists the depth once per matrix.
 
 A freeness entry of the word w depends only on j - i and w[i:], so a
-table's many entries hold few distinct answers, and each step pays once
-per answer, not once per entry.  The builder works out and checks each
-answer once per matrix for each exponent difference and word suffix.
-``to_dict`` gives the entries written alike one row object, which
-``verdict.dump_json`` writes once.  ``from_dict`` reads and checks each
-tail literal once per last symbol of the words it follows.  ``verify``
-scans each (w[i:], tail) once, and still compares every entry's own
-differs_at with the scan's answer.
+report's many entries, in its many tables, hold few distinct answers, and
+each step pays once per answer, not once per entry or per table.  Each
+answer is kept in the matrix's private table (``AdjacencyMatrix._answers``).
+The builder works out and checks each answer once per matrix for each
+exponent difference and word suffix.  ``to_dict`` gives the entries
+written alike one row object, which ``verdict.dump_json`` writes once.
+``from_dict`` reads and checks each tail literal once per matrix and last
+symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
+once per matrix, apart from the builder's answers, and still compares
+every entry's own differs_at with the scan's answer.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .sequences import (
     enumerate_words,
     periodic_seq,
     require_admissible,
+    require_work_limit,
     word_from_string,
     word_to_string,
 )
@@ -149,6 +153,8 @@ class MinimalityWitness:
     shifts: int
 
     def verify(self) -> None:
+        if type(self.shifts) is not int:
+            raise CertificateInvalid(f"shifts must be an integer, got {self.shifts!r}")
         require_admissible(self.matrix, self.prefix)
         if self.prefix[: len(self.start)] != self.start:
             raise CertificateInvalid("witness word does not start in the source cylinder")
@@ -172,7 +178,7 @@ class MinimalityWitness:
         return cls(A, start, target, prefix, json_field(data, int, "shifts"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FreenessEntry:
     """The per-cylinder record: a point word . tail^infinity of [word]
     where the i-th and j-th shifts differ, and where they first do."""
@@ -213,6 +219,17 @@ def located(place: str | Callable[[], str]):
         raise type(exc)(f"{place if isinstance(place, str) else place()}{exc}") from None
 
 
+def _depth_words(A: AdjacencyMatrix, j: int) -> list[Word]:
+    """``enumerate_words(A, j)``, refused on every call exactly when it is
+    (``require_work_limit``), but listed once per matrix: the list is kept
+    in A's private table under ("words", j), and callers only read it."""
+    require_work_limit(A, j)
+    words = A._answers.get(("words", j))
+    if words is None:
+        words = A._answers["words", j] = enumerate_words(A, j)
+    return words
+
+
 def _tail_difference(s: OneSidedPoint, i: int, j: int) -> int | None:
     """First coordinate c >= 0 with s[i+c] != s[j+c], or None if the two
     shifted tails agree everywhere.
@@ -242,23 +259,38 @@ class FreenessCertificate:
     entries: tuple[FreenessEntry, ...]
 
     def verify(self) -> None:
+        """Check that the entries are the depth-j words' (``_depth_words``) and
+        that each differs_at, an int, is where the i-th and j-th shifts of
+        its witness w . t^inf first differ.
+
+        That place depends only on m = j - i, u = w[i:] and t: shift^i maps
+        w . t^inf to u . t^inf, with |u| = m.  From coordinate m on, u . t^inf
+        and its m-shift both repeat with period |t|, so a first difference,
+        if any, lies below m + |t| <= |w| + |t|.  So ``_tail_difference`` of
+        w . t^inf at (i, j) is a function of (m, u, t), and each is scanned
+        once per matrix, kept in A's private table under (m, u, t), apart
+        from the builder's (m, u) answers.  A scan that equalizes the shifts
+        is kept nowhere, and every entry's differs_at is compared."""
         i, j, A = self.i, self.j, self.matrix
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         words = [e.word for e in self.entries]
-        if count_past(A, j, len(words)) != (j, len(words)) or words != enumerate_words(A, j):  # no more than stored
+        if count_past(A, j, len(words)) != (j, len(words)) or words != _depth_words(A, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        differences: dict[tuple[Word, Word], int | None] = {}  # by (w[i:], tail), on which they depend
+        m, differences = j - i, A._answers
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, e in enumerate(self.entries):
                 if e.witness.matrix != A:
                     raise CertificateInvalid("witness built over a different matrix")
-                key = e.word[i:], e.witness.tail
+                if type(e.differs_at) is not int:
+                    raise CertificateInvalid(f"differs_at must be an integer, got {e.differs_at!r}")
+                key = m, e.word[i:], e.witness.tail
                 c = differences.get(key)
                 if c is None:
-                    c = differences[key] = _tail_difference(e.witness, i, j)
-                if c is None:
-                    raise CertificateInvalid("witness equalizes the shifts")
+                    c = _tail_difference(e.witness, i, j)
+                    if c is None:
+                        raise CertificateInvalid("witness equalizes the shifts")
+                    differences[key] = c
                 if c != e.differs_at - 1:
                     raise CertificateInvalid(f"differs_at {e.differs_at}, but they first differ at {c + 1}")
 
@@ -284,33 +316,42 @@ class FreenessCertificate:
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
         to the k-th depth-j word, listed once the entry count matches and
-        only if the work limit allows it (``enumerate_words``).
+        only if the work limit allows it (``_depth_words``).
 
         Every row's keys and field types are checked.  Whether the tail t
         may follow w, w . t^inf being admissible, depends only on w[-1] and
         t, since w is a listed word.  So the first entry of each (w[-1],
-        tail literal) pair parses t and builds its point checked, and a bad
-        tail fails at its first such entry with that entry's message; later
-        entries of the pair reuse the parsed tail unchecked."""
+        tail literal) pair that A meets, in this table or an earlier one,
+        parses t and builds its point checked, and a bad tail fails at its
+        first such entry with that entry's message; later entries of the
+        pair reuse the parsed tail, kept in A's private table under
+        (w[-1], literal), unchecked."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         if count_past(A, j, len(rows)) != (j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, entries = enumerate_words(A, j), []
-        tails: dict[tuple[int, str], Word] = {}  # each (w[-1], tail literal) read and checked once
+        words, entries, tails = _depth_words(A, j), [], A._answers
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
-                row = _format1_entry(A, i, w, row) if report_format == 1 else exact_keys(row, _ENTRY_KEYS)
-                literal = json_field(row, str, "tail")
+                # Each row's keys and types are tested inline; exact_keys and json_field raise.
+                if report_format == 1:
+                    row = _format1_entry(A, i, w, row)
+                elif type(row) is not dict or row.keys() != _ENTRY_KEYS:
+                    exact_keys(row, _ENTRY_KEYS)
+                literal, differs_at = row["tail"], row["differs_at"]
+                if type(literal) is not str:
+                    json_field(row, str, "tail")
                 tail = tails.get((w[-1], literal))
                 if tail is None:
                     witness = OneSidedPoint(A, w, word_from_string(literal))
                     tails[w[-1], literal] = witness.tail
                 else:
                     witness = OneSidedPoint._unchecked(A, w, tail)
-                entries.append(FreenessEntry(witness, json_field(row, int, "differs_at")))
+                if type(differs_at) is not int:
+                    json_field(row, int, "differs_at")
+                entries.append(FreenessEntry(witness, differs_at))
         return cls(A, i, j, tuple(entries))
 
 
@@ -403,7 +444,9 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     u . t^inf.  The matrix keeps that (tail, differs_at) answer under
     (m, u), so each is worked out and checked once, however many words
     and tables share it; a tail that equalizes the shifts raises
-    CertificateInvalid naming the pair and the word.
+    CertificateInvalid naming the pair and the word.  The depth-j words
+    are listed once per matrix too (``_depth_words``), and refused by the
+    work limit on every call.
 
     Each witness w . t^inf is built unchecked: w is an enumerated, so
     admissible, word, and u . t^inf was checked when its answer was first
@@ -414,7 +457,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
     answers, m, entries = A._answers, j - i, []
-    for w in enumerate_words(A, j):
+    for w in _depth_words(A, j):
         u = w[i:]
         answer = answers.get((m, u))
         if answer is None:

@@ -45,9 +45,13 @@ class AdjacencyMatrix:
     every admissibility test; `_extensions` maps each symbol to its
     successors as one-symbol words, which ``extend_words`` appends.
     `_answers` keeps each answer as it is first asked: ``find_path`` under
-    its pair of symbols, ``is_transitive`` under "transitive", and each
-    freeness answer (tail, differs_at) under (j - i, w[i:]), a number and
-    a word (``freeness_certificate``).
+    its pair of symbols, ``is_transitive`` under "transitive", and the
+    freeness tables' (``freeness``): the depth-j word list under ("words",
+    j); each built answer (tail, differs_at) under (j - i, w[i:]), a
+    number and a word (``freeness_certificate``); each tail read under
+    (w[-1], literal), a symbol and a string (``FreenessCertificate.from_dict``);
+    and each scanned first difference under (j - i, w[i:], tail)
+    (``FreenessCertificate.verify``).  No two kinds of key compare equal.
     """
 
     rows: tuple[tuple[int, ...], ...]

@@ -315,7 +315,7 @@ def periodic_seq(A: AdjacencyMatrix, period: str | Iterable[int], origin: int = 
     return EventuallyPeriodicSeq(A, word, (), word, origin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneSidedPoint:
     """The one-sided point prefix . tail^infinity, read at coordinates k >= 0.
 
@@ -339,7 +339,9 @@ class OneSidedPoint:
         """The point prefix . tail^infinity, which the caller knows to be
         admissible, built without the check (as ``__init__`` sets the fields)."""
         point = object.__new__(cls)
-        point.__dict__.update(matrix=A, prefix=prefix, tail=tail)
+        object.__setattr__(point, "matrix", A)
+        object.__setattr__(point, "prefix", prefix)
+        object.__setattr__(point, "tail", tail)
         return point
 
     def __getitem__(self, k: int) -> int:

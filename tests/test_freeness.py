@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -184,6 +185,27 @@ def test_minimality_tamper_detection(golden):
     short = replace(wit, prefix=(2, 1), target=(1, 2, 1), shifts=-1)
     with pytest.raises(CertificateInvalid, match="does not leave the target word"):
         short.verify()
+
+
+def test_verify_refuses_the_numbers_its_reader_refuses(golden):
+    # from_dict reads differs_at and shifts as JSON integers; verify, of a
+    # certificate built in code, refuses a bool or a float too, where it would
+    # otherwise pass (True == 1) or slice with it.
+    cert = ss.freeness_certificate(golden, 0, 1)
+    k = next(k for k, e in enumerate(cert.entries) if e.differs_at == 1)
+    place = rf"^\(i=0, j=1\)\.entries\[{k}\] \[{ss.word_to_string(cert.entries[k].word)}\]: "
+    for bad in (True, 1.0):
+        entries = list(cert.entries)
+        entries[k] = replace(entries[k], differs_at=bad)
+        tampered = ss.FreenessCertificate(golden, 0, 1, tuple(entries))
+        with pytest.raises(CertificateInvalid, match=f"{place}differs_at must be an integer, got {bad!r}$"):
+            tampered.verify()
+        if bad is True:
+            with pytest.raises(MalformedInput, match=f"{place}differs_at must be a JSON integer, got True$"):
+                ss.FreenessCertificate.from_dict(golden, tampered.to_dict())
+    for bad in (1.0, True):
+        with pytest.raises(CertificateInvalid, match=f"^shifts must be an integer, got {bad!r}$"):
+            ss.MinimalityWitness(golden, (1,), (2,), (1, 2), bad).verify()
 
 
 def equalizes(point, i, j):
@@ -402,3 +424,35 @@ def test_work_limit_counts_entries_before_building(golden, monkeypatch):
     for j in (21, 29, 10**9):
         with pytest.raises(WorkLimitExceeded, match=f"listing the length-{j} words"):
             ss.freeness_certificate(golden, 0, j)
+
+
+def test_a_kept_listing_is_refused_whenever_a_fresh_one_is(monkeypatch):
+    # A matrix keeps each depth's words once listed, by analyze or by
+    # verify_report; lowered after that, the work limit still refuses a table
+    # built, read or verified on it exactly when enumerate_words refuses.
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+    built = ss.analyze(A, 5)
+    read = ss.verify_report(ss.render_report(built))
+    outcomes = Counter()
+    for v in (built, read):
+        M = v.matrix
+        for limit in (1, 2, 7, 8, 22, 23, 54, 55, 119):  # golden's sums of j * N_j: 2, 8, 23, 55, 120
+            monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", limit)
+            for cert in v.freeness:
+                try:
+                    ss.enumerate_words(M, cert.j)
+                except WorkLimitExceeded:
+                    outcomes["refused"] += 1
+                    for table in (
+                        lambda: ss.freeness_certificate(M, cert.i, cert.j),
+                        lambda: ss.FreenessCertificate.from_dict(M, cert.to_dict()),
+                        cert.verify,
+                    ):
+                        with pytest.raises(WorkLimitExceeded, match=f"listing the length-{cert.j} words"):
+                            table()
+                else:
+                    ss.freeness_certificate(M, cert.i, cert.j)
+                    ss.FreenessCertificate.from_dict(M, cert.to_dict()).verify()
+                    cert.verify()
+                    outcomes["built"] += 1
+    assert outcomes["refused"] and outcomes["built"]

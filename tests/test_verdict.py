@@ -669,6 +669,13 @@ def test_an_entry_sharing_its_answer_is_still_checked_at_its_place():
     where = f"certificates.freeness[{t}] (i={i}, j={j}).entries[{k}] [{ss.word_to_string(w)}]: "
     with pytest.raises(CertificateInvalid, match=re.escape(where) + "differs_at"):
         ss.verify_report(json.dumps(doc))
+    # Each answer is scanned once per matrix: (i=1, j=2) at 11 shares j - i = 1,
+    # w[i:] = 1 and its tail with (i=0, j=1) at 1, two tables earlier.
+    doc = json.loads(ss.render_report(ss.analyze(full3, 3)))
+    doc["certificates"]["freeness"][2]["entries"][0]["differs_at"] += 1
+    message = "certificates.freeness[2] (i=1, j=2).entries[0] [11]: differs_at 3, but they first differ at 2"
+    with pytest.raises(CertificateInvalid, match=f"^{re.escape(message)}$"):
+        ss.verify_report(json.dumps(doc))
 
 
 def test_a_tail_is_refused_at_the_first_word_it_cannot_follow(golden):
@@ -692,6 +699,103 @@ def test_a_tail_is_refused_at_the_first_word_it_cannot_follow(golden):
     )
     with pytest.raises(ss.errors.InadmissibleWord, match=f"^{re.escape(message)}$"):
         ss.verify_report(json.dumps(doc))
+    # Each tail is read once per matrix and last symbol: 21 read for the word 1
+    # in the first table is read again for a word ending in 2 in the last one.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 4)))
+    tables = doc["certificates"]["freeness"]
+    tables[0]["entries"][0]["tail"] = "21"  # 1 . (21)^inf is admissible
+    k = min(k for k, w in enumerate(words) if w[-1] == 2)
+    tables[t]["entries"][k]["tail"] = "21"
+    w = ss.word_to_string(words[k])
+    message = (
+        f"certificates.freeness[{t}] (i={table['i']}, j={table['j']}).entries[{k}] [{w}]: "
+        f"point {w} . (21)^inf is not admissible"
+    )
+    with pytest.raises(ss.errors.InadmissibleWord, match=f"^{re.escape(message)}$"):
+        ss.verify_report(json.dumps(doc))
+
+
+def _transitive_noncycle(seed: int) -> ss.AdjacencyMatrix:
+    rng = random.Random(seed)
+    while True:
+        A = random_matrix(rng, nmax=4, nmin=2)
+        if ss.is_transitive(A) and not ss.is_cycle(A):
+            return A
+
+
+@st.composite
+def _reports_with_edited_rows(draw):
+    """A seeded transitive non-cycle matrix with n <= 4, its report at a
+    depth of 2 to 4, and the places of one to three freeness rows edited
+    in it: each given a new tail, its differs_at moved by one, or replaced
+    by a copy of a row of any table."""
+    A = _transitive_noncycle(draw(st.integers(0, 2**32)))
+    doc = json.loads(ss.render_report(ss.analyze(A, draw(st.integers(2, 4)))))
+    tables, edited = doc["certificates"]["freeness"], set()
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(0, len(tables) - 1))
+        k = draw(st.integers(0, len(tables[t]["entries"]) - 1))
+        row = tables[t]["entries"][k] = dict(tables[t]["entries"][k])
+        edit = draw(st.sampled_from(["tail", "differs_at", "copy"]))
+        if edit == "tail":
+            row["tail"] = "".join(map(str, draw(st.lists(st.integers(1, A.n), min_size=1, max_size=3))))
+        elif edit == "differs_at":
+            row["differs_at"] += draw(st.sampled_from([-1, 1]))
+        else:
+            source = tables[draw(st.integers(0, len(tables) - 1))]["entries"]
+            row.update(source[draw(st.integers(0, len(source) - 1))])
+        edited.add((t, k))
+    return A, doc, edited
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports_with_edited_rows())
+def test_edited_freeness_rows_verify_exactly_when_each_entry_does(case):
+    # Answers, tails and listings are kept across a report's tables; the kept
+    # ones must judge every row as the brute-force oracle does.  Rows not
+    # edited are analyze's, which the oracle accepts.
+    A, doc, edited = case
+    tables = doc["certificates"]["freeness"]
+    valid = True
+    for t, k in edited:
+        i, j, row = tables[t]["i"], tables[t]["j"], tables[t]["entries"][k]
+        valid &= tail_entry_verifies(A, brute_force_words(A, j)[k], i, j, row["tail"], row["differs_at"])
+    if valid:
+        ss.verify_report(json.dumps(doc))
+    else:
+        with pytest.raises(ss.SubshiftError):
+            ss.verify_report(json.dumps(doc))
+
+
+def _freeness_traffic(monkeypatch, run) -> tuple[int, int]:
+    """(listings, tail scans) that `run` makes through the freeness module."""
+    counts = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return call
+
+    for name in ("enumerate_words", "_tail_difference"):
+        monkeypatch.setattr(ss.freeness, name, counted(name, getattr(ss.freeness, name)))
+    run()
+    monkeypatch.undo()
+    return counts["enumerate_words"], counts["_tail_difference"]
+
+
+def test_a_report_lists_each_depth_and_scans_each_answer_once(monkeypatch):
+    # Per table, verify_report of golden d9 listed each depth 2j times, 90 in
+    # all, and scanned 575 tails; full3 d5 listed 30 and scanned 537.  Per
+    # matrix, each depth is listed once, and each (j - i, w[i:], tail) scanned once.
+    golden, full3 = [[1, 1], [1, 0]], [[1, 1, 1]] * 3
+    for rows, depth, scans in ((golden, 9, 230), (full3, 5, 363)):
+        text = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows(rows), depth))
+        assert _freeness_traffic(monkeypatch, lambda: ss.verify_report(text)) == (depth, scans)
+    A = ss.AdjacencyMatrix.from_rows(golden)
+    listings, _ = _freeness_traffic(monkeypatch, lambda: ss.analyze(A, 9))
+    assert listings == 9  # one per table, 45, before
 
 
 def test_analyze_searches_each_connector_once_per_matrix(monkeypatch):
