@@ -32,11 +32,18 @@ written alike one row object, which ``verdict.dump_json`` writes once.
 symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
 once per matrix, apart from the builder's answers, and still compares
 every entry's own differs_at with the scan's answer.
+
+A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
+spot words and n^2 connectors, and each is paid once per report:
+``spot_witnesses`` searches each connector once and shares the spot word
+objects among the witnesses, ``minimality_rows`` spells each word object
+once, ``MinimalityWitness.from_dict`` parses each from/to literal once per
+matrix, and ``verify`` tests each prefix with ``A.admits`` alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -44,6 +51,7 @@ from .errors import (
     BadExponents,
     CertificateInvalid,
     GraphIsCycle,
+    InadmissibleWord,
     MalformedInput,
     NotTransitive,
     SubshiftError,
@@ -140,7 +148,7 @@ class InvariantSetCertificate:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MinimalityWitness:
     """A word starting with `start` that reaches `target` after `shifts`
     symbol drops, certifying the cylinder of `start` meets every
@@ -155,7 +163,8 @@ class MinimalityWitness:
     def verify(self) -> None:
         if type(self.shifts) is not int:
             raise CertificateInvalid(f"shifts must be an integer, got {self.shifts!r}")
-        require_admissible(self.matrix, self.prefix)
+        if not self.matrix.admits(self.prefix):
+            raise InadmissibleWord(f"word {word_to_string(self.prefix)} is not admissible")
         if self.prefix[: len(self.start)] != self.start:
             raise CertificateInvalid("witness word does not start in the source cylinder")
         if self.shifts != len(self.prefix) - len(self.target):
@@ -164,18 +173,57 @@ class MinimalityWitness:
             raise CertificateInvalid("dropping the shifts does not leave the target word")
 
     def to_dict(self) -> dict:
+        return self._row(word_to_string)
+
+    def _row(self, spell: Callable[[Word], str]) -> dict:
         return {
-            "from": word_to_string(self.start),
-            "to": word_to_string(self.target),
-            "prefix": word_to_string(self.prefix),
+            "from": spell(self.start),
+            "to": spell(self.target),
+            "prefix": spell(self.prefix),
             "shifts": self.shifts,
         }
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "MinimalityWitness":
-        exact_keys(data, _MINIMALITY_KEYS)
-        start, target, prefix = (word_from_string(json_field(data, str, k)) for k in ("from", "to", "prefix"))
-        return cls(A, start, target, prefix, json_field(data, int, "shifts"))
+        """The witness a report row stores.  Its keys and field types are
+        checked inline, in the order exact_keys and json_field, which raise,
+        would check them.  A from or to literal is parsed once per matrix,
+        kept in A's private table under ("spot", literal); the prefix, which
+        no other row shares, is parsed every time."""
+        if type(data) is not dict or data.keys() != _MINIMALITY_KEYS:
+            exact_keys(data, _MINIMALITY_KEYS)
+        ends, spots = [], A._answers
+        for key in ("from", "to"):
+            literal = data[key]
+            if type(literal) is not str:
+                json_field(data, str, key)
+            word = spots.get(("spot", literal))
+            if word is None:
+                word = spots["spot", literal] = word_from_string(literal)
+            ends.append(word)
+        prefix, shifts = data["prefix"], data["shifts"]
+        if type(prefix) is not str:
+            json_field(data, str, "prefix")
+        prefix = word_from_string(prefix)
+        if type(shifts) is not int:
+            json_field(data, int, "shifts")
+        return cls(A, ends[0], ends[1], prefix, shifts)
+
+
+def minimality_rows(witnesses: Iterable[MinimalityWitness]) -> list[dict]:
+    """The ``to_dict`` rows of `witnesses`, each word object spelled once:
+    the spot words, which the rows of a report share, are written once per
+    report.  The spellings are keyed by the word's identity, never its
+    value: (True,) == (1,), but the two are written apart."""
+    literals: dict[int, str] = {}
+
+    def spell(w: Word) -> str:
+        literal = literals.get(id(w))
+        if literal is None:
+            literal = literals[id(w)] = word_to_string(w)
+        return literal
+
+    return [m._row(spell) for m in witnesses]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -400,15 +448,25 @@ def _avoiding_point(A: AdjacencyMatrix, cycle_word: Word) -> EventuallyPeriodicS
     return periodic_seq(A, to_y + back[1:-1])
 
 
+def _spot_witness(A: AdjacencyMatrix, start: Word, target: Word, middle: Word) -> MinimalityWitness:
+    """The one construction rule of a minimality witness: start itself when
+    start == target, else start + middle + target, where `middle` is the
+    interior of ``find_path(A, start[-1], target[0])``.  It holds by
+    construction (start, the connector's edges and target are admissible;
+    dropping len(prefix) - len(target) symbols leaves target), so it is
+    returned unchecked."""
+    prefix = start if start == target else start + middle + target
+    return MinimalityWitness(A, start, target, prefix, len(prefix) - len(target))
+
+
 def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
     """A point of the cylinder [w] whose orbit enters [z]: an admissible
     word starting with w whose suffix after `shifts` drops is exactly z.
 
     When the last symbol of w and the first of z coincide the connector
     still travels a real cycle, so the witness stays admissible without
-    assuming a self-loop.  It holds by construction (w, the connector's
-    edges and z are admissible; dropping len(prefix) - len(z) symbols
-    leaves z), so it is returned unchecked;
+    assuming a self-loop.  The words and the matrix are checked, then the
+    witness is built by ``_spot_witness``, unchecked;
     test_minimality_witnesses_verify_for_any_admissible_words verifies it.
     """
     start = require_admissible(A, w)
@@ -417,11 +475,18 @@ def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
         raise MalformedInput("minimality witness needs nonempty words")
     if not is_transitive(A):
         raise NotTransitive("the graph is not transitive")
-    if start == target:
-        return MinimalityWitness(A, start, target, start, 0)
-    connector = find_path(A, start[-1], target[0])
-    prefix = start + connector[1:-1] + target
-    return MinimalityWitness(A, start, target, prefix, len(prefix) - len(target))
+    middle = () if start == target else find_path(A, start[-1], target[0])[1:-1]
+    return _spot_witness(A, start, target, middle)
+
+
+def spot_witnesses(A: AdjacencyMatrix, words: list[Word]) -> tuple[MinimalityWitness, ...]:
+    """``minimality_witness(A, w, z)`` for every pair of `words`, in
+    row-major order, without its checks: the caller passes nonempty
+    admissible words and a transitive A.  Each connector's interior is
+    taken once per pair of symbols, and each witness is ``_spot_witness``
+    of the pair, so the words are shared, not copied, by the witnesses."""
+    middles = {(a, b): find_path(A, a, b)[1:-1] for a in A.symbols for b in A.symbols}
+    return tuple(_spot_witness(A, w, z, middles[w[-1], z[0]]) for w in words for z in words)
 
 
 def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertificate:

@@ -50,8 +50,10 @@ class AdjacencyMatrix:
     j); each built answer (tail, differs_at) under (j - i, w[i:]), a
     number and a word (``freeness_certificate``); each tail read under
     (w[-1], literal), a symbol and a string (``FreenessCertificate.from_dict``);
-    and each scanned first difference under (j - i, w[i:], tail)
-    (``FreenessCertificate.verify``).  No two kinds of key compare equal.
+    each scanned first difference under (j - i, w[i:], tail)
+    (``FreenessCertificate.verify``); and each minimality from/to literal
+    read under ("spot", literal) (``MinimalityWitness.from_dict``).  No two
+    kinds of key compare equal.
     """
 
     rows: tuple[tuple[int, ...], ...]

@@ -14,6 +14,12 @@ depth budget (``_skeleton``).  ``analyze`` fills the certificates in;
 ``verify_report`` requires every other field to read exactly what
 ``analyze`` writes for the echoed matrix and budget, in canonical JSON,
 and every integer field to be a JSON integer.
+
+The minimality section pays once per report for each of its spot words,
+the symbols and the edges: ``analyze`` builds the (n + |E|)^2 witnesses
+from them unchecked, the writer spells each once and writes each row, a
+dict of scalars, as one string, the reader parses each from/to literal
+once, and ``verify_report`` compares the spot pairs without listing them.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .freeness import (
     freeness_certificate,
     json_field,
     located,
-    minimality_witness,
+    minimality_rows,
+    spot_witnesses,
 )
 from . import sequences
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
@@ -67,6 +74,7 @@ _DICHOTOMY_CITATIONS = (
 )
 
 _CERTIFICATE_KEYS = frozenset({"invariant_set", "minimality", "freeness"})
+_CONSTANTS = {None: "null", True: "true", False: "false"}  # how JSON writes None and the bools
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +101,11 @@ def _freeness_pairs(depth_budget: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, depth_budget + 1) for i in range(j)]
 
 
-def _minimality_spot_pairs(A: AdjacencyMatrix):
-    # The words of lengths 1 and 2 are the symbols and the edges; callers compare
+def _minimality_spot_words(A: AdjacencyMatrix) -> list:
+    # The words of lengths 1 and 2: the symbols, then the edges sorted.  The spot
+    # pairs are their pairs in row-major order; callers compare
     # _minimality_spot_count first, since the pairs are not bounded by the matrix.
-    words = [(s,) for s in A.symbols] + sorted(A.edges)
-    return [(w, z) for w in words for z in words]
+    return [(s,) for s in A.symbols] + sorted(A.edges)
 
 
 def _minimality_spot_count(A: AdjacencyMatrix) -> int:
@@ -154,7 +162,7 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     return replace(
         v,
         invariant_set=find_nontrivial_invariant(A),
-        minimality=tuple(minimality_witness(A, w, z) for w, z in _minimality_spot_pairs(A)),
+        minimality=spot_witnesses(A, _minimality_spot_words(A)),
         freeness=tuple(freeness_certificate(A, i, j) for i, j in _freeness_pairs(depth_budget)),
     )
 
@@ -187,14 +195,10 @@ def dump_json(doc: dict) -> str:
 def _write_json(value, newline: str, out: list[str], written: dict) -> None:
     """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
     level whose line break and indent is `newline`.  `written` maps
-    (id(d), newline) of each dict d already written to its span of `out`."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or isinstance(value, bool):
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    (id(d), newline) of each dict d already written to its span of `out`.
+    A dict whose values are all exactly str, int, bool or None, as every
+    row of a report, is written as one string (``_leaf_lines``)."""
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -205,13 +209,24 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
             return
         start = len(out)
         inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out, written)
-            separator = "," + inner
-        out.append(newline + "}")
+        items = sorted(value.items())
+        lines = _leaf_lines(items)
+        if lines is not None:
+            out.append("{" + inner + ("," + inner).join(lines) + newline + "}")
+        else:
+            separator = "{" + inner
+            for key, item in items:
+                out.append(separator + encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, out, written)
+                separator = "," + inner
+            out.append(newline + "}")
         written[place] = start, len(out)
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -225,6 +240,26 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
         out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _leaf_lines(items: list[tuple]) -> list[str] | None:
+    """The ``"key": value`` lines of a dict's sorted items, or None unless
+    every value is exactly a str, int, bool or None: a subclass, a float or
+    a container takes ``_write_json``'s general path.  A key that is not a
+    str raises the TypeError it raises there."""
+    lines = []
+    for key, item in items:
+        kind = type(item)
+        if kind is str:
+            text = encode_basestring_ascii(item)
+        elif kind is int:
+            text = int.__repr__(item)
+        elif kind is bool or item is None:
+            text = _CONSTANTS[item]
+        else:
+            return None
+        lines.append(encode_basestring_ascii(key) + ": " + text)
+    return lines
 
 
 def _verdict_to_dict(v: AnalysisVerdict) -> dict:
@@ -241,7 +276,7 @@ def _verdict_to_dict(v: AnalysisVerdict) -> dict:
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
         "certificates": {
             "invariant_set": None if v.invariant_set is None else v.invariant_set.to_dict(),
-            "minimality": [w.to_dict() for w in v.minimality],
+            "minimality": minimality_rows(v.minimality),
             "freeness": [c.to_dict() for c in v.freeness],
         },
         "citations": list(v.citations),
@@ -320,7 +355,13 @@ def verify_report(text: str) -> AnalysisVerdict:
     ``analyze`` emits for its depth budget, counts compared before any
     expected list is built, and each is re-verified from its stored data.
     A report without a ``format`` key is read as format 1 (README).
-    Raises CertificateInvalid on any failure, naming its place in the document.
+
+    A failure raises a SubshiftError, naming its place in the document
+    where it has one: CertificateInvalid when a field or certificate is
+    wrong, InadmissibleWord when a stored word or point is not admissible,
+    MalformedInput when the text is not a report document.  A symbol
+    outside the alphabet, a zero row in the echoed matrix or a table past
+    the work limit raises SymbolOutOfRange, ZeroRow or WorkLimitExceeded.
     """
     doc = _load_report(text)
     v = _verdict_from_doc(doc)
@@ -343,8 +384,12 @@ def verify_report(text: str) -> AnalysisVerdict:
         return v
     if v.invariant_set is None or not v.freeness:
         raise CertificateInvalid("conclusive verdict is missing certificates")
-    spots = [(m.start, m.target) for m in v.minimality]
-    if len(spots) != _minimality_spot_count(A) or spots != _minimality_spot_pairs(A):
+    covered = len(v.minimality) == _minimality_spot_count(A)  # counted before any word is listed
+    if covered:
+        words = _minimality_spot_words(A)
+        pairs = ((w, z) for w in words for z in words)
+        covered = all(m.start == w and m.target == z for m, (w, z) in zip(v.minimality, pairs))
+    if not covered:
         raise CertificateInvalid("minimality witnesses do not cover the spot pairs")
     with located("certificates.invariant_set: "):
         v.invariant_set.verify()

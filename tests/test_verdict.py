@@ -619,9 +619,14 @@ _SHARED = {"b": [1, {"c": None}], "a": "x"}
 _TRUE, _ONE = {"x": True}, {"x": 1}
 
 
+# Every scalar a leaf dict (one written as a single string) may hold.
+_LEAF = {"t": True, "o": 1, "n": None, "b": 10**40, "s": "\u00e9\""}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_JSON_DOCS)
 @example({"": [], "a": {}, "b": [[], {}, [[]]], "c": {"d": {}}, "e": [True, False, None, 0, -1, 2**64]})
+@example({"a": _LEAF, "b": {"c": dict(_LEAF)}, "d": [{"e": [dict(_LEAF), _LEAF]}]})
 @example({"x": _SHARED, "y": [_SHARED, 0, _SHARED], "z": {"x": _SHARED, "w": [[_SHARED]]}, "v": [_SHARED]})
 @example({"p": [_TRUE, _ONE, _TRUE, _ONE], "q": _ONE, "r": {"s": _TRUE}, "t": [[_ONE, _TRUE]]})
 def test_dump_json_writes_the_stdlib_layout(doc):
@@ -636,6 +641,10 @@ def test_dump_json_refuses_what_no_document_holds():
     assert str(ours.value) == str(stdlib.value) == "Object of type set is not JSON serializable"
     with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
         ss.verdict.dump_json({"x": [0.5]})
+    # Dicts otherwise of scalars: json.dumps writes the float and turns the key 1 into "1".
+    for doc in ({"x": {"y": 0.5}}, {"x": [{"y": 1, "z": {2}}]}, {"x": {1: "a"}}):
+        with pytest.raises(TypeError):
+            ss.verdict.dump_json(doc)
 
 
 def test_reports_are_written_in_the_stdlib_layout(golden):
@@ -825,6 +834,79 @@ def test_analyze_searches_each_connector_once_per_matrix(monkeypatch):
     ss.analyze(A, 4)
     assert searches["first_return_word"] and searches["shortest_cycle_avoiding"]
     assert searches["find_path"] <= A.n**2
+
+
+def test_every_spot_row_is_the_public_witness_of_its_pair(golden):
+    # analyze builds its spot witnesses without minimality_witness's checks, and
+    # the writer spells their words apart from to_dict; each row it writes must
+    # still be the public witness's row.  The pairs run over the symbols, then the
+    # edges sorted, in row-major order.  Near-cycle 12 writes dotted literals,
+    # which the pinned digest (n <= 3) never reaches.
+    rng = random.Random(24)
+    n4 = next(A for A in iter(lambda: random_matrix(rng, nmax=4, nmin=4), None)
+              if ss.is_transitive(A) and not ss.is_cycle(A))
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A in (golden, full3, n4, near_cycle(12)):
+        rows = json.loads(ss.render_report(ss.analyze(A, 2)))["certificates"]["minimality"]
+        B = ss.AdjacencyMatrix(A.rows)  # a fresh matrix: no answer shared with analyze
+        words = [(s,) for s in B.symbols] + sorted(B.edges)
+        assert rows == [ss.minimality_witness(B, w, z).to_dict() for w in words for z in words]
+
+
+def test_a_report_spells_and_parses_each_spot_word_once(monkeypatch):
+    # n = 4 with 9 edges: 169 witnesses over 13 spot words.  Each row spelled its
+    # from and to words, so analyze+render spelled each spot word 27 times (26 as
+    # from or to, once as the prefix of its own pair), and verify_report parsed
+    # every row's from, to and prefix, 507 parses.  Now each spot word object is
+    # spelled once, and each from/to literal parsed once, besides each prefix.
+    A = ss.AdjacencyMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]])
+    spelled = []  # keeps every spelled word alive, so no two share an id
+    word_to_string = ss.freeness.word_to_string
+
+    def spell(w):
+        spelled.append(w)
+        return word_to_string(w)
+
+    monkeypatch.setattr(ss.freeness, "word_to_string", spell)
+    v = ss.analyze(A, 4)
+    text = ss.render_report(v)
+    monkeypatch.undo()
+    spots = {id(m.start): m.start for m in v.minimality}
+    assert len(spots) == A.n + len(A.edges)
+    spellings = Counter(map(id, spelled))
+    assert [spellings[key] for key in spots] == [1] * len(spots)
+
+    parsed, reading = Counter(), []
+    word_from_string, from_dict = ss.freeness.word_from_string, ss.MinimalityWitness.from_dict.__func__
+
+    def parse(literal):
+        if reading:
+            parsed[literal] += 1
+        return word_from_string(literal)
+
+    def read(cls, A, data):
+        reading.append(data)
+        try:
+            return from_dict(cls, A, data)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(ss.freeness, "word_from_string", parse)
+    monkeypatch.setattr(ss.MinimalityWitness, "from_dict", classmethod(read))
+    ss.verify_report(text)
+    monkeypatch.undo()
+    rows = json.loads(text)["certificates"]["minimality"]
+    assert len(rows) == 169
+    assert parsed == Counter({row["from"] for row in rows}) + Counter(row["prefix"] for row in rows)
+
+
+def test_a_bad_minimality_prefix_is_an_inadmissible_word(golden):
+    # verify_report raises more classes than CertificateInvalid; its docstring names them.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    doc["certificates"]["minimality"][5].update(prefix="122", shifts=2)
+    message = r"^certificates\.minimality\[5\]: word 122 is not admissible$"
+    with pytest.raises(ss.errors.InadmissibleWord, match=message):
+        ss.verify_report(json.dumps(doc))
 
 
 def test_report_bytes_are_pinned():
