@@ -20,6 +20,9 @@ points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
 A depth-j table reads its words from ``_depth_words``: the work limit is
 checked on every call, so it refuses a table when it is built, read or
 verified alike, and ``enumerate_words`` lists the depth once per matrix.
+A table's size is compared with the number of depth-j words before they
+are listed: ``count_past`` counts them until the depth is first listed,
+and from then on the kept listing's length answers (``_covers``).
 
 A freeness entry of the word w depends only on j - i and w[i:], so a
 report's many entries, in its many tables, hold few distinct answers, and
@@ -31,13 +34,19 @@ written alike one row object, which ``verdict.dump_json`` writes once.
 ``from_dict`` reads and checks each tail literal once per matrix and last
 symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
 once per matrix, apart from the builder's answers, and still compares
-every entry's own differs_at with the scan's answer.
+every entry's own differs_at with the scan's answer.  What each entry
+still costs is its point and its record, which the builder and
+``from_dict`` make with ``OneSidedPoint._unchecked`` and
+``FreenessEntry._unchecked``: each field is stored straight into its
+slot, the point's admissibility having been checked with its answer or
+its tail.
 
 A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
-``spot_witnesses`` searches each connector once and shares the spot word
-objects among the witnesses, ``minimality_rows`` spells each word object
-once, ``MinimalityWitness.from_dict`` parses each from/to literal once per
+``spot_witnesses`` reads the n connectors to each target symbol off one
+search (``graph._walks_to``) and shares the spot word objects among the
+witnesses, ``minimality_rows`` spells each word object once,
+``MinimalityWitness.from_dict`` parses each from/to literal once per
 matrix, and ``verify`` tests each prefix with ``A.admits`` alone.
 """
 
@@ -59,6 +68,7 @@ from .errors import (
 from .graph import (
     AdjacencyMatrix,
     Word,
+    _walks_to,
     find_path,
     first_return_word,
     is_cycle,
@@ -238,6 +248,22 @@ class FreenessEntry:
     def word(self) -> Word:
         return self.witness.prefix
 
+    @classmethod
+    def _unchecked(cls, witness: OneSidedPoint, differs_at: int) -> "FreenessEntry":
+        """The entry ``FreenessEntry(witness, differs_at)``, its two fields
+        stored through their slots' descriptors, as for
+        ``OneSidedPoint._unchecked``; the generated ``__init__`` checks
+        nothing either."""
+        entry = object.__new__(cls)
+        _set_witness(entry, witness)
+        _set_differs_at(entry, differs_at)
+        return entry
+
+
+_set_witness, _set_differs_at = (
+    FreenessEntry.__dict__[name].__set__ for name in ("witness", "differs_at")
+)
+
 
 def _format1_entry(A: AdjacencyMatrix, i: int, w: Word, data: dict) -> dict:
     """A report-format-1 entry at the word w as the format-2 entry it
@@ -278,6 +304,15 @@ def _depth_words(A: AdjacencyMatrix, j: int) -> list[Word]:
     return words
 
 
+def _covers(A: AdjacencyMatrix, j: int, size: int) -> bool:
+    """Whether A has exactly `size` depth-j words.  Once ``_depth_words`` has
+    kept the depth-j listing its length answers; before, the words are
+    counted no further than `size` (``count_past``), so a depth is counted
+    before it is listed."""
+    words = A._answers.get(("words", j))
+    return count_past(A, j, size) == (j, size) if words is None else len(words) == size
+
+
 def _tail_difference(s: OneSidedPoint, i: int, j: int) -> int | None:
     """First coordinate c >= 0 with s[i+c] != s[j+c], or None if the two
     shifted tails agree everywhere.
@@ -307,7 +342,8 @@ class FreenessCertificate:
     entries: tuple[FreenessEntry, ...]
 
     def verify(self) -> None:
-        """Check that the entries are the depth-j words' (``_depth_words``) and
+        """Check that the exponents are ints, that the entries are the
+        depth-j words' (counted by ``_covers``, then ``_depth_words``) and
         that each differs_at, an int, is where the i-th and j-th shifts of
         its witness w . t^inf first differ.
 
@@ -320,27 +356,31 @@ class FreenessCertificate:
         from the builder's (m, u) answers.  A scan that equalizes the shifts
         is kept nowhere, and every entry's differs_at is compared."""
         i, j, A = self.i, self.j, self.matrix
+        if type(i) is not int or type(j) is not int:
+            raise CertificateInvalid(f"(i={i!r}, j={j!r}): exponents must be integers")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
-        words = [e.word for e in self.entries]
-        if count_past(A, j, len(words)) != (j, len(words)) or words != _depth_words(A, j):  # no more than stored
+        points = [e.witness for e in self.entries]
+        words = [point.prefix for point in points]
+        if not _covers(A, j, len(words)) or words != _depth_words(A, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         m, differences = j - i, A._answers
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
-            for k, e in enumerate(self.entries):
-                if e.witness.matrix != A:
+            for k, (e, point) in enumerate(zip(self.entries, points)):
+                if point.matrix is not A and point.matrix != A:
                     raise CertificateInvalid("witness built over a different matrix")
-                if type(e.differs_at) is not int:
-                    raise CertificateInvalid(f"differs_at must be an integer, got {e.differs_at!r}")
-                key = m, e.word[i:], e.witness.tail
+                differs_at = e.differs_at
+                if type(differs_at) is not int:
+                    raise CertificateInvalid(f"differs_at must be an integer, got {differs_at!r}")
+                key = m, point.prefix[i:], point.tail
                 c = differences.get(key)
                 if c is None:
-                    c = _tail_difference(e.witness, i, j)
+                    c = _tail_difference(point, i, j)
                     if c is None:
                         raise CertificateInvalid("witness equalizes the shifts")
                     differences[key] = c
-                if c != e.differs_at - 1:
-                    raise CertificateInvalid(f"differs_at {e.differs_at}, but they first differ at {c + 1}")
+                if c != differs_at - 1:
+                    raise CertificateInvalid(f"differs_at {differs_at}, but they first differ at {c + 1}")
 
     def to_dict(self) -> dict:
         """The table as a report stores it.  Entries written alike share one
@@ -363,8 +403,8 @@ class FreenessCertificate:
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
-        to the k-th depth-j word, listed once the entry count matches and
-        only if the work limit allows it (``_depth_words``).
+        to the k-th depth-j word, listed once the entry count matches
+        (``_covers``) and only if the work limit allows it (``_depth_words``).
 
         Every row's keys and field types are checked.  Whether the tail t
         may follow w, w . t^inf being admissible, depends only on w[-1] and
@@ -378,9 +418,10 @@ class FreenessCertificate:
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
-        if count_past(A, j, len(rows)) != (j, len(rows)):
+        if not _covers(A, j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         words, entries, tails = _depth_words(A, j), [], A._answers
+        entry, point = FreenessEntry._unchecked, OneSidedPoint._unchecked
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 # Each row's keys and types are tested inline; exact_keys and json_field raise.
@@ -396,10 +437,10 @@ class FreenessCertificate:
                     witness = OneSidedPoint(A, w, word_from_string(literal))
                     tails[w[-1], literal] = witness.tail
                 else:
-                    witness = OneSidedPoint._unchecked(A, w, tail)
+                    witness = point(A, w, tail)
                 if type(differs_at) is not int:
                     json_field(row, int, "differs_at")
-                entries.append(FreenessEntry(witness, differs_at))
+                entries.append(entry(witness, differs_at))
         return cls(A, i, j, tuple(entries))
 
 
@@ -483,9 +524,11 @@ def spot_witnesses(A: AdjacencyMatrix, words: list[Word]) -> tuple[MinimalityWit
     """``minimality_witness(A, w, z)`` for every pair of `words`, in
     row-major order, without its checks: the caller passes nonempty
     admissible words and a transitive A.  Each connector's interior is
-    taken once per pair of symbols, and each witness is ``_spot_witness``
-    of the pair, so the words are shared, not copied, by the witnesses."""
-    middles = {(a, b): find_path(A, a, b)[1:-1] for a in A.symbols for b in A.symbols}
+    taken once per pair of symbols, read with every other connector to the
+    same target symbol off one search (``_walks_to``, the walks
+    ``find_path`` returns), and each witness is ``_spot_witness`` of the
+    pair, so the words are shared, not copied, by the witnesses."""
+    middles = {(a, b): walk[1:-1] for b in A.symbols for a, walk in _walks_to(A, b).items()}
     return tuple(_spot_witness(A, w, z, middles[w[-1], z[0]]) for w in words for z in words)
 
 
@@ -513,15 +556,17 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     are listed once per matrix too (``_depth_words``), and refused by the
     work limit on every call.
 
-    Each witness w . t^inf is built unchecked: w is an enumerated, so
-    admissible, word, and u . t^inf was checked when its answer was first
-    built.  Since w[-1] = u[-1], the junction from w into t and t's own
-    wrap are those of u . t^inf, so w . t^inf is admissible too.
+    Each witness w . t^inf, and its entry, is built unchecked: w is an
+    enumerated, so admissible, word, and u . t^inf was checked when its
+    answer was first built.  Since w[-1] = u[-1], the junction from w into
+    t and t's own wrap are those of u . t^inf, so w . t^inf is admissible
+    too.
     """
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
     answers, m, entries = A._answers, j - i, []
+    entry, point = FreenessEntry._unchecked, OneSidedPoint._unchecked
     for w in _depth_words(A, j):
         u = w[i:]
         answer = answers.get((m, u))
@@ -532,7 +577,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
                 where = f"(i={i}, j={j}).entries[{len(entries)}] [{word_to_string(w)}]"
                 raise CertificateInvalid(f"{where}: witness equalizes the shifts")
             answer = answers[m, u] = tail, c + 1
-        entries.append(FreenessEntry(OneSidedPoint._unchecked(A, w, answer[0]), answer[1]))
+        entries.append(entry(point(A, w, answer[0]), answer[1]))
     return FreenessCertificate(A, i, j, tuple(entries))
 
 

@@ -14,7 +14,8 @@ lexicographically smallest shortest walk (``_shortest_walk``).  Each
 matrix answers ``find_path`` for a pair of symbols, and ``is_transitive``,
 once: the answer is kept in the matrix's private table and read back on
 every later call, so one matrix runs at most n^2 ``find_path`` searches
-however many certificates ask.
+however many certificates ask.  ``_walks_to`` reads the walks from every
+source to one target off a single search, for callers that want them all.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ class AdjacencyMatrix:
     `_answers` keeps each answer as it is first asked: ``find_path`` under
     its pair of symbols, ``is_transitive`` under "transitive", and the
     freeness tables' (``freeness``): the depth-j word list under ("words",
-    j); each built answer (tail, differs_at) under (j - i, w[i:]), a
-    number and a word (``freeness_certificate``); each tail read under
-    (w[-1], literal), a symbol and a string (``FreenessCertificate.from_dict``);
+    j), whose length from then on also answers how many depth-j words
+    there are (``freeness._covers``); each built answer (tail, differs_at)
+    under (j - i, w[i:]), a number and a word (``freeness_certificate``);
+    each tail read under (w[-1], literal), a symbol and a string
+    (``FreenessCertificate.from_dict``);
     each scanned first difference under (j - i, w[i:], tail)
     (``FreenessCertificate.verify``); and each minimality from/to literal
     read under ("spot", literal) (``MinimalityWitness.from_dict``).  No two
@@ -247,6 +250,29 @@ def find_path(A: AdjacencyMatrix, i: int, j: int) -> Word:
     if walk is None:
         raise NoPath(f"no path from {i} to {j}")
     return walk
+
+
+def _walks_to(A: AdjacencyMatrix, j: int) -> dict[int, Word]:
+    """``find_path(A, i, j)`` for every symbol i that reaches j, keyed by i,
+    from one backward search instead of one per source.
+
+    The greedy step of ``_shortest_walk`` from a symbol v != j goes to the
+    smallest successor one step closer to j, which depends on v alone, so
+    the walks to j share their suffixes: walk(v) = (v,) + walk(next(v)),
+    filled in order of distance.  The walk from j itself, which needs an
+    edge, starts at j's smallest successor nearest to j instead.
+    """
+    dist = _distances(A._predecessors, (j,), frozenset(A.symbols))
+    walks = {j: (j,)}
+    for v, d in dist.items():  # breadth-first, so in order of distance
+        if d:
+            walks[v] = (v,) + walks[min(u for u in A._successors[v - 1] if dist.get(u) == d - 1)]
+    nearest = min((dist[u] for u in A._successors[j - 1] if u in dist), default=None)
+    if nearest is None:
+        del walks[j]
+    else:
+        walks[j] = (j,) + walks[min(u for u in A._successors[j - 1] if dist.get(u) == nearest)]
+    return walks
 
 
 def preimage_symbols(A: AdjacencyMatrix, s: int) -> frozenset[int]:

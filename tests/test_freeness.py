@@ -2,7 +2,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -206,6 +206,11 @@ def test_verify_refuses_the_numbers_its_reader_refuses(golden):
     for bad in (1.0, True):
         with pytest.raises(CertificateInvalid, match=f"^shifts must be an integer, got {bad!r}$"):
             ss.MinimalityWitness(golden, (1,), (2,), (1, 2), bad).verify()
+    # So are i and j, also once depth 2's listing is kept, whose length a float j would find.
+    cert = ss.freeness_certificate(golden, 0, 2)
+    for i, j in ((0, 2.0), (0.0, 2), (False, 2)):
+        with pytest.raises(CertificateInvalid, match=rf"^\(i={i!r}, j={j!r}\): exponents must be integers$"):
+            ss.FreenessCertificate(golden, i, j, cert.entries).verify()
 
 
 def equalizes(point, i, j):
@@ -327,6 +332,11 @@ def test_freeness_tamper_detection(golden, full2):
     other = replace(cert.entries[0], witness=ss.one_sided_seq(full2, "11", "2"))
     with pytest.raises(CertificateInvalid, match=r"entries\[0\] \[11\]: witness built over a different matrix"):
         ss.FreenessCertificate(golden, 1, 2, (other,) + cert.entries[1:]).verify()
+    # The matrix is compared by its rows, not only by identity: an equal matrix object passes.
+    equal = ss.AdjacencyMatrix(golden.rows)
+    ss.FreenessCertificate(
+        golden, 1, 2, tuple(replace(e, witness=ss.one_sided_seq(equal, e.word, e.witness.tail)) for e in cert.entries)
+    ).verify()
     for i, j in ((2, 2), (3, 2), (-1, 2)):
         with pytest.raises(CertificateInvalid, match=rf"^\(i={i}, j={j}\): exponents must satisfy 0 <= i < j"):
             ss.FreenessCertificate(golden, i, j, cert.entries).verify()
@@ -339,6 +349,36 @@ def test_freeness_tamper_detection(golden, full2):
     # golden has ~2.7e8 depth-40 words: the count is compared before any is listed
     with pytest.raises(CertificateInvalid):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()
+
+
+def test_unchecked_entries_are_the_dataclass_built_ones(golden):
+    # The builder and the reader store each entry's and point's fields straight
+    # into their slots; what they make reads, compares and prints as the public
+    # constructors' entries do, and stays frozen.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A, i, j in ((golden, 1, 3), (full3, 0, 2), (full3, 1, 3)):
+        built = ss.freeness_certificate(A, i, j)
+        read = ss.FreenessCertificate.from_dict(A, built.to_dict())
+        for e, r in zip(built.entries, read.entries, strict=True):
+            plain = ss.FreenessEntry(ss.sequences.OneSidedPoint(A, e.word, e.witness.tail), e.differs_at)
+            for entry in (e, r):
+                assert type(entry) is ss.FreenessEntry and type(entry.witness) is ss.sequences.OneSidedPoint
+                assert entry.witness.matrix is A
+                assert (entry.witness, entry.differs_at, entry.word, repr(entry)) == (
+                    plain.witness,
+                    plain.differs_at,
+                    plain.word,
+                    repr(plain),
+                )
+                for target, field, value in (
+                    (entry, "witness", plain.witness),
+                    (entry, "differs_at", 1),
+                    (entry.witness, "matrix", A),
+                    (entry.witness, "prefix", plain.word),
+                    (entry.witness, "tail", (1,)),
+                ):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(target, field, value)
 
 
 def test_table_sizes_are_compared_without_counting_through(golden):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from subshift.graph import first_return_word, shortest_cycle_avoiding
 from support import (
     brute_force_shortest_cycle_avoiding,
     brute_force_transitive,
+    near_cycle,
     no_zero_row_matrices,
+    random_matrix,
 )
 
 
@@ -152,6 +156,27 @@ def test_each_matrix_answers_each_question_once(golden, split2, monkeypatch):
     # The answers belong to the matrix object: an equal matrix searches afresh.
     with pytest.raises(AssertionError, match="searched again"):
         ss.is_transitive(ss.AdjacencyMatrix(golden.rows))
+
+
+def test_walks_to_a_target_are_find_paths_walks():
+    # One backward search per target gives every source's walk, shared suffixes
+    # and all, exactly as find_path's search per pair does; a source that cannot
+    # reach the target has no walk, where find_path raises NoPath.
+    rng, transitive = random.Random(25), 0
+    matrices = [near_cycle(12), ss.AdjacencyMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])]
+    while transitive < 300:
+        matrices.append(random_matrix(rng, nmax=9, nmin=2))
+        transitive += ss.is_transitive(matrices[-1])
+    for A in matrices:
+        for b in A.symbols:
+            walks = ss.graph._walks_to(A, b)
+            for a in A.symbols:
+                try:
+                    walk = ss.find_path(A, a, b)
+                except NoPath:
+                    walk = None
+                assert walks.pop(a, None) == walk
+            assert not walks
 
 
 def test_find_path_lexicographic_tie_break():

@@ -807,6 +807,36 @@ def test_a_report_lists_each_depth_and_scans_each_answer_once(monkeypatch):
     assert listings == 9  # one per table, 45, before
 
 
+def test_a_report_counts_each_depth_once_and_still_sizes_every_table(monkeypatch):
+    # verify_report counted a table's words to read it and again to verify it,
+    # 90 counts over golden d9's 45 tables.  Each depth is counted once, before
+    # its first listing, and every later table's size is compared with that
+    # listing's length, so a later table one row short or long is still refused.
+    counts = Counter()
+    count_past = ss.freeness.count_past
+
+    def counted(A, k, size):
+        counts[k] += 1
+        return count_past(A, k, size)
+
+    monkeypatch.setattr(ss.freeness, "count_past", counted)
+    text = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 9))
+    ss.verify_report(text)
+    assert counts == Counter(range(1, 10))
+    doc = json.loads(text)
+    tables = doc["certificates"]["freeness"]
+    t = next(t for t, table in enumerate(tables) if (table["i"], table["j"]) == (1, 4))
+    assert (tables[t - 1]["i"], tables[t - 1]["j"]) == (0, 4)  # read first: it lists depth 4
+    rows = tables[t]["entries"]
+    place = re.escape(f"certificates.freeness[{t}] (i=1, j=4): ")
+    for wrong in (rows[:-1], rows + rows[:1]):
+        tables[t]["entries"] = wrong
+        counts.clear()
+        with pytest.raises(CertificateInvalid, match=f"^{place}entries do not cover the depth-j cylinders$"):
+            ss.verify_report(json.dumps(doc))
+        assert counts[4] == 1  # the (0, 4) table's count; (1, 4) compared with the listing
+
+
 def test_analyze_searches_each_connector_once_per_matrix(monkeypatch):
     # n = 4 at depth 4: one search per minimality witness and per freeness
     # table asked 251 path searches of 16 distinct ones.
