@@ -24,20 +24,27 @@ A table's size is compared with the number of depth-j words before they
 are listed: ``count_past`` counts them until the depth is first listed,
 and from then on the kept listing's length answers (``_covers``).
 
-A freeness entry of the word w depends only on j - i and w[i:], so a
-report's many entries, in its many tables, hold few distinct answers, and
-each step pays once per answer, not once per entry or per table.  Each
-answer is kept in the matrix's private table (``AdjacencyMatrix._answers``).
-The builder works out and checks each answer once per matrix for each
-exponent difference and word suffix.  ``to_dict`` gives the entries
-written alike one row object, which ``verdict.dump_json`` writes once.
+A freeness entry of the word w depends only on m = j - i and u = w[i:]:
+shift^i maps the cylinder [w] onto [u], its image.  So a report's many
+entries, in its many tables, hold few distinct answers, and each step pays
+once per answer, not once per entry or per table.  Each answer is kept in
+the matrix's private table (``AdjacencyMatrix._answers``).  The builder
+works out and checks the answers of each m once per matrix, in blocks:
+block s of m holds the answers of the depth-m words that start with s, in
+listing order.  Listed in order, the depth-j words are each depth-(i+1)
+word q followed by the depth-m words that start with q[-1], less that
+symbol, so table (i, j) is, for each q in order, a copy of block q[-1].
+The builder zips the blocks so read with the depth-j listing, and the
+table keeps that layout.  ``to_dict`` gives each block's rows as one row
+list, shared by the tables of its m, and ``verdict.dump_json`` writes
+each block once per nesting level and copies its text for every repeat.  A table without a
+layout gives the entries written alike one row object, written once.
 ``from_dict`` reads and checks each tail literal once per matrix and last
 symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
-once per matrix, apart from the builder's answers, and still compares
-every entry's own differs_at with the scan's answer.  What each entry
-still costs is its point and its record, which the builder and
-``from_dict`` make with ``OneSidedPoint._unchecked`` and
-``FreenessEntry._unchecked``: each field is stored straight into its
+once per matrix and still compares every entry's own differs_at with the
+scan's answer.  What each entry still costs is its point and its record,
+which the builder and ``from_dict`` make with ``OneSidedPoint._unchecked``
+and ``FreenessEntry._unchecked``: each field is stored straight into its
 slot, the point's admissibility having been checked with its answer or
 its tail.
 
@@ -54,7 +61,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import is_
 
 from .errors import (
     BadExponents,
@@ -326,6 +335,42 @@ def _tail_difference(s: OneSidedPoint, i: int, j: int) -> int | None:
     return None
 
 
+@dataclass(eq=False, slots=True)
+class _AnswerBlocks:
+    """The builder's answers for one m = j - i, in one block per symbol s:
+    the (tail, differs_at) answers of the depth-m words that start with s,
+    in listing order.  Once a table is written, `rows` holds each block's
+    report rows, an answer's row object shared by every block it is in."""
+
+    answers: tuple[list[tuple[Word, int]], ...]
+    rows: tuple[list[dict], ...] | None = None
+
+    def row_lists(self) -> tuple[list[dict], ...]:
+        if self.rows is None:
+            shared: dict[tuple[Word, int], dict] = {}  # the builder's tails and differs_at are exact ints
+            for tail, c in chain.from_iterable(self.answers):
+                if (tail, c) not in shared:
+                    shared[tail, c] = {"differs_at": c, "tail": word_to_string(tail)}
+            self.rows = tuple([shared[answer] for answer in block] for block in self.answers)
+        return self.rows
+
+
+class _BlockRows(list):
+    """A laid-out table's rows, one flat list as every reader sees them, that
+    also names the block row lists (`runs`) it concatenates, so
+    ``verdict.dump_json`` can write each block once per nesting level."""
+
+    __slots__ = ("runs",)
+
+    def current_runs(self) -> list[list[dict]] | None:
+        """The runs, while the list still holds exactly their rows, by
+        identity; None once it was edited, so it is written row by row."""
+        runs = self.runs
+        if len(self) == sum(map(len, runs)) and all(map(is_, self, chain.from_iterable(runs))):
+            return runs
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class FreenessCertificate:
     """One entry per admissible depth-j word, proving no cylinder sits
@@ -334,12 +379,22 @@ class FreenessCertificate:
     The set is closed, so this is exactly the empty-interior statement.
     It meets [w] only in w . (w[i:])^inf, so it holds no deeper cylinder
     either; each witness shows it does not hold [w] itself.
+
+    A table that ``freeness_certificate`` built also records its layout
+    (`_layout`): the answer blocks of m = j - i and, for each depth-(i+1)
+    word q in listing order, the block of q[-1], so its entries' answers
+    are those blocks' in order.  ``to_dict`` writes such a table block by
+    block.  A table from the constructor, ``dataclasses.replace`` or
+    ``from_dict`` has no layout, and is written entry by entry.
     """
 
     matrix: AdjacencyMatrix
     i: int
     j: int
     entries: tuple[FreenessEntry, ...]
+    _layout: tuple[_AnswerBlocks, list[int]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def verify(self) -> None:
         """Check that the exponents are ints, that the entries are the
@@ -353,7 +408,7 @@ class FreenessCertificate:
         if any, lies below m + |t| <= |w| + |t|.  So ``_tail_difference`` of
         w . t^inf at (i, j) is a function of (m, u, t), and each is scanned
         once per matrix, kept in A's private table under (m, u, t), apart
-        from the builder's (m, u) answers.  A scan that equalizes the shifts
+        from the builder's answer blocks.  A scan that equalizes the shifts
         is kept nowhere, and every entry's differs_at is compared."""
         i, j, A = self.i, self.j, self.matrix
         if type(i) is not int or type(j) is not int:
@@ -384,7 +439,16 @@ class FreenessCertificate:
 
     def to_dict(self) -> dict:
         """The table as a report stores it.  Entries written alike share one
-        row object, so ``dump_json`` writes it once; copy a row to edit it."""
+        row object, so ``dump_json`` writes it once; copy a row to edit it.
+        A laid-out table's rows are its blocks' row lists, kept with their
+        answers and shared by every table of the same j - i, concatenated
+        into a ``_BlockRows`` that names them."""
+        if self._layout is not None:
+            blocks, ends = self._layout
+            runs = list(map(blocks.row_lists().__getitem__, ends))
+            rows = _BlockRows(chain.from_iterable(runs))
+            rows.runs = runs
+            return {"i": self.i, "j": self.j, "entries": rows}
         literals: dict[int, str] = {}  # by the tail's identity: a tail object is written one way
         rows: dict[tuple, dict] = {}  # one row object per written row: its literal and typed differs_at
         entries = []
@@ -545,16 +609,18 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     junction edge any cycle back to w's last symbol will do.  Either way
     the two shifted tails cannot agree.
 
-    The entry of w depends only on m = j - i and the suffix u = w[i:]:
-    the junction edge (w[-1], w[i]) is (u[-1], u[0]), the tail is chosen
-    from u alone, and shift^i(w . t^inf) = u . t^inf, so shift^i and
-    shift^j first differ on w . t^inf where shift^0 and shift^m do on
-    u . t^inf.  The matrix keeps that (tail, differs_at) answer under
-    (m, u), so each is worked out and checked once, however many words
-    and tables share it; a tail that equalizes the shifts raises
-    CertificateInvalid naming the pair and the word.  The depth-j words
-    are listed once per matrix too (``_depth_words``), and refused by the
-    work limit on every call.
+    The entry of w depends only on m = j - i and the suffix u = w[i:],
+    the image cylinder: shift^i maps [w] onto [u], since no row is zero,
+    and the junction edge (w[-1], w[i]) is (u[-1], u[0]), the tail is
+    chosen from u alone, and shift^i(w . t^inf) = u . t^inf, so shift^i
+    and shift^j first differ on w . t^inf where shift^0 and shift^m do on
+    u . t^inf.  Listed in order, the depth-j words are each depth-(i+1)
+    word q followed by every depth-m word u that starts with q[-1], in
+    order, minus its first symbol.  So the table is, for each q in order,
+    the answer block of m and q[-1] (``_answer_blocks``), read in order
+    and zipped with the depth-j listing; the table keeps that layout.
+    The depth-j words are listed first, so the work limit refuses a table
+    by its length j, and once per matrix (``_depth_words``).
 
     Each witness w . t^inf, and its entry, is built unchecked: w is an
     enumerated, so admissible, word, and u . t^inf was checked when its
@@ -565,20 +631,35 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    answers, m, entries = A._answers, j - i, []
+    words = _depth_words(A, j)
+    blocks = _answer_blocks(A, i, j, words)
+    ends = [q[-1] - 1 for q in _depth_words(A, i + 1)]  # the block of each depth-(i+1) word
     entry, point = FreenessEntry._unchecked, OneSidedPoint._unchecked
-    for w in _depth_words(A, j):
-        u = w[i:]
-        answer = answers.get((m, u))
-        if answer is None:
+    answers = chain.from_iterable(map(blocks.answers.__getitem__, ends))
+    cert = FreenessCertificate(A, i, j, tuple(entry(point(A, w, t), c) for w, (t, c) in zip(words, answers)))
+    object.__setattr__(cert, "_layout", (blocks, ends))
+    return cert
+
+
+def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _AnswerBlocks:
+    """The answer blocks of m = j - i, worked out and checked once per
+    matrix and kept in A's private table under ("blocks", m).  A tail that
+    equalizes the shifts on u . t^inf raises CertificateInvalid naming the
+    pair and the first of the depth-j `words` whose suffix from i is u."""
+    m = j - i
+    blocks = A._answers.get(("blocks", m))
+    if blocks is None:
+        blocks = _AnswerBlocks(tuple([] for _ in A.symbols))
+        for u in _depth_words(A, m):
             tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else find_path(A, u[-1], u[-1])[1:]
             c = _tail_difference(OneSidedPoint(A, u, tail), 0, m)
             if c is None:
-                where = f"(i={i}, j={j}).entries[{len(entries)}] [{word_to_string(w)}]"
+                k = next(k for k, w in enumerate(words) if w[i:] == u)
+                where = f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]"
                 raise CertificateInvalid(f"{where}: witness equalizes the shifts")
-            answer = answers[m, u] = tail, c + 1
-        entries.append(entry(point(A, w, answer[0]), answer[1]))
-    return FreenessCertificate(A, i, j, tuple(entries))
+            blocks.answers[u[0] - 1].append((tail, c + 1))
+        A._answers["blocks", m] = blocks
+    return blocks
 
 
 def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:

@@ -49,14 +49,17 @@ class AdjacencyMatrix:
     its pair of symbols, ``is_transitive`` under "transitive", and the
     freeness tables' (``freeness``): the depth-j word list under ("words",
     j), whose length from then on also answers how many depth-j words
-    there are (``freeness._covers``); each built answer (tail, differs_at)
-    under (j - i, w[i:]), a number and a word (``freeness_certificate``);
-    each tail read under (w[-1], literal), a symbol and a string
-    (``FreenessCertificate.from_dict``);
+    there are (``freeness._covers``); the built answers (tail, differs_at)
+    of each m = j - i, in one block per first symbol, under ("blocks", m)
+    (``freeness._answer_blocks``); each tail read under (w[-1], literal),
+    a symbol and a string (``FreenessCertificate.from_dict``);
     each scanned first difference under (j - i, w[i:], tail)
     (``FreenessCertificate.verify``); and each minimality from/to literal
     read under ("spot", literal) (``MinimalityWitness.from_dict``).  No two
-    kinds of key compare equal.
+    kinds of key compare equal: "transitive" is the one string key, the
+    triples are scans, the pairs of two numbers path searches, the other
+    pairs that start with a number tails read, and the pairs that start
+    with a string are told apart by it, "words", "blocks" or "spot".
     """
 
     rows: tuple[tuple[int, ...], ...]

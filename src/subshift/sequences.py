@@ -74,11 +74,17 @@ def word_from_string(text: str) -> Word:
 
 def word_to_string(w: Word) -> str:
     """The literal of w that ``word_from_string`` reads back as w: digits
-    while every symbol is at most 9, else dotted numerals."""
-    text = "".join(map(str, w))
+    while every symbol is at most 9, else dotted numerals.  Each symbol is
+    spelled once, and the spellings joined bare or by dots; only a word with
+    a symbol whose str is no numeral, as a bool's, is spelled again, each
+    symbol as its integer."""
+    numerals = [*map(str, w)]
+    text = "".join(numerals)
     if len(text) == len(w):
         return text
-    return ".".join(map(int.__repr__, w)) + ("." if len(w) == 1 else "")  # a bool as its integer
+    if not text.isdigit():
+        numerals = map(int.__repr__, w)
+    return ".".join(numerals) + ("." if len(w) == 1 else "")
 
 
 def is_admissible(A: AdjacencyMatrix, w: str | Iterable[int]) -> bool:

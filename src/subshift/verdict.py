@@ -33,6 +33,7 @@ from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
     MinimalityWitness,
+    _BlockRows,
     exact_keys,
     find_nontrivial_invariant,
     freeness_certificate,
@@ -183,9 +184,12 @@ def dump_json(doc: dict) -> str:
     writer appends each to one list instead.  A dict object that the
     document holds more than once at one nesting level, as the rows of a
     freeness table that share an answer, is written once there and its
-    chunks are copied after that.  The copies are keyed by the object's
-    identity, which the document keeps alive for the call, never by its
-    content: ``{"x": True} == {"x": 1}``, but the two are written apart."""
+    chunks are copied after that.  So is a block of a laid-out freeness
+    table's rows: its ``_BlockRows`` is written run by run, each block row
+    list once per nesting level, while the list still holds exactly the
+    rows of its runs.  The copies are keyed by the object's identity, which
+    the document keeps alive for the call, never by its content:
+    ``{"x": True} == {"x": 1}``, but the two are written apart."""
     out: list[str] = []
     _write_json(doc, "\n", out, {})
     out.append("\n")
@@ -195,7 +199,8 @@ def dump_json(doc: dict) -> str:
 def _write_json(value, newline: str, out: list[str], written: dict) -> None:
     """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
     level whose line break and indent is `newline`.  `written` maps
-    (id(d), newline) of each dict d already written to its span of `out`.
+    (id(d), newline) of each dict d already written, and (id(b), inner) of
+    each block b of rows written at the level `inner`, to its span of `out`.
     A dict whose values are all exactly str, int, bool or None, as every
     row of a report, is written as one string (``_leaf_lines``)."""
     if isinstance(value, dict):
@@ -232,14 +237,36 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, inner, out, written)
+        out.append("[" + inner)
+        runs = value.current_runs() if type(value) is _BlockRows else None
+        if runs is None:
+            _write_items(value, inner, out, written)
+        else:
             separator = "," + inner
+            for block in runs:
+                place = id(block), inner
+                span = written.get(place)
+                if span is None:
+                    start = len(out)
+                    _write_items(block, inner, out, written)
+                    written[place] = start, len(out)
+                else:
+                    out.extend(out[span[0] : span[1]])
+                out.append(separator)
+            out.pop()
         out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_items(items, inner: str, out: list[str], written: dict) -> None:
+    """Append the nonempty `items` of an array at the nesting level `inner`,
+    separated as ``json.dumps`` separates them, without the brackets."""
+    separator = "," + inner
+    for item in items:
+        _write_json(item, inner, out, written)
+        out.append(separator)
+    out.pop()
 
 
 def _leaf_lines(items: list[tuple]) -> list[str] | None:

@@ -428,6 +428,31 @@ def test_table_rows_are_shared_only_when_written_alike(golden):
     assert shared[0] is shared[3]  # 111 and 211 share w[1:] = 11, so their answer
 
 
+def test_tables_without_a_layout_are_written_from_their_own_entries(golden):
+    # A built table keeps its answer blocks' layout and is written from it.
+    # A table from the constructor, from replace or from from_dict has none:
+    # each is written from its own entries, so an edited entry shows in the
+    # bytes even where the built table it was edited from has a layout.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A, i, j, k in ((golden, 1, 3, 3), (full3, 1, 3, 4), (full3, 0, 2, 0)):
+        cert = ss.freeness_certificate(A, i, j)
+        e = cert.entries[k]
+        for change in (
+            {"differs_at": e.differs_at + 1},
+            {"witness": ss.sequences.OneSidedPoint(A, e.word, e.witness.tail * 2)},
+        ):
+            entries = cert.entries[:k] + (replace(e, **change),) + cert.entries[k + 1 :]
+            rows = [{"differs_at": x.differs_at, "tail": ss.word_to_string(x.witness.tail)} for x in entries]
+            expected = json.dumps({"i": i, "j": j, "entries": rows}, indent=2, sort_keys=True) + "\n"
+            for table in (
+                ss.FreenessCertificate(A, i, j, entries),
+                replace(cert, entries=entries),
+                ss.FreenessCertificate.from_dict(A, {"i": i, "j": j, "entries": rows}),
+            ):
+                assert ss.verdict.dump_json(table.to_dict()) == expected
+        assert ss.verdict.dump_json(cert.to_dict()) != expected
+
+
 def test_certificate_serialization_round_trip(golden):
     inv = ss.find_nontrivial_invariant(golden)
     assert ss.InvariantSetCertificate.from_dict(golden, inv.to_dict()).to_dict() == inv.to_dict()

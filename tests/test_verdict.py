@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -656,6 +657,59 @@ def test_reports_are_written_in_the_stdlib_layout(golden):
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         # A parsed table shares its rows by what they read, not by how they were built.
         assert ss.render_report(ss.parse_report(text)) == text
+
+
+def _per_entry_row(A: ss.AdjacencyMatrix, i: int, j: int, w) -> tuple:
+    """The entry of w in table (i, j) by the per-entry rule: the tail chosen
+    from u = w[i:] alone, and where shift^i and shift^j of w . t^inf first
+    differ, scanned on that point itself."""
+    u = w[i:]
+    if (u[-1], u[0]) in A.edges:
+        tail = ss.freeness._diverting_tail(A, u)
+    else:
+        tail = ss.find_path(A, u[-1], u[-1])[1:]
+    return w, tail, ss.freeness._tail_difference(ss.sequences.OneSidedPoint(A, w, tail), i, j) + 1
+
+
+def test_block_built_tables_are_the_per_entry_tables_in_entries_and_bytes():
+    # analyze builds each table from answer blocks, one per (j - i, first
+    # symbol), and writes each block's rows once per report.  Over 200 seeded
+    # transitive non-cycle matrices with n <= 5, every entry of every table
+    # 0 <= i < j <= 4 is the per-entry rule's, and the report's bytes are
+    # those of the same tables written entry by entry, their layouts dropped.
+    rng, seen = random.Random(61), 0
+    while seen < 200:
+        A = random_matrix(rng, nmax=5, nmin=2)
+        if not ss.is_transitive(A) or ss.is_cycle(A):
+            continue
+        seen += 1
+        v = ss.analyze(A, 4)
+        for cert in v.freeness:
+            i, j = cert.i, cert.j
+            rule = [_per_entry_row(A, i, j, w) for w in brute_force_words(A, j)]
+            assert [(e.word, e.witness.tail, e.differs_at) for e in cert.entries] == rule, (A.rows, i, j)
+        plain = replace(v, freeness=tuple(replace(cert) for cert in v.freeness))
+        assert all(cert._layout is None for cert in plain.freeness)
+        assert ss.render_report(v) == ss.verdict.dump_json(ss.verdict._verdict_to_dict(plain)), A.rows
+
+
+def test_laid_out_rows_are_written_as_json_dumps_writes_them(golden):
+    # A laid-out table's blocks are copied by identity, so the same blocks at
+    # another nesting level, and a row list edited after to_dict, must still
+    # read as json.dumps writes them.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A, i, j in ((golden, 1, 3), (full3, 1, 3), (full3, 0, 2)):
+        cert = ss.freeness_certificate(A, i, j)
+        nested = {"a": cert.to_dict(), "b": [cert.to_dict(), {"c": [cert.to_dict()]}]}
+        edited = []
+        for k, row in ((0, {"differs_at": True, "tail": "1"}), (-1, {"differs_at": 1, "tail": "1"})):
+            table = cert.to_dict()
+            table["entries"][k] = row
+            edited.append(table)
+        grown = cert.to_dict()
+        grown["entries"].append(dict(grown["entries"][0]))
+        for doc in (nested, {"t": edited}, grown):
+            assert ss.verdict.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_an_entry_sharing_its_answer_is_still_checked_at_its_place():
