@@ -52,14 +52,19 @@ A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
 ``spot_witnesses`` reads the n connectors to each target symbol off one
 search (``graph._walks_to``) and shares the spot word objects among the
-witnesses, ``minimality_rows`` spells each word object once,
+witnesses, ``verdict.render_report`` spells each word object once,
 ``MinimalityWitness.from_dict`` parses each from/to literal once per
-matrix, and ``verify`` tests each prefix with ``A.admits`` alone.
+matrix, and ``verify`` tests each prefix with ``A.admits`` alone.  What
+each witness still costs is its prefix and its record: the builder and
+``from_dict`` store the five fields straight into their slots
+(``MinimalityWitness._unchecked``), the writer spells the prefix and
+writes the row as one string, with no row dict, and the reader parses
+the prefix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -77,6 +82,7 @@ from .errors import (
 from .graph import (
     AdjacencyMatrix,
     Word,
+    _path,
     _walks_to,
     find_path,
     first_return_word,
@@ -192,15 +198,28 @@ class MinimalityWitness:
             raise CertificateInvalid("dropping the shifts does not leave the target word")
 
     def to_dict(self) -> dict:
-        return self._row(word_to_string)
-
-    def _row(self, spell: Callable[[Word], str]) -> dict:
         return {
-            "from": spell(self.start),
-            "to": spell(self.target),
-            "prefix": spell(self.prefix),
+            "from": word_to_string(self.start),
+            "to": word_to_string(self.target),
+            "prefix": word_to_string(self.prefix),
             "shifts": self.shifts,
         }
+
+    @classmethod
+    def _unchecked(
+        cls, A: AdjacencyMatrix, start: Word, target: Word, prefix: Word, shifts: int
+    ) -> "MinimalityWitness":
+        """The witness ``MinimalityWitness(A, start, target, prefix, shifts)``,
+        its five fields stored through their slots' descriptors, as for
+        ``FreenessEntry._unchecked``; the generated ``__init__`` checks
+        nothing either."""
+        witness = object.__new__(cls)
+        _set_matrix(witness, A)
+        _set_start(witness, start)
+        _set_target(witness, target)
+        _set_prefix(witness, prefix)
+        _set_shifts(witness, shifts)
+        return witness
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "MinimalityWitness":
@@ -208,7 +227,8 @@ class MinimalityWitness:
         checked inline, in the order exact_keys and json_field, which raise,
         would check them.  A from or to literal is parsed once per matrix,
         kept in A's private table under ("spot", literal); the prefix, which
-        no other row shares, is parsed every time."""
+        no other row shares, is parsed every time.  The witness is stored
+        unchecked (``_unchecked``): ``verify`` checks it."""
         if type(data) is not dict or data.keys() != _MINIMALITY_KEYS:
             exact_keys(data, _MINIMALITY_KEYS)
         ends, spots = [], A._answers
@@ -226,23 +246,12 @@ class MinimalityWitness:
         prefix = word_from_string(prefix)
         if type(shifts) is not int:
             json_field(data, int, "shifts")
-        return cls(A, ends[0], ends[1], prefix, shifts)
+        return cls._unchecked(A, ends[0], ends[1], prefix, shifts)
 
 
-def minimality_rows(witnesses: Iterable[MinimalityWitness]) -> list[dict]:
-    """The ``to_dict`` rows of `witnesses`, each word object spelled once:
-    the spot words, which the rows of a report share, are written once per
-    report.  The spellings are keyed by the word's identity, never its
-    value: (True,) == (1,), but the two are written apart."""
-    literals: dict[int, str] = {}
-
-    def spell(w: Word) -> str:
-        literal = literals.get(id(w))
-        if literal is None:
-            literal = literals[id(w)] = word_to_string(w)
-        return literal
-
-    return [m._row(spell) for m in witnesses]
+_set_matrix, _set_start, _set_target, _set_prefix, _set_shifts = (
+    MinimalityWitness.__dict__[name].__set__ for name in ("matrix", "start", "target", "prefix", "shifts")
+)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -322,15 +331,18 @@ def _covers(A: AdjacencyMatrix, j: int, size: int) -> bool:
     return count_past(A, j, size) == (j, size) if words is None else len(words) == size
 
 
-def _tail_difference(s: OneSidedPoint, i: int, j: int) -> int | None:
-    """First coordinate c >= 0 with s[i+c] != s[j+c], or None if the two
-    shifted tails agree everywhere.
+def _tail_difference(u: Word, t: Word) -> int | None:
+    """First coordinate c >= 0 where u . t^inf and t^inf differ, or None if
+    they agree everywhere: where shift^i and shift^j first differ on a
+    point w . t^inf with |w| = j and w[i:] = u, which they map to those two.
 
-    Both tails are periodic with the tail period from coordinate
-    len(prefix) on, so scanning len(prefix) + len(tail) coordinates decides.
-    """
-    for c in range(len(s.prefix) + len(s.tail)):
-        if s[i + c] != s[j + c]:
+    Both repeat t from coordinate |u| on, so the first |u| + |t|
+    coordinates decide: u + t is scanned against t repeated.  Built
+    answers mostly differ within their first three coordinates, where a
+    plain loop stops; a C-level first difference costs more to set up."""
+    k = len(t)
+    for c, a in enumerate(u + t):
+        if a != t[c % k]:
             return c
     return None
 
@@ -405,9 +417,9 @@ class FreenessCertificate:
         That place depends only on m = j - i, u = w[i:] and t: shift^i maps
         w . t^inf to u . t^inf, with |u| = m.  From coordinate m on, u . t^inf
         and its m-shift both repeat with period |t|, so a first difference,
-        if any, lies below m + |t| <= |w| + |t|.  So ``_tail_difference`` of
-        w . t^inf at (i, j) is a function of (m, u, t), and each is scanned
-        once per matrix, kept in A's private table under (m, u, t), apart
+        if any, lies below m + |t| <= |w| + |t|.  So it is a function of
+        (m, u, t), and ``_tail_difference(u, t)`` scans each once per
+        matrix, kept in A's private table under (m, u, t), apart
         from the builder's answer blocks.  A scan that equalizes the shifts
         is kept nowhere, and every entry's differs_at is compared."""
         i, j, A = self.i, self.j, self.matrix
@@ -427,10 +439,11 @@ class FreenessCertificate:
                 differs_at = e.differs_at
                 if type(differs_at) is not int:
                     raise CertificateInvalid(f"differs_at must be an integer, got {differs_at!r}")
-                key = m, point.prefix[i:], point.tail
+                u, t = point.prefix[i:], point.tail
+                key = m, u, t
                 c = differences.get(key)
                 if c is None:
-                    c = _tail_difference(point, i, j)
+                    c = _tail_difference(u, t)
                     if c is None:
                         raise CertificateInvalid("witness equalizes the shifts")
                     differences[key] = c
@@ -548,8 +561,8 @@ def _avoiding_point(A: AdjacencyMatrix, cycle_word: Word) -> EventuallyPeriodicS
     if not outside:
         raise GraphIsCycle("no symbol can be avoided; the graph is a cycle")
     x1 = cycle_word[0]
-    to_y = find_path(A, x1, outside[0])
-    back = find_path(A, outside[0], x1)
+    to_y = _path(A, x1, outside[0])
+    back = _path(A, outside[0], x1)
     return periodic_seq(A, to_y + back[1:-1])
 
 
@@ -561,7 +574,7 @@ def _spot_witness(A: AdjacencyMatrix, start: Word, target: Word, middle: Word) -
     dropping len(prefix) - len(target) symbols leaves target), so it is
     returned unchecked."""
     prefix = start if start == target else start + middle + target
-    return MinimalityWitness(A, start, target, prefix, len(prefix) - len(target))
+    return MinimalityWitness._unchecked(A, start, target, prefix, len(prefix) - len(target))
 
 
 def minimality_witness(A: AdjacencyMatrix, w, z) -> MinimalityWitness:
@@ -651,8 +664,9 @@ def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _An
     if blocks is None:
         blocks = _AnswerBlocks(tuple([] for _ in A.symbols))
         for u in _depth_words(A, m):
-            tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else find_path(A, u[-1], u[-1])[1:]
-            c = _tail_difference(OneSidedPoint(A, u, tail), 0, m)
+            tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else _path(A, u[-1], u[-1])[1:]
+            OneSidedPoint(A, u, tail)  # raises unless u . tail^inf is admissible
+            c = _tail_difference(u, tail)
             if c is None:
                 k = next(k for k, w in enumerate(words) if w[i:] == u)
                 where = f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]"
@@ -673,7 +687,7 @@ def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
     used = set(r)
     outside = [y for y in A.symbols if y not in used]
     if outside:
-        return find_path(A, r[0], outside[0]) + find_path(A, outside[0], r[-1])[1:]
+        return _path(A, r[0], outside[0]) + _path(A, outside[0], r[-1])[1:]
     k = len(r)
     for idx in range(k):
         follow = r[(idx + 1) % k]
@@ -682,5 +696,5 @@ def _diverting_tail(A: AdjacencyMatrix, r: Word) -> Word:
                 continue
             if b == r[-1]:
                 return r[: idx + 1] + (b,)
-            return r[: idx + 1] + (b,) + find_path(A, b, r[-1])[1:]
+            return r[: idx + 1] + (b,) + _path(A, b, r[-1])[1:]
     raise GraphIsCycle("no diverting edge found; the graph is a cycle")

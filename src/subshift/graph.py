@@ -14,8 +14,10 @@ lexicographically smallest shortest walk (``_shortest_walk``).  Each
 matrix answers ``find_path`` for a pair of symbols, and ``is_transitive``,
 once: the answer is kept in the matrix's private table and read back on
 every later call, so one matrix runs at most n^2 ``find_path`` searches
-however many certificates ask.  ``_walks_to`` reads the walks from every
-source to one target off a single search, for callers that want them all.
+however many certificates ask; ``_path`` reads them without checking the
+symbols, for callers that take them from A's own words.  ``_walks_to``
+reads the walks from every source to one target off a single search, for
+callers that want them all.
 """
 
 from __future__ import annotations
@@ -245,6 +247,12 @@ def find_path(A: AdjacencyMatrix, i: int, j: int) -> Word:
     """
     A.check_symbol(i)
     A.check_symbol(j)
+    return _path(A, i, j)
+
+
+def _path(A: AdjacencyMatrix, i: int, j: int) -> Word:
+    """``find_path(A, i, j)`` without its symbol checks, for callers whose
+    symbols come from A's own words: a kept walk is read back at once."""
     try:
         walk = A._answers[i, j]
     except KeyError:

@@ -17,9 +17,12 @@ and every integer field to be a JSON integer.
 
 The minimality section pays once per report for each of its spot words,
 the symbols and the edges: ``analyze`` builds the (n + |E|)^2 witnesses
-from them unchecked, the writer spells each once and writes each row, a
-dict of scalars, as one string, the reader parses each from/to literal
-once, and ``verify_report`` compares the spot pairs without listing them.
+from them unchecked, ``render_report`` spells and encodes each once, the
+reader parses each from/to literal once, and ``verify_report`` compares
+the spot pairs without listing them.  Each row costs its witness's five
+slot stores, one spelling of its prefix and one string, which
+``render_report`` writes straight from the witness: no row dict is built
+or sorted (``_write_witness_rows``).
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from .freeness import (
     freeness_certificate,
     json_field,
     located,
-    minimality_rows,
     spot_witnesses,
 )
 from . import sequences
 from .graph import AdjacencyMatrix, is_cycle, is_transitive
 # verdict lists no words itself; enumerate_words stays bound for perfbench, which traces every binding.
-from .sequences import enumerate_words, require_work_limit  # noqa: F401
+from .sequences import enumerate_words, require_work_limit, word_to_string  # noqa: F401
 
 NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
@@ -168,6 +170,18 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     )
 
 
+class _WitnessRows:
+    """Stands in for the minimality rows in the document ``render_report``
+    hands ``dump_json``, which writes them from the `witnesses` themselves.
+    It is no list, so ``json.dumps`` refuses it with TypeError instead of
+    writing anything else."""
+
+    __slots__ = ("witnesses",)
+
+    def __init__(self, witnesses: tuple[MinimalityWitness, ...]):
+        self.witnesses = witnesses
+
+
 def matrix_echo(A: AdjacencyMatrix) -> dict:
     """The matrix as it appears in every JSON document."""
     return {"n": A.n, "rows": [list(row) for row in A.rows]}
@@ -189,7 +203,11 @@ def dump_json(doc: dict) -> str:
     list once per nesting level, while the list still holds exactly the
     rows of its runs.  The copies are keyed by the object's identity, which
     the document keeps alive for the call, never by its content:
-    ``{"x": True} == {"x": 1}``, but the two are written apart."""
+    ``{"x": True} == {"x": 1}``, but the two are written apart.  The one
+    other value it writes is the stand-in that ``render_report`` puts in
+    place of the minimality rows (``_WitnessRows``): the array of its
+    witnesses' ``to_dict`` rows, each written as one string; ``json.dumps``
+    refuses it with TypeError."""
     out: list[str] = []
     _write_json(doc, "\n", out, {})
     out.append("\n")
@@ -255,6 +273,8 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
                 out.append(separator)
             out.pop()
         out.append(newline + "]")
+    elif type(value) is _WitnessRows:
+        _write_witness_rows(value.witnesses, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -267,6 +287,44 @@ def _write_items(items, inner: str, out: list[str], written: dict) -> None:
         _write_json(item, inner, out, written)
         out.append(separator)
     out.pop()
+
+
+def _write_witness_rows(witnesses, newline: str, out: list[str]) -> None:
+    """Append the array of the `witnesses`' ``to_dict`` rows at the nesting
+    level `newline`, each row one string.  A from or to literal is spelled
+    and encoded once per word object, keyed by its identity, never its
+    value: (True,) == (1,), but the two are written apart.  A prefix is
+    spelled once, with its row, unless it is the start object itself.  A
+    row that is not exactly a MinimalityWitness with an int `shifts` is
+    written from its ``to_dict``, a dict that lives only for its row, so
+    nothing is copied by its identity."""
+    if not witnesses:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    field, separator = "," + inner + "  ", "," + inner
+    literals: dict[int, str] = {}
+
+    def literal(w) -> str:
+        text = literals.get(id(w))
+        if text is None:
+            text = literals[id(w)] = encode_basestring_ascii(word_to_string(w))
+        return text
+
+    out.append("[" + inner)
+    for m in witnesses:
+        if type(m) is MinimalityWitness and type(m.shifts) is int:
+            start, prefix = m.start, m.prefix
+            prefix = literal(start) if prefix is start else encode_basestring_ascii(word_to_string(prefix))
+            out.append(
+                f'{{{inner}  "from": {literal(start)}{field}"prefix": {prefix}'
+                f'{field}"shifts": {int.__repr__(m.shifts)}{field}"to": {literal(m.target)}{inner}}}'
+            )
+        else:
+            _write_json(m.to_dict(), inner, out, {})
+        out.append(separator)
+    out.pop()
+    out.append(newline + "]")
 
 
 def _leaf_lines(items: list[tuple]) -> list[str] | None:
@@ -289,7 +347,9 @@ def _leaf_lines(items: list[tuple]) -> list[str] | None:
     return lines
 
 
-def _verdict_to_dict(v: AnalysisVerdict) -> dict:
+def _verdict_to_dict(v: AnalysisVerdict, rows: _WitnessRows | None = None) -> dict:
+    """The report document of `v`, plain data that ``json.dumps`` writes,
+    unless `rows` stands in for its minimality rows (``render_report``)."""
     one = ["minimality", "freeness"] if v.one_sided == "simple" else []
     two = ["invariant_set"] if v.two_sided == "non_simple" else []
     doc = {
@@ -303,7 +363,7 @@ def _verdict_to_dict(v: AnalysisVerdict) -> dict:
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
         "certificates": {
             "invariant_set": None if v.invariant_set is None else v.invariant_set.to_dict(),
-            "minimality": minimality_rows(v.minimality),
+            "minimality": [m.to_dict() for m in v.minimality] if rows is None else rows,
             "freeness": [c.to_dict() for c in v.freeness],
         },
         "citations": list(v.citations),
@@ -315,8 +375,10 @@ def _verdict_to_dict(v: AnalysisVerdict) -> dict:
 
 
 def render_report(v: AnalysisVerdict) -> str:
-    """Serialize a verdict deterministically (sorted keys, stable layout)."""
-    return dump_json(_verdict_to_dict(v))
+    """Serialize a verdict deterministically (sorted keys, stable layout):
+    the bytes ``json.dumps`` writes of ``_verdict_to_dict(v)``, its
+    minimality rows written straight from the witnesses."""
+    return dump_json(_verdict_to_dict(v, _WitnessRows(v.minimality)))
 
 
 def _load_report(text: str):

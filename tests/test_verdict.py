@@ -5,7 +5,7 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -650,7 +650,8 @@ def test_dump_json_refuses_what_no_document_holds():
 
 def test_reports_are_written_in_the_stdlib_layout(golden):
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
-    for A, depth in ((full3, 5), (golden, 9), (near_cycle(12), 3)):
+    # Near-cycle 10 is the first n that writes dotted literals; its spot word 10. is one symbol.
+    for A, depth in ((full3, 5), (golden, 9), (near_cycle(12), 3), (near_cycle(10), 2)):
         v = ss.analyze(A, depth)
         doc = ss.verdict._verdict_to_dict(v)
         text = ss.render_report(v)
@@ -659,16 +660,56 @@ def test_reports_are_written_in_the_stdlib_layout(golden):
         assert ss.render_report(ss.parse_report(text)) == text
 
 
+def test_render_report_hands_dump_json_nothing_json_dumps_writes_otherwise(golden, monkeypatch):
+    # render_report writes the minimality rows straight from the witnesses, through
+    # a stand-in in the document it hands dump_json.  json.dumps must refuse that
+    # document, never write other bytes, and the report must be what json.dumps
+    # writes of the plain document: for analyze's and parse_report's witnesses,
+    # and for public ones that take the writer's other path, two in a row whose
+    # row dicts live one at a time, or share no word objects, (True,) and (1,)
+    # among them, equal but written apart.
+    handed, dump_json = [], ss.verdict.dump_json
+
+    def keep(doc):
+        handed.append(doc)
+        return dump_json(doc)
+
+    monkeypatch.setattr(ss.verdict, "dump_json", keep)
+    v = ss.analyze(near_cycle(10), 2)
+    W = ss.MinimalityWitness
+    odd = (
+        W(golden, (1,), (2,), (1, 2), True),
+        W(golden, (2,), (1,), (2, 1), None),
+        W(golden, (True,), (1,), (True,), 0),
+        W(golden, (1,), (1,), (1,), 0),
+        W(golden, (1, 2), (2,), (1, 2), 1),
+    )
+    for verdict in (v, ss.parse_report(ss.render_report(v)), replace(v, minimality=odd), replace(v, minimality=())):
+        handed.clear()
+        text = ss.render_report(verdict)
+        (doc,) = handed
+        try:
+            written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        except TypeError:
+            pass
+        else:
+            assert written == text
+        assert text == json.dumps(ss.verdict._verdict_to_dict(verdict), indent=2, sort_keys=True) + "\n"
+    rows = json.loads(ss.render_report(replace(v, minimality=odd)))["certificates"]["minimality"]
+    assert rows == [m.to_dict() for m in odd] and rows[2]["from"] != rows[2]["to"]
+
+
 def _per_entry_row(A: ss.AdjacencyMatrix, i: int, j: int, w) -> tuple:
     """The entry of w in table (i, j) by the per-entry rule: the tail chosen
     from u = w[i:] alone, and where shift^i and shift^j of w . t^inf first
-    differ, scanned on that point itself."""
+    differ, scanned on that point itself, coordinate by coordinate."""
     u = w[i:]
     if (u[-1], u[0]) in A.edges:
         tail = ss.freeness._diverting_tail(A, u)
     else:
         tail = ss.find_path(A, u[-1], u[-1])[1:]
-    return w, tail, ss.freeness._tail_difference(ss.sequences.OneSidedPoint(A, w, tail), i, j) + 1
+    point = ss.sequences.OneSidedPoint(A, w, tail)
+    return w, tail, next(c for c in range(len(w) + len(tail)) if point[i + c] != point[j + c]) + 1
 
 
 def test_block_built_tables_are_the_per_entry_tables_in_entries_and_bytes():
@@ -943,15 +984,17 @@ def test_a_report_spells_and_parses_each_spot_word_once(monkeypatch):
     # from or to, once as the prefix of its own pair), and verify_report parsed
     # every row's from, to and prefix, 507 parses.  Now each spot word object is
     # spelled once, and each from/to literal parsed once, besides each prefix.
+    # The report writer spells through verdict's binding, to_dict through freeness's.
     A = ss.AdjacencyMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]])
     spelled = []  # keeps every spelled word alive, so no two share an id
-    word_to_string = ss.freeness.word_to_string
+    word_to_string = ss.sequences.word_to_string
 
     def spell(w):
         spelled.append(w)
         return word_to_string(w)
 
-    monkeypatch.setattr(ss.freeness, "word_to_string", spell)
+    for module in (ss.freeness, ss.verdict):
+        monkeypatch.setattr(module, "word_to_string", spell)
     v = ss.analyze(A, 4)
     text = ss.render_report(v)
     monkeypatch.undo()
@@ -982,6 +1025,24 @@ def test_a_report_spells_and_parses_each_spot_word_once(monkeypatch):
     rows = json.loads(text)["certificates"]["minimality"]
     assert len(rows) == 169
     assert parsed == Counter({row["from"] for row in rows}) + Counter(row["prefix"] for row in rows)
+
+
+def test_unchecked_witnesses_are_the_constructed_ones(golden):
+    # analyze and from_dict store each witness's fields straight into its slots,
+    # as MinimalityWitness._unchecked; the result must be the constructor's witness.
+    A = near_cycle(10)
+    v = ss.analyze(A, 2)
+    for m in v.minimality + ss.parse_report(ss.render_report(v)).minimality:
+        public = ss.minimality_witness(A, m.start, m.target)
+        assert [getattr(m, f.name) for f in fields(m)] == [getattr(public, f.name) for f in fields(public)]
+        m.verify()
+    m = ss.MinimalityWitness._unchecked(golden, (1,), (2,), (1, 2), 1)
+    assert type(m) is ss.MinimalityWitness and repr(m) == repr(ss.MinimalityWitness(golden, (1,), (2,), (1, 2), 1))
+    m.verify()
+    with pytest.raises(CertificateInvalid, match="^shift count does not match the word lengths$"):
+        replace(m, shifts=0).verify()
+    with pytest.raises(FrozenInstanceError):
+        m.shifts = 0
 
 
 def test_a_bad_minimality_prefix_is_an_inadmissible_word(golden):
