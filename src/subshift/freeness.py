@@ -34,19 +34,21 @@ block s of m holds the answers of the depth-m words that start with s, in
 listing order.  Listed in order, the depth-j words are each depth-(i+1)
 word q followed by the depth-m words that start with q[-1], less that
 symbol, so table (i, j) is, for each q in order, a copy of block q[-1].
-The builder zips the blocks so read with the depth-j listing, and the
-table keeps that layout.  ``to_dict`` gives each block's rows as one row
-list, shared by the tables of its m, and ``verdict.dump_json`` writes
-each block once per nesting level and copies its text for every repeat.  A table without a
-layout gives the entries written alike one row object, written once.
+The table keeps that layout and the depth-j listing.  ``to_dict`` gives
+each block's rows as one row list, shared by the tables of its m, and
+``verdict.dump_json`` writes each block once per nesting level and copies
+its text for every repeat.  A table without a layout gives the entries
+written alike one row object, written once.
 ``from_dict`` reads and checks each tail literal once per matrix and last
 symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
 once per matrix and still compares every entry's own differs_at with the
-scan's answer.  What each entry still costs is its point and its record,
-which the builder and ``from_dict`` make with ``OneSidedPoint._unchecked``
-and ``FreenessEntry._unchecked``: each field is stored straight into its
-slot, the point's admissibility having been checked with its answer or
-its tail.
+scan's answer.  What each entry still costs is its point and its record.
+``from_dict`` makes them as it reads; the builder makes none, and a built
+table zips its blocks with its listing only when `.entries` is first
+read, so ``render_report(analyze(A, b))`` makes no entry at all.  Both
+use ``OneSidedPoint._unchecked`` and ``FreenessEntry._unchecked``: each
+field is stored straight into its slot, the point's admissibility having
+been checked with its answer or its tail.
 
 A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
@@ -67,6 +69,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import is_
 
@@ -392,19 +395,30 @@ class FreenessCertificate:
     It meets [w] only in w . (w[i:])^inf, so it holds no deeper cylinder
     either; each witness shows it does not hold [w] itself.
 
-    A table that ``freeness_certificate`` built also records its layout
-    (`_layout`): the answer blocks of m = j - i and, for each depth-(i+1)
-    word q in listing order, the block of q[-1], so its entries' answers
-    are those blocks' in order.  ``to_dict`` writes such a table block by
-    block.  A table from the constructor, ``dataclasses.replace`` or
-    ``from_dict`` has no layout, and is written entry by entry.
+    A table that ``freeness_certificate`` built records its layout
+    (`_layout`): the answer blocks of m = j - i, for each depth-(i+1) word
+    q in listing order the block of q[-1], and the depth-j listing, so its
+    entries' answers are those blocks' in order.  ``to_dict`` writes such a
+    table block by block.  A table from the constructor,
+    ``dataclasses.replace`` or ``from_dict`` has no layout, and is written
+    entry by entry.
+
+    A built table makes its entries only when `.entries` is first read
+    (``_laid_out_entries``), so a report written from it makes none.  The
+    class binds that rule to `entries` as a ``functools.cached_property``,
+    a non-data descriptor, after the dataclass is made, so `entries` stays
+    a field: the constructor, ``fields``, ``replace`` and ``repr`` see it
+    as before.  What it makes is stored in the instance ``__dict__``, as
+    ``__init__`` stores given entries, and a value there takes precedence
+    over a non-data descriptor.  So the class keeps its ``__dict__``: with
+    slots, `entries` would be a slot's descriptor, and no cached property.
     """
 
     matrix: AdjacencyMatrix
     i: int
     j: int
     entries: tuple[FreenessEntry, ...]
-    _layout: tuple[_AnswerBlocks, list[int]] | None = field(
+    _layout: tuple[_AnswerBlocks, list[int], list[Word]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -457,7 +471,7 @@ class FreenessCertificate:
         answers and shared by every table of the same j - i, concatenated
         into a ``_BlockRows`` that names them."""
         if self._layout is not None:
-            blocks, ends = self._layout
+            blocks, ends, _ = self._layout
             runs = list(map(blocks.row_lists().__getitem__, ends))
             rows = _BlockRows(chain.from_iterable(runs))
             rows.runs = runs
@@ -519,6 +533,23 @@ class FreenessCertificate:
                     json_field(row, int, "differs_at")
                 entries.append(entry(witness, differs_at))
         return cls(A, i, j, tuple(entries))
+
+
+def _laid_out_entries(cert: FreenessCertificate) -> tuple[FreenessEntry, ...]:
+    """A built table's entries, made when `.entries` is first read: the
+    point w . t^inf and the entry of each word w of the depth-j listing the
+    layout keeps, zipped with the answers (t, differs_at) of its blocks in
+    order.  Both are built unchecked, as ``freeness_certificate`` argues,
+    so the read cannot raise."""
+    blocks, ends, words = cert._layout
+    A, entry, point = cert.matrix, FreenessEntry._unchecked, OneSidedPoint._unchecked
+    answers = chain.from_iterable(map(blocks.answers.__getitem__, ends))
+    return tuple(entry(point(A, w, t), c) for w, (t, c) in zip(words, answers))
+
+
+# Bound after the dataclass is made, so that `entries` stays a field with no default.
+FreenessCertificate.entries = cached_property(_laid_out_entries)
+FreenessCertificate.entries.__set_name__(FreenessCertificate, "entries")
 
 
 def _require_dichotomy_hypotheses(A: AdjacencyMatrix) -> None:
@@ -631,9 +662,17 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     word q followed by every depth-m word u that starts with q[-1], in
     order, minus its first symbol.  So the table is, for each q in order,
     the answer block of m and q[-1] (``_answer_blocks``), read in order
-    and zipped with the depth-j listing; the table keeps that layout.
-    The depth-j words are listed first, so the work limit refuses a table
-    by its length j, and once per matrix (``_depth_words``).
+    and zipped with the depth-j listing.  The depth-j words are listed
+    first, so the work limit refuses a table by its length j, and once per
+    matrix (``_depth_words``).
+
+    Every check and every listing is done here, so each refusal raises
+    from this call.  The table it returns keeps the blocks, their order
+    and the listing as its layout, and makes its entries from them only
+    when `.entries` is first read (``_laid_out_entries``): ``to_dict``
+    writes from the blocks, so a report never makes them.  The table keeps
+    its ``__dict__``, since the entries made are stored there
+    (``FreenessCertificate``).
 
     Each witness w . t^inf, and its entry, is built unchecked: w is an
     enumerated, so admissible, word, and u . t^inf was checked when its
@@ -647,10 +686,8 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     words = _depth_words(A, j)
     blocks = _answer_blocks(A, i, j, words)
     ends = [q[-1] - 1 for q in _depth_words(A, i + 1)]  # the block of each depth-(i+1) word
-    entry, point = FreenessEntry._unchecked, OneSidedPoint._unchecked
-    answers = chain.from_iterable(map(blocks.answers.__getitem__, ends))
-    cert = FreenessCertificate(A, i, j, tuple(entry(point(A, w, t), c) for w, (t, c) in zip(words, answers)))
-    object.__setattr__(cert, "_layout", (blocks, ends))
+    cert = object.__new__(FreenessCertificate)  # no entries yet: they are made on first read
+    cert.__dict__.update(matrix=A, i=i, j=j, _layout=(blocks, ends, words))
     return cert
 
 

@@ -1,8 +1,10 @@
+import copy
 import json
+import pickle
 import random
 import time
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -451,6 +453,65 @@ def test_tables_without_a_layout_are_written_from_their_own_entries(golden):
             ):
                 assert ss.verdict.dump_json(table.to_dict()) == expected
         assert ss.verdict.dump_json(cert.to_dict()) != expected
+
+
+def test_laid_out_tables_make_their_entries_on_first_read(golden, swap2, split2, monkeypatch):
+    # A built table keeps its layout, with the depth-j listing, and makes its
+    # entries only when .entries is first read, so a report makes none.  The
+    # first read gives the eager rule's entries: the point w . t^inf of each
+    # depth-j word w, with t and differs_at chosen from u = w[i:] alone.
+    # Every refusal still raises from freeness_certificate itself.
+    rng = random.Random(28)
+    seeded = next(transitive_noncycle(random_matrix(rng, 4, 4) for _ in iter(int, 1)))
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    assert [f.name for f in fields(ss.FreenessCertificate)] == ["matrix", "i", "j", "entries", "_layout"]
+    for A, b in ((golden, 6), (full3, 4), (seeded, 4)):
+        v = ss.analyze(A, b)
+        ss.render_report(v)
+        assert [c for c in v.freeness if "entries" in vars(c)] == []
+        for cert in v.freeness:
+            i, j, entries = cert.i, cert.j, cert.entries
+            words = ss.enumerate_words(A, j)
+            assert type(entries) is tuple and len(entries) == len(words)
+            for w, e in zip(words, entries):
+                u = w[i:]
+                tail = (
+                    ss.freeness._diverting_tail(A, u)
+                    if (u[-1], u[0]) in A.edges
+                    else ss.find_path(A, u[-1], u[-1])[1:]
+                )
+                x = e.witness
+                first = next(c for c in range(j + len(tail)) if x[i + c] != x[j + c]) + 1
+                assert type(e) is ss.FreenessEntry and x.matrix is A
+                assert (e.word, x.tail, e.differs_at) == (w, tail, first)
+            assert cert.entries is entries and vars(cert)["entries"] is entries
+            copied = replace(cert)
+            assert copied._layout is None and copied.entries == entries
+
+        def unread():
+            return ss.freeness_certificate(A, 1, b)
+
+        (built,) = [c for c in v.freeness if (c.i, c.j) == (1, b)]
+        assert repr(unread()).startswith("FreenessCertificate(matrix=")
+        unread().verify()
+        for twin in (copy.copy(unread()), pickle.loads(pickle.dumps(unread()))):
+            assert "entries" not in vars(twin)
+            rows = [(e.word, e.witness.tail, e.differs_at) for e in twin.entries]
+            assert rows == [(e.word, e.witness.tail, e.differs_at) for e in built.entries]
+            assert all(e.witness.matrix is twin.matrix for e in twin.entries)
+            twin.verify()
+
+    with pytest.raises(WorkLimitExceeded, match="listing the length-21 words"):
+        ss.freeness_certificate(golden, 0, 21)
+    with pytest.raises(BadExponents):
+        ss.freeness_certificate(golden, 2, 2)
+    with pytest.raises(NotTransitive):
+        ss.freeness_certificate(split2, 1, 2)
+    with pytest.raises(GraphIsCycle):
+        ss.freeness_certificate(swap2, 1, 2)
+    monkeypatch.setattr(ss.freeness, "_diverting_tail", lambda A, r: r)
+    with pytest.raises(CertificateInvalid, match=r"entries\[0\] \[11\]: witness equalizes"):
+        ss.freeness_certificate(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 1, 2)
 
 
 def test_certificate_serialization_round_trip(golden):
