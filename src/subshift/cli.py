@@ -134,15 +134,13 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "witness":
+        # dump_json writes each certificate object as json.dumps writes its to_dict().
         if args.action == "invariant":
-            cert = find_nontrivial_invariant(A)
-            doc = {"matrix": matrix_echo(A), "invariant_set": cert.to_dict()}
+            doc = {"matrix": matrix_echo(A), "invariant_set": find_nontrivial_invariant(A)}
         elif args.action == "minimal":
-            wit = minimality_witness(A, args.w, args.z)
-            doc = {"matrix": matrix_echo(A), "minimality": wit.to_dict()}
+            doc = {"matrix": matrix_echo(A), "minimality": minimality_witness(A, args.w, args.z)}
         else:
-            cert = freeness_certificate(A, args.i, args.j)
-            doc = {"matrix": matrix_echo(A), "freeness": cert.to_dict()}
+            doc = {"matrix": matrix_echo(A), "freeness": freeness_certificate(A, args.i, args.j)}
         _emit(dump_json(doc), args.out)
         return 0
 

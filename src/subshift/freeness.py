@@ -34,13 +34,12 @@ block s of m holds the answers of the depth-m words that start with s, in
 listing order.  Listed in order, the depth-j words are each depth-(i+1)
 word q followed by the depth-m words that start with q[-1], less that
 symbol, so table (i, j) is, for each q in order, a copy of block q[-1].
-The table keeps that layout and the depth-j listing.  ``to_dict`` gives
-each block's rows as one row list, shared by the tables of its m, and
-``verdict.dump_json`` writes each block once per nesting level and copies
-its text for every repeat.  A table without a layout gives the entries
-written alike one row object, written once.
-``from_dict`` reads and checks each tail literal once per matrix and last
-symbol of the words it follows.  ``verify`` scans each (j - i, w[i:], tail)
+The table keeps that layout and the depth-j listing, and
+``verdict.dump_json`` writes it from them: the text of each block once per
+document and nesting level, joined in layout order.  ``to_dict`` reads
+`.entries`, so a built table makes its entries there.  ``from_dict``
+reads and checks each tail literal once per matrix and last symbol of the
+words it follows.  ``verify`` scans each (j - i, w[i:], tail)
 once per matrix and still compares every entry's own differs_at with the
 scan's answer.  What each entry still costs is its point and its record.
 ``from_dict`` makes them as it reads; the builder makes none, and a built
@@ -54,7 +53,7 @@ A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
 ``spot_witnesses`` reads the n connectors to each target symbol off one
 search (``graph._walks_to``) and shares the spot word objects among the
-witnesses, ``verdict.render_report`` spells each word object once,
+witnesses, ``verdict.dump_json`` spells each word object once,
 ``MinimalityWitness.from_dict`` parses each from/to literal once per
 matrix, and ``verify`` tests each prefix with ``A.admits`` alone.  What
 each witness still costs is its prefix and its record: the builder and
@@ -71,7 +70,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import is_
 
 from .errors import (
     BadExponents,
@@ -350,40 +348,9 @@ def _tail_difference(u: Word, t: Word) -> int | None:
     return None
 
 
-@dataclass(eq=False, slots=True)
-class _AnswerBlocks:
-    """The builder's answers for one m = j - i, in one block per symbol s:
-    the (tail, differs_at) answers of the depth-m words that start with s,
-    in listing order.  Once a table is written, `rows` holds each block's
-    report rows, an answer's row object shared by every block it is in."""
-
-    answers: tuple[list[tuple[Word, int]], ...]
-    rows: tuple[list[dict], ...] | None = None
-
-    def row_lists(self) -> tuple[list[dict], ...]:
-        if self.rows is None:
-            shared: dict[tuple[Word, int], dict] = {}  # the builder's tails and differs_at are exact ints
-            for tail, c in chain.from_iterable(self.answers):
-                if (tail, c) not in shared:
-                    shared[tail, c] = {"differs_at": c, "tail": word_to_string(tail)}
-            self.rows = tuple([shared[answer] for answer in block] for block in self.answers)
-        return self.rows
-
-
-class _BlockRows(list):
-    """A laid-out table's rows, one flat list as every reader sees them, that
-    also names the block row lists (`runs`) it concatenates, so
-    ``verdict.dump_json`` can write each block once per nesting level."""
-
-    __slots__ = ("runs",)
-
-    def current_runs(self) -> list[list[dict]] | None:
-        """The runs, while the list still holds exactly their rows, by
-        identity; None once it was edited, so it is written row by row."""
-        runs = self.runs
-        if len(self) == sum(map(len, runs)) and all(map(is_, self, chain.from_iterable(runs))):
-            return runs
-        return None
+# The answers of one m = j - i, in one block per symbol s: the (tail,
+# differs_at) answers of the depth-m words that start with s, in listing order.
+_Blocks = tuple[list[tuple[Word, int]], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,13 +365,14 @@ class FreenessCertificate:
     A table that ``freeness_certificate`` built records its layout
     (`_layout`): the answer blocks of m = j - i, for each depth-(i+1) word
     q in listing order the block of q[-1], and the depth-j listing, so its
-    entries' answers are those blocks' in order.  ``to_dict`` writes such a
-    table block by block.  A table from the constructor,
+    entries' answers are those blocks' in order.  ``verdict.dump_json``
+    writes such a table block by block.  A table from the constructor,
     ``dataclasses.replace`` or ``from_dict`` has no layout, and is written
-    entry by entry.
+    from its ``to_dict``, entry by entry.
 
     A built table makes its entries only when `.entries` is first read
-    (``_laid_out_entries``), so a report written from it makes none.  The
+    (``_laid_out_entries``), so a report written from it by ``dump_json``
+    makes none; its ``to_dict`` reads them, so makes them.  The
     class binds that rule to `entries` as a ``functools.cached_property``,
     a non-data descriptor, after the dataclass is made, so `entries` stays
     a field: the constructor, ``fields``, ``replace`` and ``repr`` see it
@@ -418,7 +386,7 @@ class FreenessCertificate:
     i: int
     j: int
     entries: tuple[FreenessEntry, ...]
-    _layout: tuple[_AnswerBlocks, list[int], list[Word]] | None = field(
+    _layout: tuple[_Blocks, list[int], list[Word]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -465,31 +433,10 @@ class FreenessCertificate:
                     raise CertificateInvalid(f"differs_at {differs_at}, but they first differ at {c + 1}")
 
     def to_dict(self) -> dict:
-        """The table as a report stores it.  Entries written alike share one
-        row object, so ``dump_json`` writes it once; copy a row to edit it.
-        A laid-out table's rows are its blocks' row lists, kept with their
-        answers and shared by every table of the same j - i, concatenated
-        into a ``_BlockRows`` that names them."""
-        if self._layout is not None:
-            blocks, ends, _ = self._layout
-            runs = list(map(blocks.row_lists().__getitem__, ends))
-            rows = _BlockRows(chain.from_iterable(runs))
-            rows.runs = runs
-            return {"i": self.i, "j": self.j, "entries": rows}
-        literals: dict[int, str] = {}  # by the tail's identity: a tail object is written one way
-        rows: dict[tuple, dict] = {}  # one row object per written row: its literal and typed differs_at
-        entries = []
-        for e in self.entries:
-            tail, differs_at = e.witness.tail, e.differs_at
-            literal = literals.get(id(tail))
-            if literal is None:
-                literal = literals[id(tail)] = word_to_string(tail)
-            key = literal, type(differs_at), differs_at  # True == 1, but it is written true
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = {"differs_at": differs_at, "tail": literal}
-            entries.append(row)
-        return {"i": self.i, "j": self.j, "entries": entries}
+        """The table as a report stores it, one row per entry, read from
+        `.entries`: a built table makes its entries here."""
+        rows = [{"differs_at": e.differs_at, "tail": word_to_string(e.witness.tail)} for e in self.entries]
+        return {"i": self.i, "j": self.j, "entries": rows}
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
@@ -543,7 +490,7 @@ def _laid_out_entries(cert: FreenessCertificate) -> tuple[FreenessEntry, ...]:
     so the read cannot raise."""
     blocks, ends, words = cert._layout
     A, entry, point = cert.matrix, FreenessEntry._unchecked, OneSidedPoint._unchecked
-    answers = chain.from_iterable(map(blocks.answers.__getitem__, ends))
+    answers = chain.from_iterable(map(blocks.__getitem__, ends))
     return tuple(entry(point(A, w, t), c) for w, (t, c) in zip(words, answers))
 
 
@@ -669,10 +616,10 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     Every check and every listing is done here, so each refusal raises
     from this call.  The table it returns keeps the blocks, their order
     and the listing as its layout, and makes its entries from them only
-    when `.entries` is first read (``_laid_out_entries``): ``to_dict``
-    writes from the blocks, so a report never makes them.  The table keeps
-    its ``__dict__``, since the entries made are stored there
-    (``FreenessCertificate``).
+    when `.entries` is first read (``_laid_out_entries``):
+    ``verdict.dump_json`` writes from the blocks, so a report never makes
+    them.  The table keeps its ``__dict__``, since the entries made are
+    stored there (``FreenessCertificate``).
 
     Each witness w . t^inf, and its entry, is built unchecked: w is an
     enumerated, so admissible, word, and u . t^inf was checked when its
@@ -680,6 +627,8 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     t and t's own wrap are those of u . t^inf, so w . t^inf is admissible
     too.
     """
+    if type(i) is not int or type(j) is not int:
+        raise BadExponents(f"exponents must be integers, got i={i!r}, j={j!r}")
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
@@ -691,7 +640,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     return cert
 
 
-def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _AnswerBlocks:
+def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _Blocks:
     """The answer blocks of m = j - i, worked out and checked once per
     matrix and kept in A's private table under ("blocks", m).  A tail that
     equalizes the shifts on u . t^inf raises CertificateInvalid naming the
@@ -699,7 +648,7 @@ def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _An
     m = j - i
     blocks = A._answers.get(("blocks", m))
     if blocks is None:
-        blocks = _AnswerBlocks(tuple([] for _ in A.symbols))
+        blocks = tuple([] for _ in A.symbols)
         for u in _depth_words(A, m):
             tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else _path(A, u[-1], u[-1])[1:]
             OneSidedPoint(A, u, tail)  # raises unless u . tail^inf is admissible
@@ -708,7 +657,7 @@ def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _An
                 k = next(k for k, w in enumerate(words) if w[i:] == u)
                 where = f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]"
                 raise CertificateInvalid(f"{where}: witness equalizes the shifts")
-            blocks.answers[u[0] - 1].append((tail, c + 1))
+            blocks[u[0] - 1].append((tail, c + 1))
         A._answers["blocks", m] = blocks
     return blocks
 

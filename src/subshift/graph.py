@@ -53,8 +53,10 @@ class AdjacencyMatrix:
     j), whose length from then on also answers how many depth-j words
     there are (``freeness._covers``); the built answers (tail, differs_at)
     of each m = j - i, in one block per first symbol, under ("blocks", m)
-    (``freeness._answer_blocks``); each tail read under (w[-1], literal),
-    a symbol and a string (``FreenessCertificate.from_dict``);
+    (``freeness._answer_blocks``), answers only: ``verdict.dump_json``
+    makes their row text once per document and keeps none; each tail read
+    under (w[-1], literal), a symbol and a string
+    (``FreenessCertificate.from_dict``);
     each scanned first difference under (j - i, w[i:], tail)
     (``FreenessCertificate.verify``); and each minimality from/to literal
     read under ("spot", literal) (``MinimalityWitness.from_dict``).  No two

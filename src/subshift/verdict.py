@@ -15,14 +15,18 @@ depth budget (``_skeleton``).  ``analyze`` fills the certificates in;
 ``analyze`` writes for the echoed matrix and budget, in canonical JSON,
 and every integer field to be a JSON integer.
 
-The minimality section pays once per report for each of its spot words,
-the symbols and the edges: ``analyze`` builds the (n + |E|)^2 witnesses
-from them unchecked, ``render_report`` spells and encodes each once, the
-reader parses each from/to literal once, and ``verify_report`` compares
-the spot pairs without listing them.  Each row costs its witness's five
-slot stores, one spelling of its prefix and one string, which
-``render_report`` writes straight from the witness: no row dict is built
-or sorted (``_write_witness_rows``).
+``render_report`` hands ``dump_json`` the document with the certificate
+objects in it, and ``dump_json`` writes each as ``json.dumps`` writes its
+``to_dict()``, without making that dict where it can: a built freeness
+table from its answer blocks, each block's text made once per report and
+joined in the table's layout, so no entry is made; a minimality witness as
+one string.  The minimality section pays once per report for each of its
+spot words, the symbols and the edges: ``analyze`` builds the
+(n + |E|)^2 witnesses from them unchecked, ``dump_json`` spells and
+encodes each once, the reader parses each from/to literal once, and
+``verify_report`` compares the spot pairs without listing them.  Each row
+costs its witness's five slot stores, one spelling of its prefix and one
+string.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
     MinimalityWitness,
-    _BlockRows,
     exact_keys,
     find_nontrivial_invariant,
     freeness_certificate,
@@ -151,6 +154,8 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     entries (``require_work_limit``) or the minimality spot witnesses
     would number over it.
     """
+    if type(depth_budget) is not int:
+        raise MalformedInput(f"depth budget must be an integer, got {depth_budget!r}")
     if depth_budget < 2:
         raise MalformedInput("depth budget must be at least 2")
     v = _skeleton(A, depth_budget)
@@ -170,18 +175,6 @@ def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     )
 
 
-class _WitnessRows:
-    """Stands in for the minimality rows in the document ``render_report``
-    hands ``dump_json``, which writes them from the `witnesses` themselves.
-    It is no list, so ``json.dumps`` refuses it with TypeError instead of
-    writing anything else."""
-
-    __slots__ = ("witnesses",)
-
-    def __init__(self, witnesses: tuple[MinimalityWitness, ...]):
-        self.witnesses = witnesses
-
-
 def matrix_echo(A: AdjacencyMatrix) -> dict:
     """The matrix as it appears in every JSON document."""
     return {"n": A.n, "rows": [list(row) for row in A.rows]}
@@ -189,61 +182,49 @@ def matrix_echo(A: AdjacencyMatrix) -> dict:
 
 def dump_json(doc: dict) -> str:
     """The one JSON layout of every document: indent 2, sorted keys, ASCII
-    escapes and one trailing newline, the bytes of ``json.dumps(doc,
-    indent=2, sort_keys=True) + "\\n"``.  It writes str, int, bool, None,
-    dict and list or tuple values, and refuses any other with the stdlib's
-    TypeError, a float too, which ``json.dumps`` would write; no document
-    holds a float.  The stdlib's C encoder serves only ``indent=None``; with
-    an indent every chunk climbs a generator per nesting level, so this
-    writer appends each to one list instead.  A dict object that the
-    document holds more than once at one nesting level, as the rows of a
-    freeness table that share an answer, is written once there and its
-    chunks are copied after that.  So is a block of a laid-out freeness
-    table's rows: its ``_BlockRows`` is written run by run, each block row
-    list once per nesting level, while the list still holds exactly the
-    rows of its runs.  The copies are keyed by the object's identity, which
-    the document keeps alive for the call, never by its content:
-    ``{"x": True} == {"x": 1}``, but the two are written apart.  The one
-    other value it writes is the stand-in that ``render_report`` puts in
-    place of the minimality rows (``_WitnessRows``): the array of its
-    witnesses' ``to_dict`` rows, each written as one string; ``json.dumps``
-    refuses it with TypeError."""
+    escapes and one trailing newline.  It writes str, int, bool, None, dict
+    and list or tuple values as ``json.dumps(doc, indent=2, sort_keys=True)
+    + "\\n"`` does, and refuses any other with the stdlib's TypeError, a
+    float too, which ``json.dumps`` would write; no document holds a float.
+    A certificate it writes as ``json.dumps`` writes its ``to_dict()``:
+    a built freeness table from its answer blocks, each block's rows made
+    into text once per call and nesting level and joined in the table's
+    layout (``_table_text``), so it makes no entry; an exact
+    ``MinimalityWitness`` with an int `shifts` as one string, each from or
+    to word spelled once per call (``_witness_text``); any other through
+    its ``to_dict()``.  The stdlib's C encoder serves only ``indent=None``;
+    with an indent every chunk climbs a generator per nesting level, so this
+    writer appends each to one list instead."""
     out: list[str] = []
     _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str], written: dict) -> None:
+def _write_json(value, newline: str, out: list[str], spelled: dict) -> None:
     """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
-    level whose line break and indent is `newline`.  `written` maps
-    (id(d), newline) of each dict d already written, and (id(b), inner) of
-    each block b of rows written at the level `inner`, to its span of `out`.
-    A dict whose values are all exactly str, int, bool or None, as every
-    row of a report, is written as one string (``_leaf_lines``)."""
+    level whose line break and indent is `newline`.  A dict whose values are
+    all exactly str, int, bool or None is written as one string
+    (``_leaf_lines``).  `spelled` keeps the text the call has made of a
+    freeness table's answer blocks and of a witness's words, keyed by the
+    identity of those objects, which the document keeps alive for the call
+    and nothing edits once built."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        place = id(value), newline
-        span = written.get(place)
-        if span is not None:
-            out.extend(out[span[0] : span[1]])
-            return
-        start = len(out)
         inner = newline + "  "
         items = sorted(value.items())
         lines = _leaf_lines(items)
         if lines is not None:
             out.append("{" + inner + ("," + inner).join(lines) + newline + "}")
-        else:
-            separator = "{" + inner
-            for key, item in items:
-                out.append(separator + encode_basestring_ascii(key) + ": ")
-                _write_json(item, inner, out, written)
-                separator = "," + inner
-            out.append(newline + "}")
-        written[place] = start, len(out)
+            return
+        separator = "{" + inner
+        for key, item in items:
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out, spelled)
+            separator = "," + inner
+        out.append(newline + "}")
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -255,76 +236,62 @@ def _write_json(value, newline: str, out: list[str], written: dict) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        out.append("[" + inner)
-        runs = value.current_runs() if type(value) is _BlockRows else None
-        if runs is None:
-            _write_items(value, inner, out, written)
-        else:
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out, spelled)
             separator = "," + inner
-            for block in runs:
-                place = id(block), inner
-                span = written.get(place)
-                if span is None:
-                    start = len(out)
-                    _write_items(block, inner, out, written)
-                    written[place] = start, len(out)
-                else:
-                    out.extend(out[span[0] : span[1]])
-                out.append(separator)
-            out.pop()
         out.append(newline + "]")
-    elif type(value) is _WitnessRows:
-        _write_witness_rows(value.witnesses, newline, out)
+    elif type(value) is MinimalityWitness and type(value.shifts) is int:
+        out.append(_witness_text(value, newline, spelled))
+    elif type(value) is FreenessCertificate and value._layout is not None:
+        out.append(_table_text(value, newline, spelled))
+    elif isinstance(value, (InvariantSetCertificate, MinimalityWitness, FreenessCertificate)):
+        _write_json(value.to_dict(), newline, out, spelled)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_items(items, inner: str, out: list[str], written: dict) -> None:
-    """Append the nonempty `items` of an array at the nesting level `inner`,
-    separated as ``json.dumps`` separates them, without the brackets."""
-    separator = "," + inner
-    for item in items:
-        _write_json(item, inner, out, written)
-        out.append(separator)
-    out.pop()
-
-
-def _write_witness_rows(witnesses, newline: str, out: list[str]) -> None:
-    """Append the array of the `witnesses`' ``to_dict`` rows at the nesting
-    level `newline`, each row one string.  A from or to literal is spelled
-    and encoded once per word object, keyed by its identity, never its
-    value: (True,) == (1,), but the two are written apart.  A prefix is
-    spelled once, with its row, unless it is the start object itself.  A
-    row that is not exactly a MinimalityWitness with an int `shifts` is
-    written from its ``to_dict``, a dict that lives only for its row, so
-    nothing is copied by its identity."""
-    if not witnesses:
-        out.append("[]")
-        return
-    inner = newline + "  "
-    field, separator = "," + inner + "  ", "," + inner
-    literals: dict[int, str] = {}
-
-    def literal(w) -> str:
-        text = literals.get(id(w))
+def _witness_text(m: MinimalityWitness, newline: str, spelled: dict) -> str:
+    """The ``to_dict`` row of the witness `m` at the nesting level `newline`.
+    Its from and to words are spelled once per word object, never per
+    value: (True,) == (1,), but the two are written apart.  Its prefix is
+    spelled with its row, unless it is the start object itself."""
+    ends = []
+    for w in (m.start, m.target):
+        text = spelled.get(id(w))
         if text is None:
-            text = literals[id(w)] = encode_basestring_ascii(word_to_string(w))
-        return text
+            text = spelled[id(w)] = encode_basestring_ascii(word_to_string(w))
+        ends.append(text)
+    inner = newline + "  "
+    prefix = ends[0] if m.prefix is m.start else encode_basestring_ascii(word_to_string(m.prefix))
+    return (
+        f'{{{inner}"from": {ends[0]},{inner}"prefix": {prefix},{inner}"shifts": {int.__repr__(m.shifts)}'
+        f',{inner}"to": {ends[1]}{newline}}}'
+    )
 
-    out.append("[" + inner)
-    for m in witnesses:
-        if type(m) is MinimalityWitness and type(m.shifts) is int:
-            start, prefix = m.start, m.prefix
-            prefix = literal(start) if prefix is start else encode_basestring_ascii(word_to_string(prefix))
-            out.append(
-                f'{{{inner}  "from": {literal(start)}{field}"prefix": {prefix}'
-                f'{field}"shifts": {int.__repr__(m.shifts)}{field}"to": {literal(m.target)}{inner}}}'
+
+def _table_text(cert: FreenessCertificate, newline: str, spelled: dict) -> str:
+    """The ``to_dict`` table of the built table `cert` at the nesting level
+    `newline`, written from its layout: each depth-(i+1) word's block of
+    rows, in order.  Its exponents and every differs_at are exact ints
+    (``freeness_certificate``).  The text of each block of its answer blocks
+    is made once per call and nesting level, for every table of its j - i."""
+    blocks, ends, _ = cert._layout
+    keys, rows = newline + "  ", newline + "    "
+    texts = spelled.get((id(blocks), newline))
+    if texts is None:
+        field = "," + rows + "  "
+        texts = spelled[id(blocks), newline] = [
+            ("," + rows).join(
+                f'{{{rows}  "differs_at": {c}{field}"tail": {encode_basestring_ascii(word_to_string(t))}'
+                f"{rows}}}"
+                for t, c in block
             )
-        else:
-            _write_json(m.to_dict(), inner, out, {})
-        out.append(separator)
-    out.pop()
-    out.append(newline + "]")
+            for block in blocks
+        ]
+    entries = ("," + rows).join(map(texts.__getitem__, ends))
+    return f'{{{keys}"entries": [{rows}{entries}{keys}],{keys}"i": {cert.i},{keys}"j": {cert.j}{newline}}}'
 
 
 def _leaf_lines(items: list[tuple]) -> list[str] | None:
@@ -347,11 +314,16 @@ def _leaf_lines(items: list[tuple]) -> list[str] | None:
     return lines
 
 
-def _verdict_to_dict(v: AnalysisVerdict, rows: _WitnessRows | None = None) -> dict:
-    """The report document of `v`, plain data that ``json.dumps`` writes,
-    unless `rows` stands in for its minimality rows (``render_report``)."""
+def _verdict_to_dict(v: AnalysisVerdict, plain: bool = True) -> dict:
+    """The report document of `v`, plain data that ``json.dumps`` writes;
+    unless `plain`, it holds the certificate objects themselves, which
+    ``dump_json`` writes alike (``render_report``)."""
     one = ["minimality", "freeness"] if v.one_sided == "simple" else []
     two = ["invariant_set"] if v.two_sided == "non_simple" else []
+    invariant, minimality, freeness = v.invariant_set, v.minimality, v.freeness
+    if plain:
+        invariant = None if invariant is None else invariant.to_dict()
+        minimality, freeness = [m.to_dict() for m in minimality], [c.to_dict() for c in freeness]
     doc = {
         "format": 2,  # reports before this key are format 1 (verify_report reads both)
         "matrix": matrix_echo(v.matrix),
@@ -361,11 +333,7 @@ def _verdict_to_dict(v: AnalysisVerdict, rows: _WitnessRows | None = None) -> di
         "two_sided": {"status": v.two_sided, "certificates": two},
         "conclusion": v.conclusion,
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
-        "certificates": {
-            "invariant_set": None if v.invariant_set is None else v.invariant_set.to_dict(),
-            "minimality": [m.to_dict() for m in v.minimality] if rows is None else rows,
-            "freeness": [c.to_dict() for c in v.freeness],
-        },
+        "certificates": {"invariant_set": invariant, "minimality": minimality, "freeness": freeness},
         "citations": list(v.citations),
         "notes": list(v.notes),
     }
@@ -376,9 +344,9 @@ def _verdict_to_dict(v: AnalysisVerdict, rows: _WitnessRows | None = None) -> di
 
 def render_report(v: AnalysisVerdict) -> str:
     """Serialize a verdict deterministically (sorted keys, stable layout):
-    the bytes ``json.dumps`` writes of ``_verdict_to_dict(v)``, its
-    minimality rows written straight from the witnesses."""
-    return dump_json(_verdict_to_dict(v, _WitnessRows(v.minimality)))
+    the bytes ``json.dumps`` writes of ``_verdict_to_dict(v)``, written by
+    ``dump_json`` from the certificate objects themselves."""
+    return dump_json(_verdict_to_dict(v, plain=False))
 
 
 def _load_report(text: str):

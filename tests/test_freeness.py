@@ -256,6 +256,24 @@ def test_freeness_certificate_gates(golden, swap2, split2):
         ss.freeness_certificate(split2, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "build, args, error",
+    [
+        ("freeness_certificate", (True, 3), BadExponents),
+        ("freeness_certificate", (0, True), BadExponents),
+        ("freeness_certificate", (0, 2.0), BadExponents),
+        ("freeness_certificate", (0.0, 2), BadExponents),
+        ("analyze", (3.0,), MalformedInput),
+        ("analyze", (True,), MalformedInput),
+    ],
+)
+def test_exponents_and_depth_budgets_must_be_exact_ints(golden, build, args, error):
+    # A bool, or a float equal to an int, is refused before anything is built:
+    # no raw TypeError, and no table that its own verify refuses.
+    with pytest.raises(error, match="must be (an integer|integers), got"):
+        getattr(ss, build)(golden, *args)
+
+
 def test_freeness_certificates_small_exhaustive():
     for A in transitive_noncycle(no_zero_row_matrices(2)):
         for j in range(1, 5):
@@ -413,8 +431,8 @@ def test_tables_past_the_work_limit_are_refused_before_listing(swap2):
 
 
 def test_table_rows_are_shared_only_when_written_alike(golden):
-    # Rows are shared by their literal and typed differs_at: True == 1 and
-    # (True,) == (1,), but each is written as at every other place.
+    # Each entry is written as at every other place: True == 1 and
+    # (True,) == (1,), but the rows that hold them are written apart.
     point = lambda w, t: ss.sequences.OneSidedPoint(golden, w, t)
     entries = (
         ss.FreenessEntry(point((1, 1), (1,)), 1),
@@ -426,8 +444,6 @@ def test_table_rows_are_shared_only_when_written_alike(golden):
     assert json.dumps(rows) == json.dumps(each) == (
         '[{"differs_at": 1, "tail": "1"}, {"differs_at": true, "tail": "1"}, {"differs_at": 1, "tail": "1."}]'
     )
-    shared = ss.freeness_certificate(golden, 1, 3).to_dict()["entries"]
-    assert shared[0] is shared[3]  # 111 and 211 share w[1:] = 11, so their answer
 
 
 def test_tables_without_a_layout_are_written_from_their_own_entries(golden):

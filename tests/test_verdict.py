@@ -656,18 +656,17 @@ def test_reports_are_written_in_the_stdlib_layout(golden):
         doc = ss.verdict._verdict_to_dict(v)
         text = ss.render_report(v)
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        # A parsed table shares its rows by what they read, not by how they were built.
+        # A parsed table has no layout and is written entry by entry, to the same bytes.
         assert ss.render_report(ss.parse_report(text)) == text
 
 
 def test_render_report_hands_dump_json_nothing_json_dumps_writes_otherwise(golden, monkeypatch):
-    # render_report writes the minimality rows straight from the witnesses, through
-    # a stand-in in the document it hands dump_json.  json.dumps must refuse that
-    # document, never write other bytes, and the report must be what json.dumps
-    # writes of the plain document: for analyze's and parse_report's witnesses,
-    # and for public ones that take the writer's other path, two in a row whose
-    # row dicts live one at a time, or share no word objects, (True,) and (1,)
-    # among them, equal but written apart.
+    # render_report hands dump_json the document with the certificate objects in
+    # it.  json.dumps must refuse that document, never write other bytes, and the
+    # report must be what json.dumps writes of the plain document: for analyze's
+    # and parse_report's witnesses, and for public ones that take the writer's
+    # to_dict path, two in a row whose row dicts live one at a time, or share no
+    # word objects, (True,) and (1,) among them, equal but written apart.
     handed, dump_json = [], ss.verdict.dump_json
 
     def keep(doc):
@@ -734,23 +733,49 @@ def test_block_built_tables_are_the_per_entry_tables_in_entries_and_bytes():
         assert ss.render_report(v) == ss.verdict.dump_json(ss.verdict._verdict_to_dict(plain)), A.rows
 
 
-def test_laid_out_rows_are_written_as_json_dumps_writes_them(golden):
-    # A laid-out table's blocks are copied by identity, so the same blocks at
-    # another nesting level, and a row list edited after to_dict, must still
-    # read as json.dumps writes them.
+def test_dump_json_writes_certificate_objects_as_json_dumps_writes_their_dicts(golden):
+    # dump_json writes a built table from its answer blocks, each block's text
+    # made once per call and nesting level, and an exact witness as one string.
+    # Every document must read as json.dumps writes it with each certificate
+    # replaced by its to_dict(): one table twice and at several levels, tables
+    # of one j - i, tables without a layout, odd witnesses, dotted literals.
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
-    for A, i, j in ((golden, 1, 3), (full3, 1, 3), (full3, 0, 2)):
-        cert = ss.freeness_certificate(A, i, j)
-        nested = {"a": cert.to_dict(), "b": [cert.to_dict(), {"c": [cert.to_dict()]}]}
-        edited = []
-        for k, row in ((0, {"differs_at": True, "tail": "1"}), (-1, {"differs_at": 1, "tail": "1"})):
-            table = cert.to_dict()
-            table["entries"][k] = row
-            edited.append(table)
-        grown = cert.to_dict()
-        grown["entries"].append(dict(grown["entries"][0]))
-        for doc in (nested, {"t": edited}, grown):
-            assert ss.verdict.dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    t13, t02 = ss.freeness_certificate(golden, 1, 3), ss.freeness_certificate(golden, 0, 2)
+    wide = [ss.freeness_certificate(full3, i, i + 2) for i in range(3)]
+    e = t13.entries[3]
+    edited = replace(t13, entries=t13.entries[:3] + (replace(e, differs_at=e.differs_at + 1),) + t13.entries[4:])
+    parsed = ss.FreenessCertificate.from_dict(golden, t13.to_dict())
+    W = ss.MinimalityWitness
+    odd = [
+        W(golden, (1,), (2,), (1, 2), True),
+        W(golden, (2,), (1,), (2, 1), None),
+        W(golden, (True,), (1,), (True,), 0),
+        W(golden, (1,), (1,), (1,), 0),
+        W(golden, (1, 2), (2,), (1, 2), 1),
+        W(golden, (1,), (True,), (True,), 0),
+    ]
+    docs = [
+        {"a": t13, "b": [t13, {"c": [t02, t13]}], "d": {"e": {"f": wide}}, "g": t02},
+        {"t": wide + [t13, replace(t13), edited, parsed], "u": [[parsed, edited]]},
+        {"w": odd, "x": [odd[0], {"y": odd}], "z": [ss.find_nontrivial_invariant(golden)]},
+    ]
+    for A, depth in ((near_cycle(10), 2), (near_cycle(12), 3)):
+        v = ss.analyze(A, depth)
+        docs += [ss.verdict._verdict_to_dict(v, plain=False), {"m": v.minimality, "f": [v.freeness]}]
+    for doc in docs:
+        text = ss.verdict.dump_json(doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True, default=lambda c: c.to_dict()) + "\n"
+
+
+def test_every_small_report_is_its_plain_document_and_verifies():
+    # Over every no-zero-row 3x3 matrix at depth 3, the report written from the
+    # certificate objects is json.dumps of the plain document, and verify_report
+    # reads the conclusion back.
+    for A in no_zero_row_matrices(3):
+        v = ss.analyze(A, 3)
+        text = ss.render_report(v)
+        assert text == json.dumps(ss.verdict._verdict_to_dict(v), indent=2, sort_keys=True) + "\n", A.rows
+        assert ss.verify_report(text).conclusion == v.conclusion, A.rows
 
 
 def test_an_entry_sharing_its_answer_is_still_checked_at_its_place():
