@@ -2,6 +2,7 @@
 
 Verbs:
   analyze MATRIX [--depth N] [--out FILE]      full verdict as JSON
+  verify REPORT                                re-check a report from its text alone
   transfer apply MATRIX WEIGHT FUNCTION        apply a weighted transfer operator
   transfer recover MATRIX WEIGHT               rebuild the weight from its operator
   transfer equiv MATRIX WEIGHT1 WEIGHT2        decide weight equivalence
@@ -34,7 +35,7 @@ from .transfer import (
     weights_equivalent,
     zero_set,
 )
-from .verdict import analyze, dump_json, matrix_echo, render_report
+from .verdict import analyze, dump_json, matrix_echo, render_report, verify_report
 
 
 def _read(path: str) -> str:
@@ -76,6 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=writes, help="run the full dichotomy analysis")
     p.add_argument("--depth", type=int, default=4)
 
+    p = sub.add_parser("verify", help="re-check every claim of a report written by analyze")
+    p.add_argument("report")
+
     pt = sub.add_parser("transfer", help="weighted transfer operator tools")
     tsub = pt.add_subparsers(dest="action", required=True)
     p = tsub.add_parser("apply", parents=writes, help="apply the operator of WEIGHT to FUNCTION")
@@ -104,6 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.verb == "verify":
+        v = verify_report(_read(args.report))
+        _emit(f"verified: {v.conclusion} at depth budget {v.depth_budget}\n", None)
+        return 0
+
     A = parse_matrix(_read(args.matrix))
 
     if args.verb == "analyze":

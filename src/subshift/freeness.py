@@ -39,15 +39,18 @@ The table keeps that layout and the depth-j listing, and
 document and nesting level, joined in layout order.  ``to_dict`` reads
 `.entries`, so a built table makes its entries there.  ``from_dict``
 reads and checks each tail literal once per matrix and last symbol of the
-words it follows.  ``verify`` scans each (j - i, w[i:], tail)
-once per matrix and still compares every entry's own differs_at with the
-scan's answer.  What each entry still costs is its point and its record.
-``from_dict`` makes them as it reads; the builder makes none, and a built
-table zips its blocks with its listing only when `.entries` is first
-read, so ``render_report(analyze(A, b))`` makes no entry at all.  Both
-use ``OneSidedPoint._unchecked`` and ``FreenessEntry._unchecked``: each
-field is stored straight into its slot, the point's admissibility having
-been checked with its answer or its tail.
+words it follows, and keeps a table's rows as one answer block: the table
+it returns is laid out as that block zipped with the depth-j listing.
+``verify`` checks a laid-out table from its layout, scans each
+(j - i, w[i:], tail) once per matrix and still compares every entry's own
+differs_at with the scan's answer.  So neither the builder nor the reader
+nor ``verify`` makes an entry: a laid-out table zips its blocks with its
+listing only when `.entries` is first read, and ``render_report(analyze(A,
+b))`` or ``verify_report`` of its text makes no entry at all.  The entries
+made then are built with ``OneSidedPoint._unchecked`` and
+``FreenessEntry._unchecked``: each field is stored straight into its slot,
+the point's admissibility having been checked with its answer or its tail
+(``require_point``).
 
 A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
@@ -69,7 +72,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import (
     BadExponents,
@@ -99,6 +102,7 @@ from .sequences import (
     enumerate_words,
     periodic_seq,
     require_admissible,
+    require_point,
     require_work_limit,
     word_from_string,
     word_to_string,
@@ -365,21 +369,24 @@ class FreenessCertificate:
     A table that ``freeness_certificate`` built records its layout
     (`_layout`): the answer blocks of m = j - i, for each depth-(i+1) word
     q in listing order the block of q[-1], and the depth-j listing, so its
-    entries' answers are those blocks' in order.  ``verdict.dump_json``
-    writes such a table block by block.  A table from the constructor,
-    ``dataclasses.replace`` or ``from_dict`` has no layout, and is written
-    from its ``to_dict``, entry by entry.
+    entries' answers are those blocks' in order.  A table read by
+    ``from_dict`` is laid out too, as its rows' one block, copied once.
+    ``verdict.dump_json`` writes a laid-out table block by block, and
+    ``verify`` checks it from its layout.  A table from the constructor or
+    ``dataclasses.replace`` has no layout, and is written from its
+    ``to_dict`` and checked from its entries, entry by entry.
 
-    A built table makes its entries only when `.entries` is first read
-    (``_laid_out_entries``), so a report written from it by ``dump_json``
-    makes none; its ``to_dict`` reads them, so makes them.  The
-    class binds that rule to `entries` as a ``functools.cached_property``,
-    a non-data descriptor, after the dataclass is made, so `entries` stays
-    a field: the constructor, ``fields``, ``replace`` and ``repr`` see it
-    as before.  What it makes is stored in the instance ``__dict__``, as
-    ``__init__`` stores given entries, and a value there takes precedence
-    over a non-data descriptor.  So the class keeps its ``__dict__``: with
-    slots, `entries` would be a slot's descriptor, and no cached property.
+    A laid-out table makes its entries only when `.entries` is first read
+    (``_laid_out_entries``), so neither a report written from it by
+    ``dump_json`` nor ``verify`` makes any; its ``to_dict`` reads them, so
+    makes them.  The class binds that rule to `entries` as a
+    ``functools.cached_property``, a non-data descriptor, after the
+    dataclass is made, so `entries` stays a field: the constructor,
+    ``fields``, ``replace`` and ``repr`` see it as before.  What it makes
+    is stored in the instance ``__dict__``, as ``__init__`` stores given
+    entries, and a value there takes precedence over a non-data
+    descriptor.  So the class keeps its ``__dict__``: with slots,
+    `entries` would be a slot's descriptor, and no cached property.
     """
 
     matrix: AdjacencyMatrix
@@ -403,25 +410,36 @@ class FreenessCertificate:
         (m, u, t), and ``_tail_difference(u, t)`` scans each once per
         matrix, kept in A's private table under (m, u, t), apart
         from the builder's answer blocks.  A scan that equalizes the shifts
-        is kept nowhere, and every entry's differs_at is compared."""
+        is kept nowhere, and every entry's differs_at is compared.
+
+        A table with a layout is checked from it, never from `.entries`: its
+        depth-j listing zipped with its blocks' answers (t, differs_at) in
+        layout order, each point built over the table's matrix.  A table
+        from the constructor or ``replace`` feeds its entries' words, answers
+        and matrices into the same loop, each point's matrix compared."""
         i, j, A = self.i, self.j, self.matrix
         if type(i) is not int or type(j) is not int:
             raise CertificateInvalid(f"(i={i!r}, j={j!r}): exponents must be integers")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
-        points = [e.witness for e in self.entries]
-        words = [point.prefix for point in points]
+        if self._layout is None:
+            entries = self.entries
+            words = [e.witness.prefix for e in entries]
+            answers = [(e.witness.tail, e.differs_at) for e in entries]
+            matrices = [e.witness.matrix for e in entries]
+        else:  # as many answers as words, each point over A (freeness_certificate, from_dict)
+            blocks, ends, words = self._layout
+            answers, matrices = chain.from_iterable(map(blocks.__getitem__, ends)), repeat(A)
         if not _covers(A, j, len(words)) or words != _depth_words(A, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
         m, differences = j - i, A._answers
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
-            for k, (e, point) in enumerate(zip(self.entries, points)):
-                if point.matrix is not A and point.matrix != A:
+            for k, (w, (t, differs_at), M) in enumerate(zip(words, answers, matrices)):
+                if M is not A and M != A:
                     raise CertificateInvalid("witness built over a different matrix")
-                differs_at = e.differs_at
                 if type(differs_at) is not int:
                     raise CertificateInvalid(f"differs_at must be an integer, got {differs_at!r}")
-                u, t = point.prefix[i:], point.tail
+                u = w[i:]
                 key = m, u, t
                 c = differences.get(key)
                 if c is None:
@@ -434,7 +452,7 @@ class FreenessCertificate:
 
     def to_dict(self) -> dict:
         """The table as a report stores it, one row per entry, read from
-        `.entries`: a built table makes its entries here."""
+        `.entries`: a laid-out table makes its entries here."""
         rows = [{"differs_at": e.differs_at, "tail": word_to_string(e.witness.tail)} for e in self.entries]
         return {"i": self.i, "j": self.j, "entries": rows}
 
@@ -448,18 +466,22 @@ class FreenessCertificate:
         may follow w, w . t^inf being admissible, depends only on w[-1] and
         t, since w is a listed word.  So the first entry of each (w[-1],
         tail literal) pair that A meets, in this table or an earlier one,
-        parses t and builds its point checked, and a bad tail fails at its
-        first such entry with that entry's message; later entries of the
-        pair reuse the parsed tail, kept in A's private table under
-        (w[-1], literal), unchecked."""
+        parses t and checks its point, and a bad tail fails at its first
+        such entry with that entry's message; later entries of the pair
+        reuse the parsed tail, kept in A's private table under (w[-1],
+        literal).  Each row's answer (t, differs_at) goes into one list, the
+        table's one answer block, and the table is laid out as one copy of
+        that block zipped with the depth-j listing, as a built table is: it
+        makes no entry, and makes its entries when `.entries` is first read
+        (``_laid_out_entries``).  Whether each differs_at is right is left
+        to ``verify``."""
         i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
         exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
         if not _covers(A, j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, entries, tails = _depth_words(A, j), [], A._answers
-        entry, point = FreenessEntry._unchecked, OneSidedPoint._unchecked
+        words, answers, tails = _depth_words(A, j), [], A._answers
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 # Each row's keys and types are tested inline; exact_keys and json_field raise.
@@ -472,22 +494,23 @@ class FreenessCertificate:
                     json_field(row, str, "tail")
                 tail = tails.get((w[-1], literal))
                 if tail is None:
-                    witness = OneSidedPoint(A, w, word_from_string(literal))
-                    tails[w[-1], literal] = witness.tail
-                else:
-                    witness = point(A, w, tail)
+                    tail = word_from_string(literal)
+                    require_point(A, w, tail)
+                    tails[w[-1], literal] = tail
                 if type(differs_at) is not int:
                     json_field(row, int, "differs_at")
-                entries.append(entry(witness, differs_at))
-        return cls(A, i, j, tuple(entries))
+                answers.append((tail, differs_at))
+        cert = object.__new__(cls)  # no entries yet: they are made on first read
+        cert.__dict__.update(matrix=A, i=i, j=j, _layout=((answers,), [0], words))
+        return cert
 
 
 def _laid_out_entries(cert: FreenessCertificate) -> tuple[FreenessEntry, ...]:
-    """A built table's entries, made when `.entries` is first read: the
+    """A laid-out table's entries, made when `.entries` is first read: the
     point w . t^inf and the entry of each word w of the depth-j listing the
     layout keeps, zipped with the answers (t, differs_at) of its blocks in
-    order.  Both are built unchecked, as ``freeness_certificate`` argues,
-    so the read cannot raise."""
+    order.  Both are built unchecked, as ``freeness_certificate`` and
+    ``FreenessCertificate.from_dict`` argue, so the read cannot raise."""
     blocks, ends, words = cert._layout
     A, entry, point = cert.matrix, FreenessEntry._unchecked, OneSidedPoint._unchecked
     answers = chain.from_iterable(map(blocks.__getitem__, ends))
@@ -651,7 +674,7 @@ def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _Bl
         blocks = tuple([] for _ in A.symbols)
         for u in _depth_words(A, m):
             tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else _path(A, u[-1], u[-1])[1:]
-            OneSidedPoint(A, u, tail)  # raises unless u . tail^inf is admissible
+            require_point(A, u, tail)
             c = _tail_difference(u, tail)
             if c is None:
                 k = next(k for k, w in enumerate(words) if w[i:] == u)

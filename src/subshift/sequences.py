@@ -321,6 +321,15 @@ def periodic_seq(A: AdjacencyMatrix, period: str | Iterable[int], origin: int = 
     return EventuallyPeriodicSeq(A, word, (), word, origin)
 
 
+def require_point(A: AdjacencyMatrix, prefix: Word, tail: Word) -> None:
+    """Raise unless prefix . tail^infinity is a point of A, the check that
+    builds a ``OneSidedPoint``, made without building one."""
+    if not prefix or not tail:
+        raise MalformedInput("one-sided point needs a nonempty prefix and tail period")
+    if not A.admits(prefix + tail + tail[:1]):
+        raise InadmissibleWord(f"point {word_to_string(prefix)} . ({word_to_string(tail)})^inf is not admissible")
+
+
 @dataclass(frozen=True, slots=True)
 class OneSidedPoint:
     """The one-sided point prefix . tail^infinity, read at coordinates k >= 0.
@@ -334,11 +343,7 @@ class OneSidedPoint:
     tail: Word
 
     def __post_init__(self) -> None:
-        if not self.prefix or not self.tail:
-            raise MalformedInput("one-sided point needs a nonempty prefix and tail period")
-        if not self.matrix.admits(self.prefix + self.tail + self.tail[:1]):
-            word = f"{word_to_string(self.prefix)} . ({word_to_string(self.tail)})"
-            raise InadmissibleWord(f"point {word}^inf is not admissible")
+        require_point(self.matrix, self.prefix, self.tail)
 
     @classmethod
     def _unchecked(cls, A: AdjacencyMatrix, prefix: Word, tail: Word) -> "OneSidedPoint":

@@ -17,16 +17,16 @@ and every integer field to be a JSON integer.
 
 ``render_report`` hands ``dump_json`` the document with the certificate
 objects in it, and ``dump_json`` writes each as ``json.dumps`` writes its
-``to_dict()``, without making that dict where it can: a built freeness
-table from its answer blocks, each block's text made once per report and
-joined in the table's layout, so no entry is made; a minimality witness as
-one string.  The minimality section pays once per report for each of its
-spot words, the symbols and the edges: ``analyze`` builds the
-(n + |E|)^2 witnesses from them unchecked, ``dump_json`` spells and
-encodes each once, the reader parses each from/to literal once, and
-``verify_report`` compares the spot pairs without listing them.  Each row
-costs its witness's five slot stores, one spelling of its prefix and one
-string.
+``to_dict()``, without making that dict where it can: a laid-out freeness
+table, built or read, from its answer blocks, each block's text made once
+per report and joined in the table's layout, so no entry is made; a
+minimality witness as one string.  The minimality section pays once per
+report for each of its spot words, the symbols and the edges: ``analyze``
+builds the (n + |E|)^2 witnesses from them unchecked, ``dump_json``
+spells and encodes each once, the reader parses each from/to literal
+once, and ``verify_report`` compares the spot pairs without listing them.
+Each row costs its witness's five slot stores, one spelling of its prefix
+and one string.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ def dump_json(doc: dict) -> str:
     and list or tuple values as ``json.dumps(doc, indent=2, sort_keys=True)
     + "\\n"`` does, and refuses any other with the stdlib's TypeError, a
     float too, which ``json.dumps`` would write; no document holds a float.
-    A certificate it writes as ``json.dumps`` writes its ``to_dict()``:
-    a built freeness table from its answer blocks, each block's rows made
-    into text once per call and nesting level and joined in the table's
-    layout (``_table_text``), so it makes no entry; an exact
+    A certificate it writes as ``json.dumps`` writes its ``to_dict()``: a
+    laid-out freeness table, built or read, from its answer blocks, each
+    block's rows made into text once per call and nesting level and joined
+    in the table's layout (``_table_text``), so it makes no entry; an exact
     ``MinimalityWitness`` with an int `shifts` as one string, each from or
     to word spelled once per call (``_witness_text``); any other through
     its ``to_dict()``.  The stdlib's C encoder serves only ``indent=None``;
@@ -272,11 +272,12 @@ def _witness_text(m: MinimalityWitness, newline: str, spelled: dict) -> str:
 
 
 def _table_text(cert: FreenessCertificate, newline: str, spelled: dict) -> str:
-    """The ``to_dict`` table of the built table `cert` at the nesting level
-    `newline`, written from its layout: each depth-(i+1) word's block of
-    rows, in order.  Its exponents and every differs_at are exact ints
-    (``freeness_certificate``).  The text of each block of its answer blocks
-    is made once per call and nesting level, for every table of its j - i."""
+    """The ``to_dict`` table of the laid-out table `cert` at the nesting
+    level `newline`, written from its layout: each depth-(i+1) word's block
+    of rows, in order.  Its exponents and every differs_at are exact ints
+    (``freeness_certificate``, ``FreenessCertificate.from_dict``).  The
+    text of each block of its answer blocks is made once per call and
+    nesting level, for every table of its j - i."""
     blocks, ends, _ = cert._layout
     keys, rows = newline + "  ", newline + "    "
     texts = spelled.get((id(blocks), newline))

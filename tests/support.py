@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import subshift as ss
 from subshift.errors import SymbolOutOfRange
@@ -86,6 +87,19 @@ def brute_force_words(A: ss.AdjacencyMatrix, k: int) -> list[tuple[int, ...]]:
         if all(A.rows[a - 1][b - 1] for a, b in zip(w, w[1:])):
             out.append(w)
     return out
+
+
+def per_entry_row(A: ss.AdjacencyMatrix, i: int, j: int, w) -> tuple:
+    """The entry of w in table (i, j) by the per-entry rule: the tail chosen
+    from u = w[i:] alone, and where shift^i and shift^j of w . t^inf first
+    differ, scanned on that point itself, coordinate by coordinate."""
+    u = w[i:]
+    if (u[-1], u[0]) in A.edges:
+        tail = ss.freeness._diverting_tail(A, u)
+    else:
+        tail = ss.find_path(A, u[-1], u[-1])[1:]
+    point = ss.sequences.OneSidedPoint(A, w, tail)
+    return w, tail, next(c for c in range(len(w) + len(tail)) if point[i + c] != point[j + c]) + 1
 
 
 def dense_refine(A: ss.AdjacencyMatrix, table: dict, k: int, depth: int) -> dict:
@@ -179,6 +193,18 @@ def tail_entry_verifies(A: ss.AdjacencyMatrix, w, i: int, j: int, tail_text, dif
     x = tuple(w) + tail * (2 * (len(w) + j + len(tail)))
     diffs = [c for c in range(len(x) - j) if x[i + c] != x[j + c]]
     return bool(diffs) and diffs[0] == differs_at - 1
+
+
+# analyze's reports at report format 1, before the format key existed.
+FORMAT1_FIXTURES = {
+    "golden_d4": ([[1, 1], [1, 0]], 4),
+    "full3_d3": ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 3),
+    "n4_d4": ([[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1], [1, 1, 0, 0]], 4),
+}
+
+
+def format1_text(name: str) -> str:
+    return (Path(__file__).parent / "fixtures" / f"{name}_format1.json").read_text()
 
 
 def format1_as_format2(doc: dict) -> dict:

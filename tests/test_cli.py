@@ -377,6 +377,32 @@ def _same_weight(text: str, files: dict) -> None:  # reads back as the row's wei
 
 
 _DEPTH_1001 = "1" + "0" * 1000  # a numeral that int() reads under the default digit limit but not under 640
+_REPORT = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 3))
+
+
+def _edited_report(edit: Callable[[dict], None]) -> str:
+    doc = json.loads(_REPORT)
+    edit(doc)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _report_row(k: int, **fields) -> str:
+    """golden's depth-3 report with row k of its table (i=1, j=3) set to `fields`."""
+    return _edited_report(lambda doc: doc["certificates"]["freeness"][4]["entries"].__setitem__(k, fields))
+
+
+# The all-ones 708 x 708 matrix has 501,264 depth-2 words, which a report's table (0, 2)
+# of as many empty rows matches in count; listing them is refused before any row is read.
+_WIDE_ROWS = "[" + ",".join(["[" + ",".join("1" * 708) + "]"] * 708) + "]"
+_WIDE_REPORT = (
+    '{"format": 2, "matrix": {"n": 708, "rows": ' + _WIDE_ROWS + '}, "depth_budget": 2, "certificates": {'
+    '"invariant_set": null, "minimality": [], "freeness": ['
+    '{"i": 0, "j": 1, "entries": [' + ", ".join(['{"differs_at": 1, "tail": "1"}'] * 708) + "]}, "
+    '{"i": 0, "j": 2, "entries": [' + ", ".join(["{}"] * 708**2) + "]}, "
+    '{"i": 1, "j": 2, "entries": []}]}}\n'
+)
+
+
 _FILES = {
     "g.mat": GOLDEN,
     "s.mat": SWAP,
@@ -393,10 +419,19 @@ _FILES = {
     "badw.txt": b"depth 1\n1 \xe9\n",
     "badf.txt": b"depth 1\n1 0.5\x80\n",
     "f1001.txt": f"depth {_DEPTH_1001}\n1 1\n2 1\n",
+    "r.json": _REPORT,
+    "differs.json": _report_row(3, differs_at=3, tail="121"),
+    "tail.json": _report_row(3, differs_at=2, tail="22"),
+    "symbol.json": _report_row(3, differs_at=2, tail="3"),
+    "key.json": _report_row(3, differs_at=2),
+    "zero.json": _edited_report(lambda doc: doc["matrix"].__setitem__("rows", [[1, 1], [0, 0]])),
+    "wide.json": _WIDE_REPORT,
+    "badr.json": _REPORT.encode().replace(b'"121"', b'"12\xe9"', 1),
 }
 # Past 9 symbols literals are dotted numerals, spelled from the one listing of the words.
 _TEN_2 = "".join(f"{a}{b}\n" if max(a, b) < 10 else f"{a}.{b}\n" for a in range(1, 11) for b in range(1, 11))
 _DEEP = "error: table must cover every admissible depth-200000 word (missing at least 1)\n"
+_TABLE = "error: certificates.freeness[4] (i=1, j=3).entries[3] [211]: "
 _LISTING = "error: listing the length-{} words would build over 1000000 entries (subshift.sequences.MAX_FREENESS_ENTRIES)\n"
 _ROWS = {
     "analyze": Row("analyze g.mat --depth 3 --out out", 0, "out", _report),
@@ -418,6 +453,15 @@ _ROWS = {
     "utf8-matrix": Row("words bad.mat 2", 2, "stderr", "error: bad.mat is not UTF-8 text\n"),
     "utf8-weight": Row("transfer apply g.mat badw.txt f.txt", 2, "stderr", "error: badw.txt is not UTF-8 text\n"),
     "utf8-function": Row("transfer apply g.mat w.txt badf.txt", 2, "stderr", "error: badf.txt is not UTF-8 text\n"),
+    # analyze --out r.json; verify r.json.  A refused report names the refusal's place in it.
+    "verify": Row("verify r.json", 0, "stdout", "verified: not_isomorphic at depth budget 3\n"),
+    "verify-certificate": Row("verify differs.json", 2, "stderr", f"{_TABLE}differs_at 3, but they first differ at 2\n"),
+    "verify-inadmissible": Row("verify tail.json", 2, "stderr", f"{_TABLE}point 211 . (22)^inf is not admissible\n"),
+    "verify-symbol": Row("verify symbol.json", 2, "stderr", f"{_TABLE}symbol 3 not in 1..2\n"),
+    "verify-malformed": Row("verify key.json", 2, "stderr", f"{_TABLE}missing key 'tail'\n"),
+    "verify-zero-row": Row("verify zero.json", 2, "stderr", "error: symbol 2 has no successor\n"),
+    "verify-work-limit": Row("verify wide.json", 2, "stderr", _LISTING.format(2).replace("error: ", "error: certificates.freeness[1] ")),
+    "utf8-report": Row("verify badr.json", 2, "stderr", "error: badr.json is not UTF-8 text\n"),
 }
 _REFUSED = "error: int_max_str_digits is {}; subshift needs at least 4300 or 0\n"
 _READ = f"error: table words must be admissible depth-{_DEPTH_1001} words (unknown ['1', '2'])\n"  # the header is read

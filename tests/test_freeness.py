@@ -20,7 +20,14 @@ from subshift.errors import (
     NotTransitive,
     WorkLimitExceeded,
 )
-from support import no_zero_row_matrices, random_matrix
+from support import (
+    FORMAT1_FIXTURES,
+    brute_force_words,
+    format1_text,
+    no_zero_row_matrices,
+    per_entry_row,
+    random_matrix,
+)
 
 
 def transitive_noncycle(matrices):
@@ -448,9 +455,10 @@ def test_table_rows_are_shared_only_when_written_alike(golden):
 
 def test_tables_without_a_layout_are_written_from_their_own_entries(golden):
     # A built table keeps its answer blocks' layout and is written from it.
-    # A table from the constructor, from replace or from from_dict has none:
-    # each is written from its own entries, so an edited entry shows in the
-    # bytes even where the built table it was edited from has a layout.
+    # A table from the constructor or from replace has none, and is written
+    # from its own entries, so an edited entry shows in the bytes even where
+    # the built table it was edited from has a layout.  A table from_dict
+    # reads is laid out as its own rows, one block, so it writes them too.
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
     for A, i, j, k in ((golden, 1, 3, 3), (full3, 1, 3, 4), (full3, 0, 2, 0)):
         cert = ss.freeness_certificate(A, i, j)
@@ -468,6 +476,7 @@ def test_tables_without_a_layout_are_written_from_their_own_entries(golden):
                 ss.FreenessCertificate.from_dict(A, {"i": i, "j": j, "entries": rows}),
             ):
                 assert ss.verdict.dump_json(table.to_dict()) == expected
+                assert ss.verdict.dump_json(table) == expected
         assert ss.verdict.dump_json(cert.to_dict()) != expected
 
 
@@ -598,3 +607,131 @@ def test_a_kept_listing_is_refused_whenever_a_fresh_one_is(monkeypatch):
                     cert.verify()
                     outcomes["built"] += 1
     assert outcomes["refused"] and outcomes["built"]
+
+
+def _refuse_entries(monkeypatch):
+    """From here on, making a FreenessEntry or a OneSidedPoint by any path fails."""
+
+    def made(*args, **kwargs):
+        raise AssertionError("a freeness entry or a one-sided point was made")
+
+    for cls in (ss.FreenessEntry, ss.sequences.OneSidedPoint):
+        monkeypatch.setattr(cls, "__init__", made)
+        monkeypatch.setattr(cls, "_unchecked", made)
+
+
+def _first_read(cert):
+    return [(e.word, e.witness.tail, e.differs_at) for e in cert.entries]
+
+
+def test_read_tables_are_laid_out_and_make_their_entries_on_first_read(monkeypatch):
+    # from_dict keeps a table's rows as one answer block and lays the table
+    # out as that block zipped with the depth-j listing, as a built table is
+    # laid out from its blocks.  Reading and checking a report, and checking
+    # a built or a read table, make no entry and no point; a read table's
+    # first .entries read gives the per-entry rule's entries, and a verified
+    # report renders to its own text.  Over 200 seeded transitive non-cycle
+    # matrices at depth budget 4, and the format-1 fixtures.
+    rng, reports = random.Random(30), []
+    while len(reports) < 200:
+        A = random_matrix(rng, nmax=5, nmin=2)
+        if ss.is_transitive(A) and not ss.is_cycle(A):
+            text = ss.render_report(ss.analyze(A, 4))
+            reports.append((A.rows, 4, text, text))
+    for name, (rows, b) in sorted(FORMAT1_FIXTURES.items()):
+        written = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows(rows), b))
+        reports.append((rows, b, format1_text(name), written))
+    for seen, (rows, b, text, written) in enumerate(reports):
+        with monkeypatch.context() as patch:
+            _refuse_entries(patch)
+            built = ss.analyze(ss.AdjacencyMatrix.from_rows(rows), b)
+            read = ss.verify_report(text)
+            assert ss.render_report(read) == written == ss.render_report(built)
+            for cert in built.freeness + read.freeness:
+                cert.verify()
+                assert "entries" not in vars(cert) and cert._layout is not None
+        A = read.matrix
+        for cert in read.freeness:
+            i, j = cert.i, cert.j
+            assert _first_read(cert) == [per_entry_row(A, i, j, w) for w in brute_force_words(A, j)], (rows, i, j)
+            assert all(type(e) is ss.FreenessEntry and e.witness.matrix is A for e in cert.entries)
+            assert vars(cert)["entries"] is cert.entries
+        if seen % 20:
+            continue
+        # copy, pickle and replace treat a read table as they treat a built one.
+        built = ss.analyze(ss.AdjacencyMatrix.from_rows(rows), b)
+        for cert, twin, expected in zip(ss.parse_report(text).freeness, built.freeness, read.freeness):
+            for table in (cert, twin):
+                for copied in (copy.copy(table), pickle.loads(pickle.dumps(table))):
+                    assert "entries" not in vars(copied) and copied._layout is not None
+                    assert _first_read(copied) == _first_read(expected)
+                    assert all(e.witness.matrix is copied.matrix for e in copied.entries)
+                    copied.verify()
+                assert "entries" not in vars(table)
+                replaced = replace(table)
+                assert replaced._layout is None and _first_read(replaced) == _first_read(expected)
+                replaced.verify()
+                assert ss.verdict.dump_json(replaced) == ss.verdict.dump_json(table)
+
+
+_GOLDEN_D4 = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 4))
+# Row 3 of table 4 is the word 211, tail 121, differs_at 2; row 0 of table 9 is 1111, tail 121, differs_at 2.
+_AT = {4: "certificates.freeness[4] (i=1, j=3)", 9: "certificates.freeness[9] (i=3, j=4)"}
+_ROW = {(4, 3): ".entries[3] [211]: ", (9, 0): ".entries[0] [1111]: "}
+_ROW_EDITS = {  # edit -> (the row's new fields, the deleted key, whether parse_report refuses it too)
+    "differs_at+1": ({"differs_at": 3}, None, False),
+    "differs_at-1": ({"differs_at": 1}, None, False),
+    "differs_at-true": ({"differs_at": True}, None, True),
+    "differs_at-float": ({"differs_at": 2.0}, None, True),
+    "other-tail": ({"tail": "112"}, None, False),
+    "inadmissible-tail": ({"tail": "22"}, None, True),
+    "equalizing-tail": (None, None, False),  # the tail w[i:], which the junction edge lets repeat
+    "missing-key": ({}, "tail", True),
+    "extra-key": ({"word": "211"}, None, True),
+}
+# The refusals of verify_report at the commit before from_dict laid read tables out.
+_REFUSALS = {
+    "differs_at+1": (CertificateInvalid, "{at}{row}differs_at 3, but they first differ at 2"),
+    "differs_at-1": (CertificateInvalid, "{at}{row}differs_at 1, but they first differ at 2"),
+    "differs_at-true": (MalformedInput, "{at}{row}differs_at must be a JSON integer, got True"),
+    "differs_at-float": (MalformedInput, "{at}{row}differs_at must be a JSON integer, got 2.0"),
+    "other-tail": (CertificateInvalid, "{at}{row}differs_at 2, but they first differ at 3"),
+    "inadmissible-tail": (InadmissibleWord, "{at}{row}point {word} . (22)^inf is not admissible"),
+    "equalizing-tail": (CertificateInvalid, "{at}{row}witness equalizes the shifts"),
+    "missing-key": (MalformedInput, "{at}{row}missing key 'tail'"),
+    "extra-key": (MalformedInput, "{at}{row}unexpected key 'word'"),
+    "short": (CertificateInvalid, "{at}: entries do not cover the depth-j cylinders"),
+}
+
+
+@pytest.mark.parametrize("t, k", sorted(_ROW))
+@pytest.mark.parametrize("edit", sorted(_REFUSALS))
+def test_a_one_row_edit_is_refused_where_and_as_it_was(t, k, edit):
+    # Each edit of one row of golden's depth-4 report raises the class and the
+    # located message it raised before read tables were laid out, and
+    # parse_report refuses exactly the edits it refused then: it does not
+    # judge a differs_at, nor whether a tail's shifts differ.
+    doc = json.loads(_GOLDEN_D4)
+    table = doc["certificates"]["freeness"][t]
+    rows = table["entries"]
+    word = ss.word_to_string(ss.enumerate_words(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), table["j"])[k])
+    assert rows[k] == {"differs_at": 2, "tail": "121"}
+    if edit == "short":
+        rows.pop()
+        parse_refuses = True
+    else:
+        fields, deleted, parse_refuses = _ROW_EDITS[edit]
+        rows[k].update({"tail": word[table["i"]:]} if fields is None else fields)
+        rows[k].pop(deleted, None)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    error, message = _REFUSALS[edit]
+    message = message.format(at=_AT[t], row=_ROW[t, k], word=word)
+    with pytest.raises(error) as refused:
+        ss.verify_report(text)
+    assert type(refused.value) is error and str(refused.value) == message
+    if parse_refuses:
+        with pytest.raises(error) as refused:
+            ss.parse_report(text)
+        assert type(refused.value) is error and str(refused.value) == message
+    else:
+        ss.parse_report(text)

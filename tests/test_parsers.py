@@ -14,8 +14,8 @@ examples.  Numbers an edit can write are at most 8, so header depths stay
 at most 8 and every example runs in milliseconds; that cap bounds the
 runtime of this test, it does not mean deeper headers are cheap.
 
-On the command line every verb, given such files or files holding a byte
-that is not UTF-8, exits 0 or 2 with no traceback.
+On the command line every verb, given such files, reports with one edit,
+or files holding a byte that is not UTF-8, exits 0 or 2 with no traceback.
 """
 
 import io
@@ -247,14 +247,55 @@ _CLI_VERBS = [
     ["transfer", "apply", "{m}", "{w}", "{f}"],
     ["transfer", "recover", "{m}", "{w}"],
     ["transfer", "equiv", "{m}", "{w}", "{v}"],
+    ["verify", "{r}"],
 ]
+# Valid reports over a conclusive, a cycle and a not-transitive matrix, at depth budgets 2 to 4.
+_REPORTS = [
+    ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows(rows), depth))
+    for rows in ([[1, 1], [1, 0]], [[1, 1, 1]] * 3, [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+    for depth in (2, 3, 4)
+]
+_JSON_VALUES = st.sampled_from([0, 1, 2, -1, 10**30, 1.5, True, False, None, "", "1", "12", "121", "3", "x", [], {}])
+
+
+def _places(value):
+    """Every (container, key) of the document `value`: each dict key and list index, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield value, key
+        yield from _places(item)
+
+
+@st.composite
+def _report_files(draw):
+    """A valid report with one edit: a leaf changed, a key deleted or repeated, or the text cut short."""
+    text = draw(st.sampled_from(_REPORTS))
+    action = draw(st.sampled_from(["leaf", "delete", "repeat", "truncate"]))
+    if action == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    if action == "leaf":
+        places = [(c, key) for c, key in _places(doc) if not isinstance(c[key], (dict, list))]
+    else:
+        places = [(c, key) for c, key in _places(doc) if isinstance(c, dict)]
+    container, key = places[draw(st.integers(0, len(places) - 1))]
+    if action == "delete":
+        del container[key]
+    elif action == "leaf":
+        container[key] = draw(_JSON_VALUES)
+    else:  # the key written twice, the second time with another value, which json.loads keeps
+        container["\0"] = None
+        repeated = f"{json.dumps(key)}: {json.dumps(draw(_JSON_VALUES))}"
+        return json.dumps(doc, indent=2).replace('"\\u0000": null', repeated)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @st.composite
 def _cli_runs(draw):
     """A verb's argv and the files it names, drawn as above over one matrix.
 
-    One random edit more may put a byte that is not UTF-8 into one of the files.
+    A report is a valid one with one edit (``_report_files``).  One random
+    edit more may put a byte that is not UTF-8 into one of the files.
     """
     argv = draw(st.sampled_from(_CLI_VERBS))
     A, weight = draw(_weight_files())
@@ -264,6 +305,8 @@ def _cli_runs(draw):
         "v": draw(_weight_files().filter(lambda case: case[0] is A))[1],
         "f": draw(_function_files().filter(lambda case: case[0] is A))[1],
     }
+    if "{r}" in argv:
+        texts["r"] = draw(_report_files())
     files = {name: text.encode() for name, text in texts.items() if f"{{{name}}}" in argv}
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(files)))

@@ -29,3 +29,12 @@ def test_readme_library_example_runs():
     claimed_true = [line.split("#")[0] for line in code if line.endswith("# True")]
     assert claimed_true and all(eval(expr, namespace) is True for expr in claimed_true)
     assert namespace["verdict"].conclusion == ss.verdict.NOT_ISOMORPHIC  # as its comment says
+
+
+def test_readme_verify_example_is_the_output(tmp_path, capsys, monkeypatch):
+    shown = _block_after("$ subshift verify report.json", lambda line: line.startswith("$"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golden.mat").write_text("2\n1 1\n1 0\n")
+    assert main(["analyze", "golden.mat", "--out", "report.json"]) == 0
+    assert main(["verify", "report.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == shown == ["verified: not_isomorphic at depth budget 4"]

@@ -6,7 +6,6 @@ import re
 import time
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,29 +14,19 @@ from hypothesis import strategies as st
 import subshift as ss
 from subshift.errors import CertificateInvalid, MalformedInput, WorkLimitExceeded
 from support import (
+    FORMAT1_FIXTURES,
     brute_force_words,
     format1_as_format2,
+    format1_text,
     masked,
     near_cycle,
     no_zero_row_matrices,
+    per_entry_row,
     random_function,
     random_matrix,
     random_weight,
     tail_entry_verifies,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
-# analyze's reports at report format 1, before the format key existed.
-FORMAT1_FIXTURES = {
-    "golden_d4": ([[1, 1], [1, 0]], 4),
-    "full3_d3": ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 3),
-    "n4_d4": ([[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1], [1, 1, 0, 0]], 4),
-}
-
-
-def format1_text(name: str) -> str:
-    return (FIXTURES / f"{name}_format1.json").read_text()
-
 
 def test_analyze_golden(golden):
     v = ss.analyze(golden)
@@ -698,19 +687,6 @@ def test_render_report_hands_dump_json_nothing_json_dumps_writes_otherwise(golde
     assert rows == [m.to_dict() for m in odd] and rows[2]["from"] != rows[2]["to"]
 
 
-def _per_entry_row(A: ss.AdjacencyMatrix, i: int, j: int, w) -> tuple:
-    """The entry of w in table (i, j) by the per-entry rule: the tail chosen
-    from u = w[i:] alone, and where shift^i and shift^j of w . t^inf first
-    differ, scanned on that point itself, coordinate by coordinate."""
-    u = w[i:]
-    if (u[-1], u[0]) in A.edges:
-        tail = ss.freeness._diverting_tail(A, u)
-    else:
-        tail = ss.find_path(A, u[-1], u[-1])[1:]
-    point = ss.sequences.OneSidedPoint(A, w, tail)
-    return w, tail, next(c for c in range(len(w) + len(tail)) if point[i + c] != point[j + c]) + 1
-
-
 def test_block_built_tables_are_the_per_entry_tables_in_entries_and_bytes():
     # analyze builds each table from answer blocks, one per (j - i, first
     # symbol), and writes each block's rows once per report.  Over 200 seeded
@@ -726,7 +702,7 @@ def test_block_built_tables_are_the_per_entry_tables_in_entries_and_bytes():
         v = ss.analyze(A, 4)
         for cert in v.freeness:
             i, j = cert.i, cert.j
-            rule = [_per_entry_row(A, i, j, w) for w in brute_force_words(A, j)]
+            rule = [per_entry_row(A, i, j, w) for w in brute_force_words(A, j)]
             assert [(e.word, e.witness.tail, e.differs_at) for e in cert.entries] == rule, (A.rows, i, j)
         plain = replace(v, freeness=tuple(replace(cert) for cert in v.freeness))
         assert all(cert._layout is None for cert in plain.freeness)
