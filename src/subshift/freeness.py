@@ -17,59 +17,49 @@ Every certificate re-verifies itself from its stored data alone via
 ``verify``, which ``verify_report`` runs where a report is read.  The
 builders return what they construct without running it.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
-A depth-j table reads its words from ``_depth_words``: the work limit is
-checked on every call, so it refuses a table when it is built, read or
-verified alike, and ``enumerate_words`` lists the depth once per matrix.
-A table's size is compared with the number of depth-j words before they
-are listed: ``count_past`` counts them until the depth is first listed,
-and from then on the kept listing's length answers (``_covers``).
+A depth-j table reads its words from ``_depth_words``, which checks the
+work limit on every call, so a table is refused alike when it is built,
+read or verified; its size is compared with the count of depth-j words
+before any is listed (``_covers``).
+
+Answers live for one call, in a store (``_Answers``) with one dict per
+kind, not on the matrix, which keeps only its n^2-bounded path answers.
+``analyze``, ``parse_report`` and ``verify_report`` each open one store
+for their whole call (``_one_store``); it binds to the first matrix
+looked up in it, so the tables and rows of one report share it.  Any
+other call, or one over another matrix, works in a fresh store dropped
+when it returns.  The open store is a context variable's value, so no
+two threads share one.
 
 A freeness entry of the word w depends only on m = j - i and u = w[i:]:
-shift^i maps the cylinder [w] onto [u], its image.  So a report's many
-entries, in its many tables, hold few distinct answers, and each step pays
-once per answer, not once per entry or per table.  Each answer is kept in
-the matrix's private table (``AdjacencyMatrix._answers``).  The builder
-works out and checks the answers of each m once per matrix, in blocks:
-block s of m holds the answers of the depth-m words that start with s, in
-listing order.  Listed in order, the depth-j words are each depth-(i+1)
-word q followed by the depth-m words that start with q[-1], less that
-symbol, so table (i, j) is, for each q in order, a copy of block q[-1].
-The table keeps that layout and the depth-j listing, and
-``verdict.dump_json`` writes it from them: the text of each block once per
-document and nesting level, joined in layout order.  ``to_dict`` reads
-`.entries`, so a built table makes its entries there.  ``from_dict``
-reads and checks each tail literal once per matrix and last symbol of the
-words it follows, and keeps a table's rows as one answer block: the table
-it returns is laid out as that block zipped with the depth-j listing.
-``verify`` checks a laid-out table from its layout, scans each
-(j - i, w[i:], tail) once per matrix and still compares every entry's own
-differs_at with the scan's answer.  So neither the builder nor the reader
-nor ``verify`` makes an entry: a laid-out table zips its blocks with its
-listing only when `.entries` is first read, and ``render_report(analyze(A,
-b))`` or ``verify_report`` of its text makes no entry at all.  The entries
-made then are built with ``OneSidedPoint._unchecked`` and
-``FreenessEntry._unchecked``: each field is stored straight into its slot,
-the point's admissibility having been checked with its answer or its tail
-(``require_point``).
+shift^i maps the cylinder [w] onto [u].  So a report's many entries hold
+few distinct answers, and each step pays once per answer and store: the
+builder works them out in blocks (``_answer_blocks``), the reader parses
+each tail literal once per last symbol of the words it follows, and
+``verify`` scans each (m, u, tail) once.  A built or a read table keeps
+its layout, the blocks in order and the depth-j listing
+(``FreenessCertificate``); ``verdict.dump_json`` writes it and ``verify``
+checks it from that layout, so neither makes an entry.  A laid-out table
+makes its entries, through the public constructors, only when `.entries`
+is first read.
 
 A report's (n + |E|)^2 minimality witnesses hold only n + |E| distinct
 spot words and n^2 connectors, and each is paid once per report:
 ``spot_witnesses`` reads the n connectors to each target symbol off one
 search (``graph._walks_to``) and shares the spot word objects among the
-witnesses, ``verdict.dump_json`` spells each word object once,
-``MinimalityWitness.from_dict`` parses each from/to literal once per
-matrix, and ``verify`` tests each prefix with ``A.admits`` alone.  What
-each witness still costs is its prefix and its record: the builder and
-``from_dict`` store the five fields straight into their slots
-(``MinimalityWitness._unchecked``), the writer spells the prefix and
-writes the row as one string, with no row dict, and the reader parses
-the prefix.
+witnesses, ``verdict.dump_json`` spells each word object once, the report
+reader parses each from/to literal once per store
+(``MinimalityWitness._from_row``), and ``verify`` tests each prefix with
+``A.admits`` alone.  The builder and the reader store each witness's five
+fields straight into its slots (``MinimalityWitness._unchecked``).
 """
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Callable
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -115,18 +105,30 @@ _JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
 def json_field(data: dict, kind: type, *path: str):
     """The field at the key `path` of `data` as a JSON `kind`, int, bool or str,
     never coerced: a float or a boolean is no integer, 0 or "x" no boolean,
-    and an array of symbols no word literal."""
+    and an array of symbols no word literal.  Each step of the path must be
+    a JSON object holding the next key."""
     value = data
-    for key in path:
+    for depth, key in enumerate(path):
+        if type(value) is not dict or key not in value:
+            place = f"{'.'.join(path[:depth])}: " if depth else ""
+            _json_object(value, place)
+            raise MalformedInput(f"{place}missing key {key!r}")
         value = value[key]
     if type(value) is not kind:
         raise MalformedInput(f"{'.'.join(path)} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
+def _json_object(data, place: str) -> dict:
+    if type(data) is not dict:
+        raise MalformedInput(f"{place}expected a JSON object, got {reprlib.repr(data)}")
+    return data
+
+
 def exact_keys(data: dict, keys: frozenset[str], place: str = "") -> dict:
-    """`data`, if its keys are exactly `keys`, those ``to_dict`` writes there."""
-    if data.keys() != keys:
+    """`data`, if it is a JSON object whose keys are exactly `keys`, those
+    ``to_dict`` writes there."""
+    if _json_object(data, place).keys() != keys:
         extra, missing = data.keys() - keys, keys - data.keys()
         key = min(extra, key=repr) if extra else min(missing)
         raise MalformedInput(f"{place}{'unexpected' if extra else 'missing'} key {key!r}")
@@ -215,9 +217,9 @@ class MinimalityWitness:
         cls, A: AdjacencyMatrix, start: Word, target: Word, prefix: Word, shifts: int
     ) -> "MinimalityWitness":
         """The witness ``MinimalityWitness(A, start, target, prefix, shifts)``,
-        its five fields stored through their slots' descriptors, as for
-        ``FreenessEntry._unchecked``; the generated ``__init__`` checks
-        nothing either."""
+        its five fields stored through their slots' descriptors, which the
+        frozen ``__setattr__`` does not guard; the generated ``__init__``
+        checks nothing either."""
         witness = object.__new__(cls)
         _set_matrix(witness, A)
         _set_start(witness, start)
@@ -228,22 +230,26 @@ class MinimalityWitness:
 
     @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict) -> "MinimalityWitness":
-        """The witness a report row stores.  Its keys and field types are
-        checked inline, in the order exact_keys and json_field, which raise,
-        would check them.  A from or to literal is parsed once per matrix,
-        kept in A's private table under ("spot", literal); the prefix, which
-        no other row shares, is parsed every time.  The witness is stored
-        unchecked (``_unchecked``): ``verify`` checks it."""
+        """The witness a report row stores (``_from_row``)."""
+        return cls._from_row(A, data, _answers(A).spots)
+
+    @classmethod
+    def _from_row(cls, A: AdjacencyMatrix, data: dict, spots: dict[str, Word]) -> "MinimalityWitness":
+        """The witness a report row stores, its keys and field types checked
+        inline in the order exact_keys and json_field, which raise, would.
+        A from or to literal is parsed once per `spots`, a store's; the
+        prefix, which no other row shares, every time.  The witness is
+        stored unchecked (``_unchecked``): ``verify`` checks it."""
         if type(data) is not dict or data.keys() != _MINIMALITY_KEYS:
             exact_keys(data, _MINIMALITY_KEYS)
-        ends, spots = [], A._answers
+        ends = []
         for key in ("from", "to"):
             literal = data[key]
             if type(literal) is not str:
                 json_field(data, str, key)
-            word = spots.get(("spot", literal))
+            word = spots.get(literal)
             if word is None:
-                word = spots["spot", literal] = word_from_string(literal)
+                word = spots[literal] = word_from_string(literal)
             ends.append(word)
         prefix, shifts = data["prefix"], data["shifts"]
         if type(prefix) is not str:
@@ -270,22 +276,6 @@ class FreenessEntry:
     @property
     def word(self) -> Word:
         return self.witness.prefix
-
-    @classmethod
-    def _unchecked(cls, witness: OneSidedPoint, differs_at: int) -> "FreenessEntry":
-        """The entry ``FreenessEntry(witness, differs_at)``, its two fields
-        stored through their slots' descriptors, as for
-        ``OneSidedPoint._unchecked``; the generated ``__init__`` checks
-        nothing either."""
-        entry = object.__new__(cls)
-        _set_witness(entry, witness)
-        _set_differs_at(entry, differs_at)
-        return entry
-
-
-_set_witness, _set_differs_at = (
-    FreenessEntry.__dict__[name].__set__ for name in ("witness", "differs_at")
-)
 
 
 def _format1_entry(A: AdjacencyMatrix, i: int, w: Word, data: dict) -> dict:
@@ -316,24 +306,70 @@ def located(place: str | Callable[[], str]):
         raise type(exc)(f"{place if isinstance(place, str) else place()}{exc}") from None
 
 
-def _depth_words(A: AdjacencyMatrix, j: int) -> list[Word]:
-    """``enumerate_words(A, j)``, refused on every call exactly when it is
-    (``require_work_limit``), but listed once per matrix: the list is kept
-    in A's private table under ("words", j), and callers only read it."""
-    require_work_limit(A, j)
-    words = A._answers.get(("words", j))
+# The answers of one m = j - i, in one block per symbol s: the (tail,
+# differs_at) answers of the depth-m words that start with s, in listing order.
+_Blocks = tuple[list[tuple[Word, int]], ...]
+
+
+@dataclass(eq=False, slots=True)
+class _Answers:
+    """What one call works out over `matrix`, one dict per kind: depth-j
+    listings by j (``_depth_words``), answer blocks by m (``_answer_blocks``),
+    tails read by (w[-1], literal) and first differences scanned by
+    (j - i, w[i:], tail) (``FreenessCertificate.from_dict`` and ``verify``),
+    and minimality from/to words by literal (``MinimalityWitness._from_row``)."""
+
+    matrix: AdjacencyMatrix | None = None
+    words: dict[int, list[Word]] = field(default_factory=dict)
+    blocks: dict[int, _Blocks] = field(default_factory=dict)
+    tails: dict[tuple[int, str], Word] = field(default_factory=dict)
+    differences: dict[tuple[int, Word, Word], int] = field(default_factory=dict)
+    spots: dict[str, Word] = field(default_factory=dict)
+
+
+_open_store: ContextVar[_Answers | None] = ContextVar("subshift.freeness answers", default=None)
+
+
+@contextmanager
+def _one_store():
+    """One store open for the block, or for each call of a function
+    decorated with ``@_one_store()``, and closed however it ends."""
+    token = _open_store.set(_Answers())
+    try:
+        yield
+    finally:
+        _open_store.reset(token)
+
+
+def _answers(A: AdjacencyMatrix) -> _Answers:
+    """The open store, bound to A at its first lookup, if it is A's; else a
+    fresh store, which the caller drops when it returns."""
+    store = _open_store.get()
+    if store is None:
+        return _Answers(A)
+    if store.matrix is None:
+        store.matrix = A
+    return store if store.matrix is A else _Answers(A)
+
+
+def _depth_words(store: _Answers, j: int) -> list[Word]:
+    """``enumerate_words(A, j)`` over the store's matrix A, refused on every
+    call exactly when it is (``require_work_limit``), but listed once per
+    store: callers only read the list it keeps."""
+    require_work_limit(store.matrix, j)
+    words = store.words.get(j)
     if words is None:
-        words = A._answers["words", j] = enumerate_words(A, j)
+        words = store.words[j] = enumerate_words(store.matrix, j)
     return words
 
 
-def _covers(A: AdjacencyMatrix, j: int, size: int) -> bool:
-    """Whether A has exactly `size` depth-j words.  Once ``_depth_words`` has
-    kept the depth-j listing its length answers; before, the words are
-    counted no further than `size` (``count_past``), so a depth is counted
-    before it is listed."""
-    words = A._answers.get(("words", j))
-    return count_past(A, j, size) == (j, size) if words is None else len(words) == size
+def _covers(store: _Answers, j: int, size: int) -> bool:
+    """Whether the store's matrix has exactly `size` depth-j words.  Once
+    ``_depth_words`` has kept the depth-j listing its length answers;
+    before, the words are counted no further than `size` (``count_past``),
+    so a depth is counted before it is listed."""
+    words = store.words.get(j)
+    return count_past(store.matrix, j, size) == (j, size) if words is None else len(words) == size
 
 
 def _tail_difference(u: Word, t: Word) -> int | None:
@@ -352,11 +388,6 @@ def _tail_difference(u: Word, t: Word) -> int | None:
     return None
 
 
-# The answers of one m = j - i, in one block per symbol s: the (tail,
-# differs_at) answers of the depth-m words that start with s, in listing order.
-_Blocks = tuple[list[tuple[Word, int]], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class FreenessCertificate:
     """One entry per admissible depth-j word, proving no cylinder sits
@@ -368,25 +399,19 @@ class FreenessCertificate:
 
     A table that ``freeness_certificate`` built records its layout
     (`_layout`): the answer blocks of m = j - i, for each depth-(i+1) word
-    q in listing order the block of q[-1], and the depth-j listing, so its
-    entries' answers are those blocks' in order.  A table read by
-    ``from_dict`` is laid out too, as its rows' one block, copied once.
-    ``verdict.dump_json`` writes a laid-out table block by block, and
-    ``verify`` checks it from its layout.  A table from the constructor or
-    ``dataclasses.replace`` has no layout, and is written from its
-    ``to_dict`` and checked from its entries, entry by entry.
+    q in listing order the block of q[-1], and the depth-j listing.  A
+    table read by ``from_dict`` is laid out as its rows' one block.
+    ``verdict.dump_json`` writes and ``verify`` checks a laid-out table
+    from its layout; a table from the constructor or ``replace`` has none,
+    and is written and checked from its entries.
 
     A laid-out table makes its entries only when `.entries` is first read
-    (``_laid_out_entries``), so neither a report written from it by
-    ``dump_json`` nor ``verify`` makes any; its ``to_dict`` reads them, so
-    makes them.  The class binds that rule to `entries` as a
-    ``functools.cached_property``, a non-data descriptor, after the
-    dataclass is made, so `entries` stays a field: the constructor,
-    ``fields``, ``replace`` and ``repr`` see it as before.  What it makes
-    is stored in the instance ``__dict__``, as ``__init__`` stores given
-    entries, and a value there takes precedence over a non-data
-    descriptor.  So the class keeps its ``__dict__``: with slots,
-    `entries` would be a slot's descriptor, and no cached property.
+    (``_laid_out_entries``); its ``to_dict`` reads them, so makes them.
+    That rule is bound to `entries` as a ``functools.cached_property`` after
+    the dataclass is made, so `entries` stays a field for the constructor,
+    ``fields``, ``replace`` and ``repr``.  The entries made are stored in the
+    instance ``__dict__``, where ``__init__`` stores given ones, so the class
+    has no slots.
     """
 
     matrix: AdjacencyMatrix
@@ -408,9 +433,8 @@ class FreenessCertificate:
         and its m-shift both repeat with period |t|, so a first difference,
         if any, lies below m + |t| <= |w| + |t|.  So it is a function of
         (m, u, t), and ``_tail_difference(u, t)`` scans each once per
-        matrix, kept in A's private table under (m, u, t), apart
-        from the builder's answer blocks.  A scan that equalizes the shifts
-        is kept nowhere, and every entry's differs_at is compared.
+        store.  A scan that equalizes the shifts is kept nowhere, and every
+        entry's differs_at is compared.
 
         A table with a layout is checked from it, never from `.entries`: its
         depth-j listing zipped with its blocks' answers (t, differs_at) in
@@ -430,9 +454,10 @@ class FreenessCertificate:
         else:  # as many answers as words, each point over A (freeness_certificate, from_dict)
             blocks, ends, words = self._layout
             answers, matrices = chain.from_iterable(map(blocks.__getitem__, ends)), repeat(A)
-        if not _covers(A, j, len(words)) or words != _depth_words(A, j):  # no more than stored
+        store = _answers(A)
+        if not _covers(store, j, len(words)) or words != _depth_words(store, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        m, differences = j - i, A._answers
+        m, differences = j - i, store.differences
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, (t, differs_at), M) in enumerate(zip(words, answers, matrices)):
                 if M is not A and M != A:
@@ -465,23 +490,23 @@ class FreenessCertificate:
         Every row's keys and field types are checked.  Whether the tail t
         may follow w, w . t^inf being admissible, depends only on w[-1] and
         t, since w is a listed word.  So the first entry of each (w[-1],
-        tail literal) pair that A meets, in this table or an earlier one,
-        parses t and checks its point, and a bad tail fails at its first
-        such entry with that entry's message; later entries of the pair
-        reuse the parsed tail, kept in A's private table under (w[-1],
-        literal).  Each row's answer (t, differs_at) goes into one list, the
-        table's one answer block, and the table is laid out as one copy of
-        that block zipped with the depth-j listing, as a built table is: it
-        makes no entry, and makes its entries when `.entries` is first read
-        (``_laid_out_entries``).  Whether each differs_at is right is left
-        to ``verify``."""
-        i, j, rows = json_field(data, int, "i"), json_field(data, int, "j"), data["entries"]
-        exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")
+        tail literal) pair that the store meets, in this table or an earlier
+        one, parses t and checks its point, and a bad tail fails at its
+        first such entry with that entry's message; later entries of the
+        pair reuse the parsed tail.  The rows' answers (t, differs_at) make
+        the table's one answer block, laid out with the depth-j listing as
+        a built table is, so no entry is made.  Whether each differs_at is
+        right is left to ``verify``."""
+        i, j = json_field(data, int, "i"), json_field(data, int, "j")
+        rows = exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")["entries"]
+        if type(rows) is not list:
+            raise MalformedInput(f"(i={i}, j={j}): entries must be a JSON array, got {reprlib.repr(rows)}")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
-        if not _covers(A, j, len(rows)):
+        store = _answers(A)
+        if not _covers(store, j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, answers, tails = _depth_words(A, j), [], A._answers
+        words, answers, tails = _depth_words(store, j), [], store.tails
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 # Each row's keys and types are tested inline; exact_keys and json_field raise.
@@ -509,12 +534,11 @@ def _laid_out_entries(cert: FreenessCertificate) -> tuple[FreenessEntry, ...]:
     """A laid-out table's entries, made when `.entries` is first read: the
     point w . t^inf and the entry of each word w of the depth-j listing the
     layout keeps, zipped with the answers (t, differs_at) of its blocks in
-    order.  Both are built unchecked, as ``freeness_certificate`` and
+    order.  Each point's check passes, as ``freeness_certificate`` and
     ``FreenessCertificate.from_dict`` argue, so the read cannot raise."""
     blocks, ends, words = cert._layout
-    A, entry, point = cert.matrix, FreenessEntry._unchecked, OneSidedPoint._unchecked
-    answers = chain.from_iterable(map(blocks.__getitem__, ends))
-    return tuple(entry(point(A, w, t), c) for w, (t, c) in zip(words, answers))
+    A, answers = cert.matrix, chain.from_iterable(map(blocks.__getitem__, ends))
+    return tuple(FreenessEntry(OneSidedPoint(A, w, t), c) for w, (t, c) in zip(words, answers))
 
 
 # Bound after the dataclass is made, so that `entries` stays a field with no default.
@@ -634,45 +658,41 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     the answer block of m and q[-1] (``_answer_blocks``), read in order
     and zipped with the depth-j listing.  The depth-j words are listed
     first, so the work limit refuses a table by its length j, and once per
-    matrix (``_depth_words``).
+    store (``_depth_words``).
 
     Every check and every listing is done here, so each refusal raises
     from this call.  The table it returns keeps the blocks, their order
-    and the listing as its layout, and makes its entries from them only
-    when `.entries` is first read (``_laid_out_entries``):
-    ``verdict.dump_json`` writes from the blocks, so a report never makes
-    them.  The table keeps its ``__dict__``, since the entries made are
-    stored there (``FreenessCertificate``).
+    and the listing as its layout (``FreenessCertificate``).
 
-    Each witness w . t^inf, and its entry, is built unchecked: w is an
-    enumerated, so admissible, word, and u . t^inf was checked when its
-    answer was first built.  Since w[-1] = u[-1], the junction from w into
-    t and t's own wrap are those of u . t^inf, so w . t^inf is admissible
-    too.
+    No witness w . t^inf is checked here: w is an enumerated, so
+    admissible, word, and u . t^inf was checked when its answer was first
+    built.  Since w[-1] = u[-1], the junction from w into t and t's own
+    wrap are those of u . t^inf, so w . t^inf is admissible too.
     """
     if type(i) is not int or type(j) is not int:
         raise BadExponents(f"exponents must be integers, got i={i!r}, j={j!r}")
     if i < 0 or i >= j:
         raise BadExponents(f"need 0 <= i < j, got i={i}, j={j}")
     _require_dichotomy_hypotheses(A)
-    words = _depth_words(A, j)
-    blocks = _answer_blocks(A, i, j, words)
-    ends = [q[-1] - 1 for q in _depth_words(A, i + 1)]  # the block of each depth-(i+1) word
+    store = _answers(A)
+    words = _depth_words(store, j)
+    blocks = _answer_blocks(store, i, j, words)
+    ends = [q[-1] - 1 for q in _depth_words(store, i + 1)]  # the block of each depth-(i+1) word
     cert = object.__new__(FreenessCertificate)  # no entries yet: they are made on first read
     cert.__dict__.update(matrix=A, i=i, j=j, _layout=(blocks, ends, words))
     return cert
 
 
-def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _Blocks:
-    """The answer blocks of m = j - i, worked out and checked once per
-    matrix and kept in A's private table under ("blocks", m).  A tail that
-    equalizes the shifts on u . t^inf raises CertificateInvalid naming the
-    pair and the first of the depth-j `words` whose suffix from i is u."""
-    m = j - i
-    blocks = A._answers.get(("blocks", m))
+def _answer_blocks(store: _Answers, i: int, j: int, words: list[Word]) -> _Blocks:
+    """The answer blocks of m = j - i over the store's matrix A, worked out
+    and checked once per store.  A tail that equalizes the shifts on
+    u . t^inf raises CertificateInvalid naming the pair and the first of the
+    depth-j `words` whose suffix from i is u."""
+    m, A = j - i, store.matrix
+    blocks = store.blocks.get(m)
     if blocks is None:
         blocks = tuple([] for _ in A.symbols)
-        for u in _depth_words(A, m):
+        for u in _depth_words(store, m):
             tail = _diverting_tail(A, u) if (u[-1], u[0]) in A.edges else _path(A, u[-1], u[-1])[1:]
             require_point(A, u, tail)
             c = _tail_difference(u, tail)
@@ -681,7 +701,7 @@ def _answer_blocks(A: AdjacencyMatrix, i: int, j: int, words: list[Word]) -> _Bl
                 where = f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]"
                 raise CertificateInvalid(f"{where}: witness equalizes the shifts")
             blocks[u[0] - 1].append((tail, c + 1))
-        A._answers["blocks", m] = blocks
+        store.blocks[m] = blocks
     return blocks
 
 

@@ -47,23 +47,10 @@ class AdjacencyMatrix:
     `edges` holds the pairs (i, j) with entry 1; ``admits`` reads it for
     every admissibility test; `_extensions` maps each symbol to its
     successors as one-symbol words, which ``extend_words`` appends.
-    `_answers` keeps each answer as it is first asked: ``find_path`` under
-    its pair of symbols, ``is_transitive`` under "transitive", and the
-    freeness tables' (``freeness``): the depth-j word list under ("words",
-    j), whose length from then on also answers how many depth-j words
-    there are (``freeness._covers``); the built answers (tail, differs_at)
-    of each m = j - i, in one block per first symbol, under ("blocks", m)
-    (``freeness._answer_blocks``), answers only: ``verdict.dump_json``
-    makes their row text once per document and keeps none; each tail read
-    under (w[-1], literal), a symbol and a string
-    (``FreenessCertificate.from_dict``);
-    each scanned first difference under (j - i, w[i:], tail)
-    (``FreenessCertificate.verify``); and each minimality from/to literal
-    read under ("spot", literal) (``MinimalityWitness.from_dict``).  No two
-    kinds of key compare equal: "transitive" is the one string key, the
-    triples are scans, the pairs of two numbers path searches, the other
-    pairs that start with a number tails read, and the pairs that start
-    with a string are told apart by it, "words", "blocks" or "spot".
+    `_answers` keeps each answer as it is first asked, ``find_path`` under
+    its pair of symbols and ``is_transitive`` under "transitive": at most
+    n^2 + 1 keys.  What the certificates work out lives for one call
+    (``freeness._Answers``).
     """
 
     rows: tuple[tuple[int, ...], ...]

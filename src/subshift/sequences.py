@@ -345,17 +345,6 @@ class OneSidedPoint:
     def __post_init__(self) -> None:
         require_point(self.matrix, self.prefix, self.tail)
 
-    @classmethod
-    def _unchecked(cls, A: AdjacencyMatrix, prefix: Word, tail: Word) -> "OneSidedPoint":
-        """The point prefix . tail^infinity, which the caller knows to be
-        admissible, built without the check: each field is stored through its
-        slot's descriptor, which the frozen ``__setattr__`` does not guard."""
-        point = object.__new__(cls)
-        _set_matrix(point, A)
-        _set_prefix(point, prefix)
-        _set_tail(point, tail)
-        return point
-
     def __getitem__(self, k: int) -> int:
         if k < 0:
             raise IndexError(f"a one-sided point has no coordinate {k}")
@@ -365,11 +354,6 @@ class OneSidedPoint:
     def window(self, start: int, length: int) -> Word:
         """Symbols at coordinates start .. start+length-1 (start >= 0)."""
         return tuple(self[k] for k in range(start, start + length))
-
-
-_set_matrix, _set_prefix, _set_tail = (
-    OneSidedPoint.__dict__[name].__set__ for name in ("matrix", "prefix", "tail")
-)
 
 
 def one_sided_seq(

@@ -17,16 +17,12 @@ and every integer field to be a JSON integer.
 
 ``render_report`` hands ``dump_json`` the document with the certificate
 objects in it, and ``dump_json`` writes each as ``json.dumps`` writes its
-``to_dict()``, without making that dict where it can: a laid-out freeness
-table, built or read, from its answer blocks, each block's text made once
-per report and joined in the table's layout, so no entry is made; a
-minimality witness as one string.  The minimality section pays once per
-report for each of its spot words, the symbols and the edges: ``analyze``
-builds the (n + |E|)^2 witnesses from them unchecked, ``dump_json``
-spells and encodes each once, the reader parses each from/to literal
-once, and ``verify_report`` compares the spot pairs without listing them.
-Each row costs its witness's five slot stores, one spelling of its prefix
-and one string.
+``to_dict()``, without making that dict where it can (``dump_json``).  The
+minimality section pays once per report for each of its spot words, the
+symbols and the edges: ``analyze`` builds the (n + |E|)^2 witnesses from
+them unchecked, ``dump_json`` spells each once, the reader parses each
+from/to literal once, and ``verify_report`` compares the spot pairs
+without listing them.
 """
 
 from __future__ import annotations
@@ -40,6 +36,8 @@ from .freeness import (
     FreenessCertificate,
     InvariantSetCertificate,
     MinimalityWitness,
+    _answers,
+    _one_store,
     exact_keys,
     find_nontrivial_invariant,
     freeness_certificate,
@@ -142,6 +140,7 @@ def _skeleton(A: AdjacencyMatrix, depth_budget: int) -> AnalysisVerdict:
     )
 
 
+@_one_store()
 def analyze(A: AdjacencyMatrix, depth_budget: int = 4) -> AnalysisVerdict:
     """Run the full decision pipeline on a matrix.
 
@@ -358,6 +357,7 @@ def _load_report(text: str):
         raise MalformedInput(f"report is not valid JSON: {exc}") from None
 
 
+@_one_store()
 def parse_report(text: str) -> AnalysisVerdict:
     return _verdict_from_doc(_load_report(text))
 
@@ -365,24 +365,31 @@ def parse_report(text: str) -> AnalysisVerdict:
 def _verdict_from_doc(doc) -> AnalysisVerdict:
     try:
         A = AdjacencyMatrix.from_rows(doc["matrix"]["rows"])
+        report_format = doc.get("format", 1)  # format 1 predates the "format" key
+        if "format" in doc and (type(report_format) is not int or report_format != 2):
+            raise MalformedInput(f"report format must be 2, or absent for format 1, got {report_format!r}")
         b = json_field(doc, int, "depth_budget")
         certs = exact_keys(doc["certificates"], _CERTIFICATE_KEYS, "certificates: ")
         invariant = certs["invariant_set"]
         with located("certificates.invariant_set: "):
             invariant = None if invariant is None else InvariantSetCertificate.from_dict(A, invariant)
         minimality: list[MinimalityWitness] = []
+        read, spots = MinimalityWitness._from_row, _answers(A).spots  # looked up once for every row
         with located(lambda: f"certificates.minimality[{len(minimality)}]: "):
             for d in certs["minimality"]:
-                minimality.append(MinimalityWitness.from_dict(A, d))
+                minimality.append(read(A, d, spots))
         # Tables are counted and listed only once every (i, j) is the budget's, so
         # the work stays bounded by the document; verify_report judges an empty list.
-        pairs = [(json_field(t, int, "i"), json_field(t, int, "j")) for t in certs["freeness"]]
+        pairs: list[tuple[int, int]] = []
+        with located(lambda: f"certificates.freeness[{len(pairs)}]: "):
+            for t in certs["freeness"]:
+                pairs.append((json_field(t, int, "i"), json_field(t, int, "j")))
         if pairs and (len(pairs) != b * (b + 1) // 2 or pairs != _freeness_pairs(b)):
             raise CertificateInvalid(f"freeness tables are not those of depth budget {b}")
         freeness: list[FreenessCertificate] = []
         with located(lambda: f"certificates.freeness[{len(freeness)}] "):
-            for t in certs["freeness"]:  # format 1 predates the "format" key
-                freeness.append(FreenessCertificate.from_dict(A, t, 2 if "format" in doc else 1))
+            for t in certs["freeness"]:
+                freeness.append(FreenessCertificate.from_dict(A, t, report_format))
         return AnalysisVerdict(
             matrix=A,
             depth_budget=b,
@@ -403,6 +410,7 @@ def _verdict_from_doc(doc) -> AnalysisVerdict:
         raise MalformedInput(f"report document is missing or mistypes a field: {exc}") from None
 
 
+@_one_store()
 def verify_report(text: str) -> AnalysisVerdict:
     """Parse a serialized report and re-check everything it claims.
 

@@ -24,3 +24,11 @@ def swap2() -> ss.AdjacencyMatrix:
 def split2() -> ss.AdjacencyMatrix:
     """Two disjoint self-loops: not transitive."""
     return ss.AdjacencyMatrix.from_rows([[1, 0], [0, 1]])
+
+
+@pytest.fixture(autouse=True)
+def no_store_left_open():
+    """Fail any test after which a freeness answer store is still open."""
+    yield
+    if ss.freeness._open_store.get() is not None:
+        pytest.fail("a freeness answer store is still open")

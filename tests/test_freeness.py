@@ -1,8 +1,12 @@
 import copy
+import gc
 import json
 import pickle
 import random
+import sys
+import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -319,14 +323,13 @@ def _answers(cert):
 @settings(max_examples=40, deadline=None)
 @given(_freeness_cases())
 def test_a_table_asked_first_matches_one_built_from_kept_answers(case):
-    # Each entry is kept per (j - i, w[i:]), so a table with i > 0 asked of a
-    # fresh matrix, whose suffixes nothing has answered yet, must read the same
-    # as one whose answers analyze filled in from every pair up to depth j.
+    # Each answer is kept per (j - i, w[i:]) for one call, so a table with i > 0
+    # asked alone, whose suffixes nothing has answered yet, must read the same
+    # as the one in analyze's verdict, whose answers every earlier pair filled in.
     rows, i, j = case
-    cold = ss.freeness_certificate(ss.AdjacencyMatrix.from_rows(rows), i, j)
     A = ss.AdjacencyMatrix.from_rows(rows)
-    ss.analyze(A, j)
-    warm = ss.freeness_certificate(A, i, j)
+    cold = ss.freeness_certificate(A, i, j)
+    warm = next(cert for cert in ss.analyze(A, j).freeness if (cert.i, cert.j) == (i, j))
     assert _answers(cold) == _answers(warm)
     cold.verify()
     warm.verify()
@@ -336,7 +339,7 @@ def test_a_tail_that_equalizes_the_shifts_is_refused_where_it_is_found(monkeypat
     # With r itself as the tail, w . (w[i:])^inf is the one point of [w] where
     # the shifts agree: the builder names the pair and the word, not a later check.
     monkeypatch.setattr(ss.freeness, "_diverting_tail", lambda A, r: r)
-    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])  # fresh: no answer is kept yet
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
     with pytest.raises(CertificateInvalid, match=r"^\(i=1, j=2\)\.entries\[0\] \[11\]: witness equalizes"):
         ss.freeness_certificate(A, 1, 2)
 
@@ -378,34 +381,46 @@ def test_freeness_tamper_detection(golden, full2):
         ss.FreenessCertificate(golden, 0, 40, ()).verify()
 
 
-def test_unchecked_entries_are_the_dataclass_built_ones(golden):
-    # The builder and the reader store each entry's and point's fields straight
-    # into their slots; what they make reads, compares and prints as the public
-    # constructors' entries do, and stays frozen.
+def test_first_read_entries_are_the_public_constructors_ones(golden):
+    # A built or a read table makes its entries on first read through the
+    # public constructors: one per depth-j word in listing order, each point
+    # over the table's matrix, and the read table's are the built one's.
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
     for A, i, j in ((golden, 1, 3), (full3, 0, 2), (full3, 1, 3)):
         built = ss.freeness_certificate(A, i, j)
         read = ss.FreenessCertificate.from_dict(A, built.to_dict())
-        for e, r in zip(built.entries, read.entries, strict=True):
-            plain = ss.FreenessEntry(ss.sequences.OneSidedPoint(A, e.word, e.witness.tail), e.differs_at)
-            for entry in (e, r):
-                assert type(entry) is ss.FreenessEntry and type(entry.witness) is ss.sequences.OneSidedPoint
-                assert entry.witness.matrix is A
-                assert (entry.witness, entry.differs_at, entry.word, repr(entry)) == (
-                    plain.witness,
-                    plain.differs_at,
-                    plain.word,
-                    repr(plain),
-                )
-                for target, field, value in (
-                    (entry, "witness", plain.witness),
-                    (entry, "differs_at", 1),
-                    (entry.witness, "matrix", A),
-                    (entry.witness, "prefix", plain.word),
-                    (entry.witness, "tail", (1,)),
-                ):
-                    with pytest.raises(FrozenInstanceError):
-                        setattr(target, field, value)
+        assert _answers(read) == _answers(built)
+        assert [e.word for e in built.entries] == ss.enumerate_words(A, j)
+        for entry in built.entries + read.entries:
+            assert type(entry) is ss.FreenessEntry and type(entry.witness) is ss.sequences.OneSidedPoint
+            assert entry.witness.matrix is A
+            with pytest.raises(FrozenInstanceError):
+                entry.witness.tail = (1,)
+
+
+_READERS = {  # each public reader, and a valid document of it from golden's depth-3 verdict
+    "invariant_set": (ss.InvariantSetCertificate.from_dict, lambda v: v.invariant_set.to_dict()),
+    "minimality": (ss.MinimalityWitness.from_dict, lambda v: v.minimality[5].to_dict()),
+    "freeness": (ss.FreenessCertificate.from_dict, lambda v: v.freeness[2].to_dict()),
+}
+
+
+@pytest.mark.parametrize("document", ["array", "number", "missing-key"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_refuses_what_is_not_its_document(golden, reader, document):
+    # No document ends a reader in a TypeError or an AttributeError.
+    read, valid = _READERS[reader]
+    data = valid(ss.analyze(golden, 3))
+    read(golden, data)
+    key = min(data)
+    bad = {"array": [1], "number": 5, "missing-key": {k: v for k, v in data.items() if k != key}}[document]
+    message = f"expected a JSON object, got {bad!r}" if document != "missing-key" else f"missing key {key!r}"
+    with pytest.raises(MalformedInput) as refused:
+        read(golden, bad)
+    assert str(refused.value).endswith(message)
+    if reader == "freeness":
+        with pytest.raises(MalformedInput, match=r"^\(i=1, j=2\): entries must be a JSON array, got 5$"):
+            read(golden, dict(data, entries=5))
 
 
 def test_table_sizes_are_compared_without_counting_through(golden):
@@ -617,7 +632,6 @@ def _refuse_entries(monkeypatch):
 
     for cls in (ss.FreenessEntry, ss.sequences.OneSidedPoint):
         monkeypatch.setattr(cls, "__init__", made)
-        monkeypatch.setattr(cls, "_unchecked", made)
 
 
 def _first_read(cert):
@@ -735,3 +749,77 @@ def test_a_one_row_edit_is_refused_where_and_as_it_was(t, k, edit):
         assert type(refused.value) is error and str(refused.value) == message
     else:
         ss.parse_report(text)
+
+
+def _open_store():
+    return ss.freeness._open_store.get()
+
+
+def test_a_dropped_table_leaves_nothing_on_its_matrix():
+    # The answers of a call live for the call: once golden's (0, 20) table is
+    # dropped, its matrix holds only its n^2-bounded path answers (5.93 MB in
+    # 7 keys when the matrix kept every depth's listing and answers).
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = ss.freeness_certificate(A, 0, 20)
+        del cert
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+
+
+def test_a_matrix_keeps_no_depth_sized_answer():
+    # Building, reading, writing and checking certificates over a matrix leaves
+    # it holding find_path pairs and "transitive" alone.
+    A = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    v = ss.analyze(A, 4)
+    for cert in v.freeness:
+        ss.FreenessCertificate.from_dict(A, cert.to_dict()).verify()
+    for m in v.minimality:
+        ss.MinimalityWitness.from_dict(A, m.to_dict()).verify()
+    ss.freeness_certificate(A, 1, 5).verify()
+    assert A._answers and all(
+        key == "transitive" or (type(key) is tuple and [type(s) for s in key] == [int, int]) for key in A._answers
+    )
+
+
+def test_threads_analyzing_one_matrix_write_the_single_threaded_bytes():
+    # Each thread runs in its own store, though both share the matrix object.
+    rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]]
+    expected = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows(rows), 4))
+    A, start, written = ss.AdjacencyMatrix.from_rows(rows), threading.Barrier(2), [None, None]
+
+    def run(k):
+        start.wait(timeout=60)
+        written[k] = ss.render_report(ss.analyze(A, 4))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert written == [expected, expected]
+
+
+def test_a_refused_call_closes_its_store(golden, monkeypatch):
+    monkeypatch.setattr(ss.sequences, "MAX_FREENESS_ENTRIES", 10)
+    with pytest.raises(WorkLimitExceeded):
+        ss.analyze(golden, 4)
+    assert _open_store() is None
+    monkeypatch.undo()
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    doc["certificates"]["freeness"][0]["entries"][0]["differs_at"] += 1
+    with pytest.raises(CertificateInvalid):
+        ss.verify_report(json.dumps(doc))
+    assert _open_store() is None

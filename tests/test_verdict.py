@@ -554,6 +554,46 @@ def test_report_format_key(golden):
         ss.verify_report(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", [1, 3, "2", None, True, 2.0])
+def test_parse_report_reads_only_the_formats_it_knows(golden, value):
+    # No "format" key is format 1 and 2 is format 2; parse_report refuses any
+    # other value as it reads, before verify_report would compare the field.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    message = f"report format must be 2, or absent for format 1, got {value!r}"
+    for read in (ss.parse_report, ss.verify_report):
+        with pytest.raises(MalformedInput) as refused:
+            read(json.dumps(dict(doc, format=value)))
+        assert str(refused.value) == message
+    ss.parse_report(format1_text("golden_d4"))
+    ss.parse_report(json.dumps(doc))
+
+
+_NOT_OBJECTS = {"array": [1], "number": 5}
+
+
+@pytest.mark.parametrize("value", sorted(_NOT_OBJECTS))
+@pytest.mark.parametrize(
+    "path, place",
+    [
+        (("invariant_set",), "certificates.invariant_set: "),
+        (("minimality", 2), "certificates.minimality[2]: "),
+        (("freeness", 3), "certificates.freeness[3]: "),
+        (("freeness", 2, "entries", 1), "certificates.freeness[2] (i=1, j=2).entries[1] [12]: "),
+    ],
+)
+def test_a_certificate_that_is_no_object_is_refused_where_it_lies(golden, path, place, value):
+    # A reader's refusal of what is not a JSON object keeps its class inside
+    # verify_report and gains its place in the document.
+    doc = json.loads(ss.render_report(ss.analyze(golden, 3)))
+    node = doc["certificates"]
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = _NOT_OBJECTS[value]
+    with pytest.raises(MalformedInput) as refused:
+        ss.verify_report(json.dumps(doc))
+    assert str(refused.value) == f"{place}expected a JSON object, got {_NOT_OBJECTS[value]!r}"
+
+
 def test_analyze_formula_exhaustive_n2():
     for A in no_zero_row_matrices(2):
         v = ss.analyze(A)
@@ -974,7 +1014,7 @@ def test_every_spot_row_is_the_public_witness_of_its_pair(golden):
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
     for A in (golden, full3, n4, near_cycle(12)):
         rows = json.loads(ss.render_report(ss.analyze(A, 2)))["certificates"]["minimality"]
-        B = ss.AdjacencyMatrix(A.rows)  # a fresh matrix: no answer shared with analyze
+        B = ss.AdjacencyMatrix(A.rows)
         words = [(s,) for s in B.symbols] + sorted(B.edges)
         assert rows == [ss.minimality_witness(B, w, z).to_dict() for w in words for z in words]
 
@@ -1004,23 +1044,24 @@ def test_a_report_spells_and_parses_each_spot_word_once(monkeypatch):
     spellings = Counter(map(id, spelled))
     assert [spellings[key] for key in spots] == [1] * len(spots)
 
+    # The report reader reads each row with MinimalityWitness._from_row.
     parsed, reading = Counter(), []
-    word_from_string, from_dict = ss.freeness.word_from_string, ss.MinimalityWitness.from_dict.__func__
+    word_from_string, from_row = ss.freeness.word_from_string, ss.MinimalityWitness._from_row.__func__
 
     def parse(literal):
         if reading:
             parsed[literal] += 1
         return word_from_string(literal)
 
-    def read(cls, A, data):
+    def read(cls, A, data, spots):
         reading.append(data)
         try:
-            return from_dict(cls, A, data)
+            return from_row(cls, A, data, spots)
         finally:
             reading.pop()
 
     monkeypatch.setattr(ss.freeness, "word_from_string", parse)
-    monkeypatch.setattr(ss.MinimalityWitness, "from_dict", classmethod(read))
+    monkeypatch.setattr(ss.MinimalityWitness, "_from_row", classmethod(read))
     ss.verify_report(text)
     monkeypatch.undo()
     rows = json.loads(text)["certificates"]["minimality"]
