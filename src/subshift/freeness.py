@@ -32,12 +32,13 @@ when it returns.  The open store is a context variable's value, so no
 two threads share one.
 
 A freeness entry of the word w depends only on m = j - i and u = w[i:]:
-shift^i maps the cylinder [w] onto [u].  So a report's many entries hold
-few distinct answers, and each step pays once per answer and store: the
-builder works them out in blocks (``_answer_blocks``), the reader parses
-each tail literal once per last symbol of the words it follows, and
-``verify`` scans each (m, u, tail) once.  A built or a read table keeps
-its layout, the blocks in order and the depth-j listing
+shift^i maps the cylinder [w] onto [u].  So table (i, j) is, for each
+depth-(i+1) word q, the answer block of m and q[-1], and each step pays
+once per block and store: the builder works the blocks out
+(``_answer_blocks``); the reader cuts each (0, m) table into its blocks,
+and an (i, j) table whose rows repeat them takes them whole; and
+``verify`` checks each block once.  A built or a read table keeps its
+layout, the blocks in order and the depth-j listing
 (``FreenessCertificate``); ``verdict.dump_json`` writes it and ``verify``
 checks it from that layout, so neither makes an entry.  A laid-out table
 makes its entries, through the public constructors, only when `.entries`
@@ -57,12 +58,14 @@ fields straight into its slots (``MinimalityWitness._unchecked``).
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, pairwise
+from operator import countOf, itemgetter, sub
 
 from .errors import (
     BadExponents,
@@ -313,17 +316,23 @@ _Blocks = tuple[list[tuple[Word, int]], ...]
 
 @dataclass(eq=False, slots=True)
 class _Answers:
-    """What one call works out over `matrix`, one dict per kind: depth-j
-    listings by j (``_depth_words``), answer blocks by m (``_answer_blocks``),
-    tails read by (w[-1], literal) and first differences scanned by
-    (j - i, w[i:], tail) (``FreenessCertificate.from_dict`` and ``verify``),
-    and minimality from/to words by literal (``MinimalityWitness._from_row``)."""
+    """What one call works out over `matrix`, one dict per kind: by depth d,
+    the depth-d listing (``_depth_words``), the block of each depth-d word's
+    last symbol (``_ends``) and the count of depth-d words per first symbol
+    (``_sizes``); answer blocks by m (``_answer_blocks``); by m, the rows and
+    answers of the (0, m) table read, cut into blocks (``read``); tails read
+    by (w[-1], literal) (``FreenessCertificate.from_dict``); blocks checked
+    by (m, s, id) (``verify``), each held so its id stays its own; and
+    minimality from/to words by literal (``MinimalityWitness._from_row``)."""
 
     matrix: AdjacencyMatrix | None = None
     words: dict[int, list[Word]] = field(default_factory=dict)
+    ends: dict[int, list[int]] = field(default_factory=dict)
+    sizes: dict[int, list[int]] = field(default_factory=dict)
     blocks: dict[int, _Blocks] = field(default_factory=dict)
+    read: dict[int, tuple[tuple[list[dict], ...], _Blocks]] = field(default_factory=dict)
     tails: dict[tuple[int, str], Word] = field(default_factory=dict)
-    differences: dict[tuple[int, Word, Word], int] = field(default_factory=dict)
+    checked: dict[tuple[int, int, int], list[tuple[Word, int]]] = field(default_factory=dict)
     spots: dict[str, Word] = field(default_factory=dict)
 
 
@@ -363,6 +372,27 @@ def _depth_words(store: _Answers, j: int) -> list[Word]:
     return words
 
 
+def _ends(store: _Answers, d: int) -> list[int]:
+    """The block of each depth-d word, in listing order: its last symbol
+    less one, the index of that symbol's answer block."""
+    ends = store.ends.get(d)
+    if ends is None:
+        ends = store.ends[d] = [q[-1] - 1 for q in _depth_words(store, d)]
+    return ends
+
+
+def _sizes(store: _Answers, d: int) -> list[int]:
+    """How many depth-d words start with each symbol, in symbol order: the
+    length of each answer block of m = d.  The listing is in lexicographic
+    order, so each symbol's words are one run of it."""
+    sizes = store.sizes.get(d)
+    if sizes is None:
+        words = _depth_words(store, d)
+        starts = [bisect_left(words, (s,)) for s in store.matrix.symbols] + [len(words)]
+        sizes = store.sizes[d] = list(map(sub, starts[1:], starts))
+    return sizes
+
+
 def _covers(store: _Answers, j: int, size: int) -> bool:
     """Whether the store's matrix has exactly `size` depth-j words.  Once
     ``_depth_words`` has kept the depth-j listing its length answers;
@@ -388,6 +418,22 @@ def _tail_difference(u: Word, t: Word) -> int | None:
     return None
 
 
+def _block_fault(words: Sequence[Word], block: Sequence[tuple[Word, int]]) -> tuple[int, str] | None:
+    """The index and the reason of the first answer (t, differs_at) of
+    `block` that is not the answer of the depth-m word u beside it in
+    `words`, or None: differs_at must be an int, and 1 + where u . t^inf and
+    its m-shift first differ (``_tail_difference``)."""
+    for r, (u, (t, differs_at)) in enumerate(zip(words, block)):
+        if type(differs_at) is not int:
+            return r, f"differs_at must be an integer, got {differs_at!r}"
+        c = _tail_difference(u, t)
+        if c is None:
+            return r, "witness equalizes the shifts"
+        if c != differs_at - 1:
+            return r, f"differs_at {differs_at}, but they first differ at {c + 1}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class FreenessCertificate:
     """One entry per admissible depth-j word, proving no cylinder sits
@@ -397,13 +443,15 @@ class FreenessCertificate:
     It meets [w] only in w . (w[i:])^inf, so it holds no deeper cylinder
     either; each witness shows it does not hold [w] itself.
 
-    A table that ``freeness_certificate`` built records its layout
-    (`_layout`): the answer blocks of m = j - i, for each depth-(i+1) word
-    q in listing order the block of q[-1], and the depth-j listing.  A
-    table read by ``from_dict`` is laid out as its rows' one block.
-    ``verdict.dump_json`` writes and ``verify`` checks a laid-out table
-    from its layout; a table from the constructor or ``replace`` has none,
-    and is written and checked from its entries.
+    A table that ``freeness_certificate`` built or ``from_dict`` read
+    records its layout (`_layout`): answer blocks, the block of each
+    depth-(i+1) word q in listing order, and the depth-j listing.  A built
+    table, and a read one whose rows repeat the (0, j - i) table's, holds
+    the blocks of m = j - i and, for each q, the block of q[-1]; any other
+    read table holds one block per q.  ``verdict.dump_json`` writes and
+    ``verify`` checks a laid-out table from its layout; a table from the
+    constructor or ``replace`` has none, and is written and checked from
+    its entries.
 
     A laid-out table makes its entries only when `.entries` is first read
     (``_laid_out_entries``); its ``to_dict`` reads them, so makes them.
@@ -418,7 +466,7 @@ class FreenessCertificate:
     i: int
     j: int
     entries: tuple[FreenessEntry, ...]
-    _layout: tuple[_Blocks, list[int], list[Word]] | None = field(
+    _layout: tuple[_Blocks, Sequence[int], list[Word]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -426,54 +474,57 @@ class FreenessCertificate:
         """Check that the exponents are ints, that the entries are the
         depth-j words' (counted by ``_covers``, then ``_depth_words``) and
         that each differs_at, an int, is where the i-th and j-th shifts of
-        its witness w . t^inf first differ.
+        its witness w . t^inf first differ (``_block_fault``).
 
         That place depends only on m = j - i, u = w[i:] and t: shift^i maps
         w . t^inf to u . t^inf, with |u| = m.  From coordinate m on, u . t^inf
         and its m-shift both repeat with period |t|, so a first difference,
-        if any, lies below m + |t| <= |w| + |t|.  So it is a function of
-        (m, u, t), and ``_tail_difference(u, t)`` scans each once per
-        store.  A scan that equalizes the shifts is kept nowhere, and every
-        entry's differs_at is compared.
-
-        A table with a layout is checked from it, never from `.entries`: its
-        depth-j listing zipped with its blocks' answers (t, differs_at) in
-        layout order, each point built over the table's matrix.  A table
-        from the constructor or ``replace`` feeds its entries' words, answers
-        and matrices into the same loop, each point's matrix compared."""
+        if any, lies below m + |t| <= |w| + |t|.  The depth-j words are each
+        depth-(i+1) word q followed by every depth-m word u that starts with
+        q[-1], minus its first symbol.  So a laid-out table is checked one
+        block at a time, never from `.entries`: for each q in order, its
+        block against the depth-m words that start with q[-1], unless that
+        (m, q[-1], block) was checked in this store already.  A table whose
+        blocks are the (0, m) table's is thus checked with it, once per
+        store.  A table from the constructor or ``replace`` is checked entry
+        by entry, in order, each point's matrix compared before its answer."""
         i, j, A = self.i, self.j, self.matrix
         if type(i) is not int or type(j) is not int:
             raise CertificateInvalid(f"(i={i!r}, j={j!r}): exponents must be integers")
         if not 0 <= i < j:
             raise CertificateInvalid(f"(i={i}, j={j}): exponents must satisfy 0 <= i < j")
+        store, m = _answers(A), j - i
         if self._layout is None:
             entries = self.entries
             words = [e.witness.prefix for e in entries]
-            answers = [(e.witness.tail, e.differs_at) for e in entries]
-            matrices = [e.witness.matrix for e in entries]
-        else:  # as many answers as words, each point over A (freeness_certificate, from_dict)
+        else:
             blocks, ends, words = self._layout
-            answers, matrices = chain.from_iterable(map(blocks.__getitem__, ends)), repeat(A)
-        store = _answers(A)
         if not _covers(store, j, len(words)) or words != _depth_words(store, j):  # no more than stored
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        m, differences = j - i, store.differences
-        with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
-            for k, (w, (t, differs_at), M) in enumerate(zip(words, answers, matrices)):
-                if M is not A and M != A:
-                    raise CertificateInvalid("witness built over a different matrix")
-                if type(differs_at) is not int:
-                    raise CertificateInvalid(f"differs_at must be an integer, got {differs_at!r}")
-                u = w[i:]
-                key = m, u, t
-                c = differences.get(key)
-                if c is None:
-                    c = _tail_difference(u, t)
-                    if c is None:
-                        raise CertificateInvalid("witness equalizes the shifts")
-                    differences[key] = c
-                if c != differs_at - 1:
-                    raise CertificateInvalid(f"differs_at {differs_at}, but they first differ at {c + 1}")
+        if self._layout is None:
+            matrices = (e.witness.matrix for e in entries)
+            foreign = next((k for k, M in enumerate(matrices) if M is not A and M != A), len(entries))
+            answers = [(e.witness.tail, e.differs_at) for e in entries[:foreign]]
+            fault = _block_fault([w[i:] for w in words[:foreign]], answers)
+            if fault is None and foreign < len(entries):
+                fault = foreign, "witness built over a different matrix"
+        else:
+            fault, heads, checked = None, _ends(store, i + 1), store.checked
+            for s, e in dict.fromkeys(zip(heads, ends)):  # in order of first use
+                block = blocks[e]
+                if (m, s, id(block)) in checked:
+                    continue
+                sizes = _sizes(store, m)
+                start = sum(sizes[:s])
+                fault = _block_fault(store.words[m][start : start + sizes[s]], block)  # listed by _sizes
+                if fault is not None:  # at the first use of (s, e), past the blocks before it
+                    first = list(zip(heads, ends)).index((s, e))
+                    fault = sum(map(len, map(blocks.__getitem__, ends[:first]))) + fault[0], fault[1]
+                    break
+                checked[m, s, id(block)] = block
+        if fault is not None:
+            k, reason = fault
+            raise CertificateInvalid(f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: {reason}")
 
     def to_dict(self) -> dict:
         """The table as a report stores it, one row per entry, read from
@@ -482,21 +533,37 @@ class FreenessCertificate:
         return {"i": self.i, "j": self.j, "entries": rows}
 
     @classmethod
+    def _laid_out(cls, A: AdjacencyMatrix, i: int, j: int, layout: tuple) -> "FreenessCertificate":
+        """A table with `layout` and no entries yet: they are made on first read."""
+        cert = object.__new__(cls)
+        cert.__dict__.update(matrix=A, i=i, j=j, _layout=layout)
+        return cert
+
+    @classmethod
     def from_dict(cls, A: AdjacencyMatrix, data: dict, report_format: int = 2) -> "FreenessCertificate":
         """The table as a report of `report_format` stores it: entry k belongs
         to the k-th depth-j word, listed once the entry count matches
         (``_covers``) and only if the work limit allows it (``_depth_words``).
+        Whether each differs_at is right is left to ``verify``.
 
-        Every row's keys and field types are checked.  Whether the tail t
-        may follow w, w . t^inf being admissible, depends only on w[-1] and
-        t, since w is a listed word.  So the first entry of each (w[-1],
-        tail literal) pair that the store meets, in this table or an earlier
-        one, parses t and checks its point, and a bad tail fails at its
-        first such entry with that entry's message; later entries of the
-        pair reuse the parsed tail.  The rows' answers (t, differs_at) make
-        the table's one answer block, laid out with the depth-j listing as
-        a built table is, so no entry is made.  Whether each differs_at is
-        right is left to ``verify``."""
+        A format-2 table (i, j) with i > 0 whose rows, compared as JSON
+        objects, are the (0, m) table's rows laid out as a built table is,
+        block by block, and whose differs_at are all JSON integers (1.0 and
+        true compare equal to 1) takes the (0, m) table's answer blocks, so
+        its rows are read no further.  Only ``parse_report`` and
+        ``verify_report`` read tables into a store that outlives this call,
+        so the rows compared are those ``json.loads`` made.  Any other table
+        is read row by row, and cut into one answer block per depth-(i+1)
+        word.
+
+        Row by row, every row's keys and field types are checked.  Whether
+        the tail t may follow w, w . t^inf being admissible, depends only on
+        w[-1] and t, since w is a listed word.  So the first entry of each
+        (w[-1], tail literal) pair that the store meets, in this table or an
+        earlier one, parses t and checks its point, and a bad tail fails at
+        its first such entry with that entry's message; later entries of the
+        pair reuse the parsed tail.  The rows of a (0, m) table and their
+        answers are kept in the store, cut by first symbol."""
         i, j = json_field(data, int, "i"), json_field(data, int, "j")
         rows = exact_keys(data, _TABLE_KEYS, f"(i={i}, j={j}): ")["entries"]
         if type(rows) is not list:
@@ -506,7 +573,14 @@ class FreenessCertificate:
         store = _answers(A)
         if not _covers(store, j, len(rows)):
             raise CertificateInvalid(f"(i={i}, j={j}): entries do not cover the depth-j cylinders")
-        words, answers, tails = _depth_words(store, j), [], store.tails
+        m, words, heads = j - i, _depth_words(store, j), _ends(store, i + 1)
+        shared = store.read.get(m) if i and report_format != 1 else None
+        if shared is not None:
+            row_blocks, blocks = shared
+            if rows == list(chain.from_iterable(map(row_blocks.__getitem__, heads))):
+                if countOf(map(type, map(itemgetter("differs_at"), rows)), int) == len(rows):
+                    return cls._laid_out(A, i, j, (blocks, heads, words))
+        answers, tails = [], store.tails
         with located(lambda: f"(i={i}, j={j}).entries[{k}] [{word_to_string(words[k])}]: "):
             for k, (w, row) in enumerate(zip(words, rows)):
                 # Each row's keys and types are tested inline; exact_keys and json_field raise.
@@ -525,9 +599,11 @@ class FreenessCertificate:
                 if type(differs_at) is not int:
                     json_field(row, int, "differs_at")
                 answers.append((tail, differs_at))
-        cert = object.__new__(cls)  # no entries yet: they are made on first read
-        cert.__dict__.update(matrix=A, i=i, j=j, _layout=((answers,), [0], words))
-        return cert
+        cuts = list(pairwise(accumulate(map(_sizes(store, m).__getitem__, heads), initial=0)))
+        blocks = tuple(answers[a:b] for a, b in cuts)
+        if i == 0:
+            store.read[m] = tuple(rows[a:b] for a, b in cuts), blocks
+        return cls._laid_out(A, i, j, (blocks, range(len(blocks)), words))
 
 
 def _laid_out_entries(cert: FreenessCertificate) -> tuple[FreenessEntry, ...]:
@@ -677,10 +753,7 @@ def freeness_certificate(A: AdjacencyMatrix, i: int, j: int) -> FreenessCertific
     store = _answers(A)
     words = _depth_words(store, j)
     blocks = _answer_blocks(store, i, j, words)
-    ends = [q[-1] - 1 for q in _depth_words(store, i + 1)]  # the block of each depth-(i+1) word
-    cert = object.__new__(FreenessCertificate)  # no entries yet: they are made on first read
-    cert.__dict__.update(matrix=A, i=i, j=j, _layout=(blocks, ends, words))
-    return cert
+    return FreenessCertificate._laid_out(A, i, j, (blocks, _ends(store, i + 1), words))
 
 
 def _answer_blocks(store: _Answers, i: int, j: int, words: list[Word]) -> _Blocks:

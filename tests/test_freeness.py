@@ -473,7 +473,8 @@ def test_tables_without_a_layout_are_written_from_their_own_entries(golden):
     # A table from the constructor or from replace has none, and is written
     # from its own entries, so an edited entry shows in the bytes even where
     # the built table it was edited from has a layout.  A table from_dict
-    # reads is laid out as its own rows, one block, so it writes them too.
+    # reads is laid out as its own rows, one block per depth-(i+1) word, so
+    # it writes them too.
     full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
     for A, i, j, k in ((golden, 1, 3, 3), (full3, 1, 3, 4), (full3, 0, 2, 0)):
         cert = ss.freeness_certificate(A, i, j)
@@ -639,8 +640,8 @@ def _first_read(cert):
 
 
 def test_read_tables_are_laid_out_and_make_their_entries_on_first_read(monkeypatch):
-    # from_dict keeps a table's rows as one answer block and lays the table
-    # out as that block zipped with the depth-j listing, as a built table is
+    # from_dict cuts a table's rows into answer blocks and lays the table out
+    # as those blocks zipped with the depth-j listing, as a built table is
     # laid out from its blocks.  Reading and checking a report, and checking
     # a built or a read table, make no entry and no point; a read table's
     # first .entries read gives the per-entry rule's entries, and a verified
@@ -749,6 +750,129 @@ def test_a_one_row_edit_is_refused_where_and_as_it_was(t, k, edit):
         assert type(refused.value) is error and str(refused.value) == message
     else:
         ss.parse_report(text)
+
+
+def test_read_tables_share_the_answer_blocks_of_their_0_m_table():
+    # A format-2 table (i, j) with i > 0 whose rows repeat the (0, m) table's,
+    # m = j - i, takes that table's answer blocks, as a built table takes the
+    # builder's, and makes the same entries and the same bytes.
+    golden = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    for A, b in ((golden, 8), (full3, 5)):
+        built = ss.analyze(A, b)
+        text = ss.render_report(built)
+        read = ss.parse_report(text)
+        tables = {(c.i, c.j): c for c in read.freeness}
+        for cert, twin in zip(read.freeness, built.freeness):
+            assert (cert.i, cert.j) == (twin.i, twin.j)
+            if cert.i:
+                assert cert._layout[0] is tables[0, cert.j - cert.i]._layout[0], (cert.i, cert.j)
+        assert ss.render_report(read) == text
+        for cert, twin in zip(read.freeness, built.freeness):
+            assert _first_read(cert) == _first_read(twin), (cert.i, cert.j)
+
+
+def _golden_d4_edited(differs_at: int, edit):
+    """golden's depth-4 report with the first row of an i > 0 table whose
+    differs_at is `differs_at` updated by edit(row).  Returns the text, the
+    table's place and its (i, j), the row's index and its word's literal."""
+    A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
+    doc = json.loads(_GOLDEN_D4)
+    for t, table in enumerate(doc["certificates"]["freeness"]):
+        i, j, rows = table["i"], table["j"], table["entries"]
+        k = next((k for k, row in enumerate(rows) if row["differs_at"] == differs_at), None)
+        if i and k is not None:
+            rows[k].update(edit(rows[k]))
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            word = ss.word_to_string(ss.enumerate_words(A, j)[k])
+            return text, f"certificates.freeness[{t}] (i={i}, j={j})", (i, j), k, word
+    raise AssertionError(f"no i > 0 row has differs_at {differs_at}")
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_a_differs_at_equal_to_its_int_is_refused_as_no_json_integer(value):
+    # 1.0 == true == 1, so the row still compares equal to the (0, m) row it
+    # repeats; it is read row by row and refused as it was.
+    text, at, _, k, word = _golden_d4_edited(1, lambda row: {"differs_at": value})
+    message = f"{at}.entries[{k}] [{word}]: differs_at must be a JSON integer, got {value!r}"
+    for read in (ss.parse_report, ss.verify_report):
+        with pytest.raises(MalformedInput) as refused:
+            read(text)
+        assert type(refused.value) is MalformedInput and str(refused.value) == message
+
+
+def test_a_wrong_differs_at_in_an_i_positive_table_is_refused_at_its_row():
+    text, at, _, k, word = _golden_d4_edited(2, lambda row: {"differs_at": 3})
+    ss.parse_report(text)
+    with pytest.raises(CertificateInvalid) as refused:
+        ss.verify_report(text)
+    assert str(refused.value) == f"{at}.entries[{k}] [{word}]: differs_at 3, but they first differ at 2"
+
+
+def test_a_wrong_answer_in_shared_blocks_is_refused_where_each_entry_check_refuses_it():
+    # The same wrong differs_at, written for u = 222 in full3's (0, 3) table
+    # and for 1222, 2222 and 3222 in its (1, 4) table, is read into the blocks
+    # both tables share.  Each table, checked alone in a fresh store, is
+    # refused at its first row that uses the bad answer, as the same table
+    # without a layout (replace) is refused entry by entry.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    doc = json.loads(ss.render_report(ss.analyze(full3, 4)))
+    tables = {(t["i"], t["j"]): t["entries"] for t in doc["certificates"]["freeness"]}
+    for (i, j), k in (((0, 3), 13), ((1, 4), 13), ((1, 4), 40), ((1, 4), 67)):
+        tables[i, j][k]["differs_at"] += 1
+    v = ss.parse_report(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    shared = {(c.i, c.j): c._layout[0] for c in v.freeness}
+    assert shared[1, 4] is shared[0, 3]
+    refused = []
+    for cert in v.freeness:
+        messages = []
+        for table in (cert, replace(cert)):
+            try:
+                table.verify()
+                messages.append(None)
+            except CertificateInvalid as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1], (cert.i, cert.j)
+        if messages[0] is not None:
+            refused.append(messages[0])
+    assert refused == [
+        "(i=0, j=3).entries[13] [222]: differs_at 3, but they first differ at 2",
+        "(i=1, j=4).entries[13] [1222]: differs_at 3, but they first differ at 2",
+    ]
+
+
+def test_a_doubled_tail_verifies_and_is_read_as_its_own_blocks():
+    # w . (tt)^inf is the point w . t^inf, with the same first difference, so
+    # the report verifies; the table no longer repeats the (0, m) rows, so it
+    # is read row by row into blocks of its own, written back as it reads.
+    text, _, (i, j), _, _ = _golden_d4_edited(2, lambda row: {"tail": row["tail"] * 2})
+    v = ss.verify_report(text)
+    tables = {(c.i, c.j): c for c in v.freeness}
+    assert tables[i, j]._layout[0] is not tables[0, j - i]._layout[0]
+    assert ss.render_report(v) == text
+
+
+def test_a_checked_block_is_not_scanned_again(monkeypatch):
+    # In one store, once table (0, m) has checked its blocks, a built or a read
+    # (i, j) table of the same m checks them by their identity alone.
+    full3 = ss.AdjacencyMatrix.from_rows([[1, 1, 1]] * 3)
+    text = ss.render_report(ss.analyze(full3, 4))
+
+    def scanned(u, t):
+        raise AssertionError("a checked block was scanned again")
+
+    for read in (False, True):
+        with monkeypatch.context() as patch, ss.freeness._one_store():
+            if read:
+                tables = {(c.i, c.j): c for c in ss.verdict._verdict_from_doc(json.loads(text)).freeness}
+            else:
+                tables = {(i, j): ss.freeness_certificate(full3, i, j) for i, j in ((0, 2), (1, 3), (2, 4), (0, 3))}
+            tables[0, 2].verify()
+            patch.setattr(ss.freeness, "_tail_difference", scanned)
+            tables[1, 3].verify()
+            tables[2, 4].verify()
+            with pytest.raises(AssertionError, match="scanned again"):
+                tables[0, 3].verify()
 
 
 def _open_store():
