@@ -109,6 +109,44 @@ def test_transfer_equiv_false(golden_file, tmp_path, capsys):
     assert doc["zero_set_left"] == ["2"] and doc["zero_set_right"] == []
 
 
+def _stdlib_bytes(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_equiv_and_invariant_print_the_stdlib_bytes_of_their_documents(golden_file, tmp_path, capsys):
+    # Each document is built here from the library, spelled as the file formats
+    # spell words and values, and the verb must print json.dumps's bytes of it:
+    # an equivalent pair writes its witness table, a pair that is not writes
+    # both zero sets.
+    A = ss.parse_matrix(GOLDEN)
+    files = {
+        "w1": "depth 2\n11 1/2\n12 3\n21 5/7\n",
+        "w2": "depth 1\n1 1\n2 2/3\n",
+        "z1": "depth 2\n11 1/2\n12 0\n21 5/7\n",
+        "z2": "depth 1\n1 1\n2 0\n",
+    }
+    weights = {name: ss.parse_weight_file(A, text) for name, text in files.items()}
+    paths = {name: write(tmp_path, name, text) for name, text in files.items()}
+    for left, right, expected in (("w1", "w2", True), ("z1", "z2", False), ("z1", "w2", False)):
+        equivalent, f = ss.weights_equivalent(weights[left], weights[right])
+        assert equivalent is expected
+        doc = {"equivalent": equivalent, "witness": None}
+        if equivalent:
+            values = {ss.word_to_string(w): str(f.nonzero.get(w, 0)) for w in ss.enumerate_words(A, f.depth)}
+            doc["witness"] = {"depth": f.depth, "values": values}
+        else:
+            for key, name in (("zero_set_left", left), ("zero_set_right", right)):
+                doc[key] = sorted(map(ss.word_to_string, ss.zero_set(weights[name])))
+        assert main(["transfer", "equiv", golden_file, paths[left], paths[right]]) == 0
+        assert capsys.readouterr().out == _stdlib_bytes(doc), (left, right)
+    three = write(tmp_path, "three.mat", "3\n1 1 1\n1 1 1\n1 1 0\n")
+    for path in (golden_file, three):
+        B = ss.parse_matrix(Path(path).read_text())
+        doc = {"matrix": {"n": B.n, "rows": [list(r) for r in B.rows]}, "invariant_set": ss.find_nontrivial_invariant(B).to_dict()}
+        assert main(["witness", "invariant", path]) == 0
+        assert capsys.readouterr().out == _stdlib_bytes(doc), path
+
+
 def test_witness_invariant(golden_file, capsys):
     assert main(["witness", "invariant", golden_file]) == 0
     doc = json.loads(capsys.readouterr().out)
