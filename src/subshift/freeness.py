@@ -17,10 +17,10 @@ Every certificate re-verifies itself from its stored data alone via
 ``verify``, which ``verify_report`` runs where a report is read.  The
 builders return what they construct without running it.  Invariant-set
 points are two-sided, freeness witnesses one-sided (``OneSidedPoint``).
-A depth-j table reads its words from ``_depth_words``, which checks the
-work limit on every call, so a table is refused alike when it is built,
-read or verified; its size is compared with the count of depth-j words
-before any is listed (``_covers``).
+A depth-j table reads its words from ``_depth_words``, which lists each
+depth once per call under ``enumerate_words``'s work limit, so a table is
+refused alike when it is built, read or verified; its size is compared
+with the count of depth-j words before any is listed (``_covers``).
 
 Answers live for one call, in a store (``_Answers``) with one dict per
 kind, not on the matrix, which keeps only its n^2-bounded path answers.
@@ -96,7 +96,6 @@ from .sequences import (
     periodic_seq,
     require_admissible,
     require_point,
-    require_work_limit,
     word_from_string,
     word_to_string,
 )
@@ -362,10 +361,10 @@ def _answers(A: AdjacencyMatrix) -> _Answers:
 
 
 def _depth_words(store: _Answers, j: int) -> list[Word]:
-    """``enumerate_words(A, j)`` over the store's matrix A, refused on every
-    call exactly when it is (``require_work_limit``), but listed once per
-    store: callers only read the list it keeps."""
-    require_work_limit(store.matrix, j)
+    """``enumerate_words(A, j)`` over the store's matrix A, listed once per
+    store and refused, by its work limit, when the store first lists depth
+    j.  A store lives for one call, so each call that needs depth j checks
+    the limit for it.  Callers only read the list it keeps."""
     words = store.words.get(j)
     if words is None:
         words = store.words[j] = enumerate_words(store.matrix, j)

@@ -220,7 +220,7 @@ def _shortest_walk(
     ahead = [dist[u] for u in A._successors[i - 1] if u in dist]
     if not ahead:
         return None
-    word = [i]
+    word = [int(i)]  # a bool that passes check_symbol must not start the walk
     for remaining in range(min(ahead), -1, -1):
         word.append(min(u for u in A._successors[word[-1] - 1] if dist.get(u) == remaining))
     return tuple(word)
@@ -245,8 +245,7 @@ def _path(A: AdjacencyMatrix, i: int, j: int) -> Word:
     try:
         walk = A._answers[i, j]
     except KeyError:
-        # int(i): a bool that passes check_symbol must not start the stored walk.
-        walk = A._answers[i, j] = _shortest_walk(A, int(i), (j,), frozenset(A.symbols))
+        walk = A._answers[i, j] = _shortest_walk(A, i, (j,), frozenset(A.symbols))
     if walk is None:
         raise NoPath(f"no path from {i} to {j}")
     return walk

@@ -202,24 +202,18 @@ def dump_json(doc: dict) -> str:
 
 def _write_json(value, newline: str, out: list[str], spelled: dict) -> None:
     """Append `value` to `out` as ``json.dumps`` lays it out at the nesting
-    level whose line break and indent is `newline`.  A dict whose values are
-    all exactly str, int, bool or None is written as one string
-    (``_leaf_lines``).  `spelled` keeps the text the call has made of a
-    freeness table's answer blocks and of a witness's words, keyed by the
-    identity of those objects, which the document keeps alive for the call
-    and nothing edits once built."""
+    level whose line break and indent is `newline`: a dict key by key, in
+    sorted order.  `spelled` keeps the text the call has made of a freeness
+    table's answer blocks and of a witness's words, keyed by the identity of
+    those objects, which the document keeps alive for the call and nothing
+    edits once built."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         inner = newline + "  "
-        items = sorted(value.items())
-        lines = _leaf_lines(items)
-        if lines is not None:
-            out.append("{" + inner + ("," + inner).join(lines) + newline + "}")
-            return
         separator = "{" + inner
-        for key, item in items:
+        for key, item in sorted(value.items()):
             out.append(separator + encode_basestring_ascii(key) + ": ")
             _write_json(item, inner, out, spelled)
             separator = "," + inner
@@ -294,36 +288,12 @@ def _table_text(cert: FreenessCertificate, newline: str, spelled: dict) -> str:
     return f'{{{keys}"entries": [{rows}{entries}{keys}],{keys}"i": {cert.i},{keys}"j": {cert.j}{newline}}}'
 
 
-def _leaf_lines(items: list[tuple]) -> list[str] | None:
-    """The ``"key": value`` lines of a dict's sorted items, or None unless
-    every value is exactly a str, int, bool or None: a subclass, a float or
-    a container takes ``_write_json``'s general path.  A key that is not a
-    str raises the TypeError it raises there."""
-    lines = []
-    for key, item in items:
-        kind = type(item)
-        if kind is str:
-            text = encode_basestring_ascii(item)
-        elif kind is int:
-            text = int.__repr__(item)
-        elif kind is bool or item is None:
-            text = _CONSTANTS[item]
-        else:
-            return None
-        lines.append(encode_basestring_ascii(key) + ": " + text)
-    return lines
-
-
-def _verdict_to_dict(v: AnalysisVerdict, plain: bool = True) -> dict:
-    """The report document of `v`, plain data that ``json.dumps`` writes;
-    unless `plain`, it holds the certificate objects themselves, which
-    ``dump_json`` writes alike (``render_report``)."""
+def _verdict_to_dict(v: AnalysisVerdict) -> dict:
+    """The report document of `v`, holding its certificate objects
+    themselves, which ``dump_json`` writes as ``json.dumps`` writes their
+    ``to_dict()`` (``render_report``)."""
     one = ["minimality", "freeness"] if v.one_sided == "simple" else []
     two = ["invariant_set"] if v.two_sided == "non_simple" else []
-    invariant, minimality, freeness = v.invariant_set, v.minimality, v.freeness
-    if plain:
-        invariant = None if invariant is None else invariant.to_dict()
-        minimality, freeness = [m.to_dict() for m in minimality], [c.to_dict() for c in freeness]
     doc = {
         "format": 2,  # reports before this key are format 1 (verify_report reads both)
         "matrix": matrix_echo(v.matrix),
@@ -333,7 +303,7 @@ def _verdict_to_dict(v: AnalysisVerdict, plain: bool = True) -> dict:
         "two_sided": {"status": v.two_sided, "certificates": two},
         "conclusion": v.conclusion,
         "corollary_no_invertible_weight": v.corollary_no_invertible_weight,
-        "certificates": {"invariant_set": invariant, "minimality": minimality, "freeness": freeness},
+        "certificates": {"invariant_set": v.invariant_set, "minimality": v.minimality, "freeness": v.freeness},
         "citations": list(v.citations),
         "notes": list(v.notes),
     }
@@ -344,9 +314,10 @@ def _verdict_to_dict(v: AnalysisVerdict, plain: bool = True) -> dict:
 
 def render_report(v: AnalysisVerdict) -> str:
     """Serialize a verdict deterministically (sorted keys, stable layout):
-    the bytes ``json.dumps`` writes of ``_verdict_to_dict(v)``, written by
-    ``dump_json`` from the certificate objects themselves."""
-    return dump_json(_verdict_to_dict(v, plain=False))
+    the bytes ``json.dumps`` writes of ``_verdict_to_dict(v)`` with each
+    certificate replaced by its ``to_dict()``, written by ``dump_json``
+    from the certificate objects themselves."""
+    return dump_json(_verdict_to_dict(v))
 
 
 def _load_report(text: str):

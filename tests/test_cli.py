@@ -142,7 +142,8 @@ def test_equiv_and_invariant_print_the_stdlib_bytes_of_their_documents(golden_fi
     three = write(tmp_path, "three.mat", "3\n1 1 1\n1 1 1\n1 1 0\n")
     for path in (golden_file, three):
         B = ss.parse_matrix(Path(path).read_text())
-        doc = {"matrix": {"n": B.n, "rows": [list(r) for r in B.rows]}, "invariant_set": ss.find_nontrivial_invariant(B).to_dict()}
+        matrix = {"n": B.n, "rows": [list(r) for r in B.rows]}
+        doc = {"matrix": matrix, "invariant_set": ss.find_nontrivial_invariant(B).to_dict()}
         assert main(["witness", "invariant", path]) == 0
         assert capsys.readouterr().out == _stdlib_bytes(doc), path
 

@@ -594,9 +594,9 @@ def test_work_limit_counts_entries_before_building(golden, monkeypatch):
 
 
 def test_a_kept_listing_is_refused_whenever_a_fresh_one_is(monkeypatch):
-    # A matrix keeps each depth's words once listed, by analyze or by
-    # verify_report; lowered after that, the work limit still refuses a table
-    # built, read or verified on it exactly when enumerate_words refuses.
+    # analyze and verify_report each list a depth's words once per call; lowered
+    # after those calls, the work limit still refuses a table built, read or
+    # verified on their matrices exactly when enumerate_words refuses.
     A = ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]])
     built = ss.analyze(A, 5)
     read = ss.verify_report(ss.render_report(built))
@@ -623,6 +623,24 @@ def test_a_kept_listing_is_refused_whenever_a_fresh_one_is(monkeypatch):
                     cert.verify()
                     outcomes["built"] += 1
     assert outcomes["refused"] and outcomes["built"]
+
+
+def test_a_report_applies_the_work_limit_once_per_depth_it_lists(monkeypatch):
+    # A store lives for one call and lists each depth once, through
+    # enumerate_words, which applies the work limit; so a golden d5
+    # verify_report checks the limit once for each of the depths 1 to 5.
+    text = ss.render_report(ss.analyze(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), 5))
+    calls, check = [], ss.sequences.require_work_limit
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(ss.sequences, "require_work_limit", counted)
+    if hasattr(ss.freeness, "require_work_limit"):
+        monkeypatch.setattr(ss.freeness, "require_work_limit", counted)
+    ss.verify_report(text)
+    assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
 def _refuse_entries(monkeypatch):

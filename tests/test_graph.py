@@ -132,6 +132,21 @@ def test_first_return_word_examples(golden, split2):
             first_return_word(A, 1)
 
 
+def test_a_bool_symbol_gives_the_walk_of_its_int():
+    # True passes the symbol check as 1, but a walk starting with it would be
+    # spelled 1.2, not 12.  Each call runs on a fresh matrix, bool first, so no
+    # walk kept from an int call answers it.
+    calls = (
+        lambda A, s: first_return_word(A, s),
+        lambda A, s: ss.find_path(A, s, 2),
+        lambda A, s: ss.find_path(A, 2, s),
+    )
+    for call in calls:
+        walk, of_int = (call(ss.AdjacencyMatrix.from_rows([[1, 1], [1, 0]]), s) for s in (True, 1))
+        assert all(type(s) is int for s in walk) and walk == of_int, walk
+        assert ss.word_to_string(walk) == ss.word_to_string(of_int)
+
+
 def test_find_path_checks_symbols_before_reading_its_answer(golden, split2):
     assert ss.find_path(golden, 1, 2) == (1, 2)
     for i in (1.0, 0, 3, "1"):

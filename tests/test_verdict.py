@@ -684,7 +684,7 @@ def test_reports_are_written_in_the_stdlib_layout(golden):
         v = ss.analyze(A, depth)
         doc = ss.verdict._verdict_to_dict(v)
         text = ss.render_report(v)
-        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(doc, indent=2, sort_keys=True, default=lambda c: c.to_dict()) + "\n"
         # A parsed table has no layout and is written entry by entry, to the same bytes.
         assert ss.render_report(ss.parse_report(text)) == text
 
@@ -722,7 +722,8 @@ def test_render_report_hands_dump_json_nothing_json_dumps_writes_otherwise(golde
             pass
         else:
             assert written == text
-        assert text == json.dumps(ss.verdict._verdict_to_dict(verdict), indent=2, sort_keys=True) + "\n"
+        plain = json.dumps(ss.verdict._verdict_to_dict(verdict), indent=2, sort_keys=True, default=lambda c: c.to_dict())
+        assert text == plain + "\n"
     rows = json.loads(ss.render_report(replace(v, minimality=odd)))["certificates"]["minimality"]
     assert rows == [m.to_dict() for m in odd] and rows[2]["from"] != rows[2]["to"]
 
@@ -777,7 +778,7 @@ def test_dump_json_writes_certificate_objects_as_json_dumps_writes_their_dicts(g
     ]
     for A, depth in ((near_cycle(10), 2), (near_cycle(12), 3)):
         v = ss.analyze(A, depth)
-        docs += [ss.verdict._verdict_to_dict(v, plain=False), {"m": v.minimality, "f": [v.freeness]}]
+        docs += [ss.verdict._verdict_to_dict(v), {"m": v.minimality, "f": [v.freeness]}]
     for doc in docs:
         text = ss.verdict.dump_json(doc)
         assert text == json.dumps(doc, indent=2, sort_keys=True, default=lambda c: c.to_dict()) + "\n"
@@ -790,7 +791,8 @@ def test_every_small_report_is_its_plain_document_and_verifies():
     for A in no_zero_row_matrices(3):
         v = ss.analyze(A, 3)
         text = ss.render_report(v)
-        assert text == json.dumps(ss.verdict._verdict_to_dict(v), indent=2, sort_keys=True) + "\n", A.rows
+        doc = ss.verdict._verdict_to_dict(v)
+        assert text == json.dumps(doc, indent=2, sort_keys=True, default=lambda c: c.to_dict()) + "\n", A.rows
         assert ss.verify_report(text).conclusion == v.conclusion, A.rows
 
 
